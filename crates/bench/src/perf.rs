@@ -11,8 +11,8 @@ use crate::{bench_mall, bench_taxi};
 use sts_core::noise::GaussianNoise;
 use sts_core::transition::SpeedKdeTransition;
 use sts_core::{
-    default_worker_path, CheckpointConfig, ExecMode, IsolateOptions, JobConfig, ShardOptions,
-    StpCacheMode, StpEstimator, Sts, StsConfig, TileConfig, TILE_CELL_BYTES,
+    default_worker_path, ExecMode, IsolateOptions, JobConfig, ShardOptions, StpCacheMode,
+    StpEstimator, Sts, StsConfig, TileConfig, TILE_CELL_BYTES,
 };
 use sts_eval::matching::matching_ranks;
 use sts_eval::measures::{make_measure, measure_set, MeasureKind};
@@ -348,9 +348,9 @@ pub fn chaos(config: &TimingConfig) -> PerfReport {
 
 /// Supervision overhead on a clean batch: the strict matrix versus a
 /// fully supervised job (pair-chunk queue, budget/cancel checks,
-/// per-cell retry containment) versus the same job flushing text
-/// checkpoints — what a service pays for deadlines, retries and
-/// resumability when nothing actually goes wrong.
+/// per-cell retry containment) — what a service pays for deadlines and
+/// retries when nothing actually goes wrong. The `tiles` suite times
+/// the durable (spilling, resumable) path.
 pub fn runtime(config: &TimingConfig) -> PerfReport {
     let scenario = bench_mall(5);
     let clean: Vec<Trajectory> = scenario.pairs.d1.clone();
@@ -361,7 +361,6 @@ pub fn runtime(config: &TimingConfig) -> PerfReport {
         },
         scenario.default_grid(),
     );
-    let ckpt = std::env::temp_dir().join(format!("sts-bench-runtime-{}.ckpt", std::process::id()));
 
     let entries = vec![
         (
@@ -375,24 +374,7 @@ pub fn runtime(config: &TimingConfig) -> PerfReport {
                     .unwrap()
             }),
         ),
-        (
-            "supervised_matrix_checkpointed".to_string(),
-            time(config, || {
-                // Each iteration is a fresh job, not a resume.
-                let _ = std::fs::remove_file(&ckpt);
-                let cfg = JobConfig {
-                    checkpoint: Some(CheckpointConfig {
-                        path: ckpt.clone(),
-                        flush_every_chunks: 4,
-                    }),
-                    ..JobConfig::default()
-                };
-                sts.similarity_matrix_supervised(&clean, &clean, &cfg)
-                    .unwrap()
-            }),
-        ),
     ];
-    let _ = std::fs::remove_file(&ckpt);
 
     // Subprocess execution of the same matrix, to keep the isolation
     // tax (spawn + preamble + frame codec) visible next to the

@@ -180,8 +180,8 @@ impl fmt::Display for BatchReport {
 }
 
 /// Prepares every trajectory, quarantining failures (typed errors and
-/// contained panics alike) into `out`. Shared with the supervised job
-/// path in [`crate::job`].
+/// contained panics alike) into `out`. Shared with the matrix engine
+/// in [`crate::tiled`].
 pub(crate) fn prepare_all(
     sts: &Sts,
     trajectories: &[Trajectory],
@@ -224,44 +224,23 @@ impl Sts {
     ) -> (Vec<Vec<PairOutcome>>, BatchReport) {
         // The degraded API is the supervised job under the legacy
         // contract: unlimited budget, no retries (a panicked cell is
-        // terminal and reported as `Panicked`), no checkpoint. With no
-        // checkpoint configured the supervised path cannot fail.
+        // terminal and reported as `Panicked`). An in-process job with
+        // no tile store cannot fail to start.
         let (matrix, report) = self
             .similarity_matrix_supervised(
                 queries,
                 candidates,
                 &crate::job::JobConfig::legacy_degraded(),
             )
-            .expect("supervised job without checkpoint is infallible");
+            .expect("an untiled in-process job always starts");
         (matrix, report.batch)
-    }
-
-    /// Degraded-mode top-k: ranks every scorable candidate, quarantining
-    /// the rest. A quarantined *query* yields an empty ranking (the
-    /// report says why). Quarantined and panicked candidates are
-    /// excluded from the ranking rather than scored 0, so the caller can
-    /// distinguish "dissimilar" from "unmeasurable".
-    pub fn top_k_degraded(
-        &self,
-        query: &Trajectory,
-        candidates: &[Trajectory],
-        k: usize,
-    ) -> (Vec<(usize, f64)>, BatchReport) {
-        let (top, report) = self
-            .top_k_supervised(
-                query,
-                candidates,
-                k,
-                &crate::job::JobConfig::legacy_degraded(),
-            )
-            .expect("supervised job without checkpoint is infallible");
-        (top, report.batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobConfig;
     use crate::transition::TransitionModel;
     use crate::StsConfig;
     use sts_geo::{BoundingBox, Grid, Point};
@@ -378,8 +357,13 @@ mod tests {
         assert_eq!(report.panicked_pairs, vec![(0, 0), (1, 0)]);
     }
 
+    /// Top-k under the legacy no-retry contract: a quarantined *query*
+    /// yields an empty ranking (the report says why); quarantined and
+    /// panicked candidates are excluded from the ranking rather than
+    /// scored 0, so the caller can tell "dissimilar" from
+    /// "unmeasurable".
     #[test]
-    fn top_k_degraded_ranks_good_candidates_and_reports_bad() {
+    fn top_k_without_retries_ranks_good_candidates_and_reports_bad() {
         let sts = Sts::new(StsConfig::default(), grid());
         let q = walker(25.0, 0.0, 6);
         let candidates = vec![
@@ -388,7 +372,10 @@ mod tests {
             walker(25.0, 5.0, 6),
             walker(5.0, 5.0, 6),
         ];
-        let (top, report) = sts.top_k_degraded(&q, &candidates, 2);
+        let (top, report) = sts
+            .top_k_supervised(&q, &candidates, 2, &JobConfig::legacy_degraded())
+            .unwrap();
+        let report = report.batch;
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0, 2, "co-located walker ranks first");
         assert!(top[0].1 >= top[1].1);
@@ -398,10 +385,18 @@ mod tests {
     }
 
     #[test]
-    fn top_k_degraded_with_bad_query_is_empty_not_an_error() {
+    fn top_k_without_retries_with_bad_query_is_empty_not_an_error() {
         let sts = Sts::new(StsConfig::default(), grid());
         let candidates = vec![walker(25.0, 5.0, 6)];
-        let (top, report) = sts.top_k_degraded(&single_point(), &candidates, 3);
+        let (top, report) = sts
+            .top_k_supervised(
+                &single_point(),
+                &candidates,
+                3,
+                &JobConfig::legacy_degraded(),
+            )
+            .unwrap();
+        let report = report.batch;
         assert!(top.is_empty());
         assert_eq!(report.quarantined_queries.len(), 1);
         assert!(!report.is_clean());

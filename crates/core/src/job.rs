@@ -1,6 +1,5 @@
-//! Supervised similarity-matrix jobs: deadlines, cancellation,
-//! retrying workers and checkpoint/resume on top of the
-//! [`sts_runtime`] pool.
+//! Supervised similarity-matrix jobs: the configuration, the report,
+//! the input fingerprint and per-cell scoring.
 //!
 //! [`Sts::similarity_matrix_degraded`] contains faults but still runs
 //! open-loop: no way to stop it, no way to resume it, and a panicked
@@ -19,54 +18,30 @@
 //!   times before becoming [`PairOutcome::Failed`]; the pool
 //!   additionally retries whole chunks as a backstop and a watchdog
 //!   marks chunks exceeding the soft timeout;
-//! * **resumable** — completed cells are periodically flushed to a
-//!   text checkpoint (format: [`sts_runtime::checkpoint`]); a resumed
-//!   job verifies the header fingerprint against its inputs and skips
-//!   checkpointed cells, so a crash loses at most one flush interval.
+//! * **resumable** — given a [`TileConfig`](crate::TileConfig), every
+//!   completed tile is spilled to disk and a rerun resumes from the
+//!   verified tiles (see [`crate::tiled`]), so a crash loses at most
+//!   the tiles in flight.
 //!
-//! The [`JobReport`] extends the degraded-mode [`BatchReport`] with
-//! the runtime half: timing, retry counts, chunk accounting and
-//! percent-complete ([`JobStats`]).
+//! Every job — tiled or not — runs on the one engine in
+//! [`crate::tiled`]; this module holds what the engine is configured
+//! with and what it reports. The [`JobReport`] extends the
+//! degraded-mode [`BatchReport`] with the runtime half: timing, retry
+//! counts, chunk accounting and percent-complete ([`JobStats`]).
 
-use crate::batch::{prepare_all, BatchReport, PairOutcome};
-use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
-use crate::worker;
+use crate::batch::{BatchReport, PairOutcome};
+use crate::sts::{PreparedTrajectory, Sts};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use sts_geo::Grid;
-use sts_isolate::{IsolateConfig, WorkerSpec};
-use sts_obs::{trace, Telemetry};
-use sts_runtime::checkpoint::{load_checkpoint, save_checkpoint, CellRecord, Checkpoint, Fnv1a};
-use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
+use sts_obs::Telemetry;
 use sts_runtime::{
-    Budget, CancelToken, CheckpointError, DecorrelatedJitter, FaultPlan, IsolateStats, JobState,
-    JobStats, PairChunk, PairSpace, RetryPolicy,
+    Budget, CancelToken, DecorrelatedJitter, FaultPlan, Fnv1a, JobState, JobStats, RetryPolicy,
 };
 use sts_traj::Trajectory;
-
-/// Periodic checkpointing of a supervised job.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Checkpoint file path. If the file exists when the job starts,
-    /// the job *resumes* from it (after fingerprint verification).
-    pub path: PathBuf,
-    /// Flush after this many newly completed chunks (clamped to ≥ 1).
-    /// A crash loses at most this much progress.
-    pub flush_every_chunks: usize,
-}
-
-impl CheckpointConfig {
-    /// Checkpoint to `path`, flushing every 8 completed chunks.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        CheckpointConfig {
-            path: path.into(),
-            flush_every_chunks: 8,
-        }
-    }
-}
 
 /// Where a supervised job's scoring actually runs.
 #[derive(Debug, Clone, Default)]
@@ -81,10 +56,10 @@ pub enum ExecMode {
     /// costs one chunk: the supervisor restarts it under a budget and
     /// bisects the killing chunk down to the single poison pair, which
     /// is quarantined as [`PairOutcome::Poisoned`] with the worker's
-    /// exit status. Budget, cancellation, checkpoint/resume and
-    /// telemetry behave exactly as in-process; per-cell *retries* run
-    /// inside the worker, so they are applied identically but not
-    /// counted in [`JobStats::retries`], and chunk accounting counts
+    /// exit status. Budget, cancellation, tile resume and telemetry
+    /// behave exactly as in-process; per-cell *retries* run inside the
+    /// worker, so they are applied identically but not counted in
+    /// [`JobStats::retries`], and chunk accounting counts
     /// fully-resolved chunks (bisection fragments are not chunks).
     ///
     /// Requires a measure built purely from config ([`Sts::new`] or
@@ -94,10 +69,10 @@ pub enum ExecMode {
     Subprocess(IsolateOptions),
     /// Score on a fleet of socket workers dealt whole tiles by the
     /// lease-based coordinator in [`crate::shard`]. Only meaningful
-    /// under the tiled engine ([`crate::tiled::tiled_engine`]) — tiles
-    /// are the unit of distribution; a plain supervised job has no
-    /// tiles to deal ([`JobError::ShardRequiresTiling`]). Same
-    /// pure-config measure requirement as `Subprocess`.
+    /// with a [`TileConfig`](crate::TileConfig) — tiles are the unit of
+    /// distribution; an untiled job is one in-memory tile with nothing
+    /// to deal ([`JobError::ShardRequiresTiling`]). Same pure-config
+    /// measure requirement as `Subprocess`.
     Sharded(crate::shard::ShardOptions),
 }
 
@@ -106,7 +81,7 @@ pub enum ExecMode {
 #[derive(Debug, Clone)]
 pub struct IsolateOptions {
     /// Worker executable; `None` resolves `sts-worker` next to the
-    /// current executable ([`worker::default_worker_path`]).
+    /// current executable ([`crate::worker::default_worker_path`]).
     pub worker: Option<PathBuf>,
     /// Hard per-chunk timeout: a worker that has not answered within
     /// this long is killed and the chunk attributed. Must comfortably
@@ -150,12 +125,10 @@ pub struct JobConfig {
     /// which honors the `STS_THREADS` env override).
     pub threads: usize,
     /// Pairs per scheduling chunk — the granularity of cancellation
-    /// checks, retries and checkpoint records.
+    /// checks and retries.
     pub chunk_pairs: usize,
     /// Per-chunk soft timeout for the watchdog (default: none).
     pub soft_timeout: Option<Duration>,
-    /// Periodic checkpointing (default: none).
-    pub checkpoint: Option<CheckpointConfig>,
     /// Failpoint-style fault injection, consulted before every scoring
     /// attempt — how the chaos suite drives panicking and slow cells
     /// through a real job (default: none; production jobs pay one
@@ -180,7 +153,6 @@ impl Default for JobConfig {
             threads: 0,
             chunk_pairs: 64,
             soft_timeout: None,
-            checkpoint: None,
             fault: None,
             telemetry: false,
             exec: ExecMode::InProcess,
@@ -190,8 +162,7 @@ impl Default for JobConfig {
 
 impl JobConfig {
     /// The legacy degraded-mode contract: unlimited, no retries (first
-    /// panic is terminal and reported as [`PairOutcome::Panicked`]),
-    /// no checkpoint.
+    /// panic is terminal and reported as [`PairOutcome::Panicked`]).
     pub(crate) fn legacy_degraded() -> Self {
         JobConfig {
             retry: RetryPolicy::none(),
@@ -200,28 +171,11 @@ impl JobConfig {
     }
 }
 
-/// Errors starting or persisting a supervised job. Only the
-/// checkpoint path can produce these; a job without checkpointing
-/// never fails — it degrades.
+/// Errors starting a supervised job. Only the executor set-up and the
+/// tile directory can produce these; once a job runs it never fails —
+/// it degrades.
 #[derive(Debug)]
 pub enum JobError {
-    /// The checkpoint file exists but cannot be parsed.
-    Checkpoint(CheckpointError),
-    /// The checkpoint belongs to different inputs (grid or
-    /// trajectories changed since it was written).
-    FingerprintMismatch {
-        /// Fingerprint of the current inputs.
-        expected: u64,
-        /// Fingerprint recorded in the checkpoint file.
-        found: u64,
-    },
-    /// The checkpoint's matrix dimensions do not match the job's.
-    DimsMismatch {
-        /// `(rows, cols)` of the current job.
-        expected: (usize, usize),
-        /// `(rows, cols)` recorded in the checkpoint file.
-        found: (usize, usize),
-    },
     /// [`ExecMode::Subprocess`] was requested but the measure was
     /// built around trait objects or a training corpus, which cannot
     /// be serialized into a worker preamble.
@@ -232,34 +186,21 @@ pub enum JobError {
         /// The path that was probed.
         path: PathBuf,
     },
-    /// The tiled engine was asked to run with an unusable
-    /// [`TileConfig`](crate::TileConfig) — a zero tile size (which
-    /// would schedule forever without progressing) or a checkpoint
-    /// config (tiles *are* the checkpoint; combining both would
-    /// double-write every cell).
+    /// The engine was asked to run with an unusable
+    /// [`TileConfig`](crate::TileConfig): a zero tile size, which
+    /// would schedule forever without progressing.
     InvalidTiling(String),
     /// The tile directory could not be created or scanned.
     TileDir(std::io::Error),
-    /// [`ExecMode::Sharded`] was requested outside the tiled engine.
-    /// Sharding deals *tiles* to workers; without tiling there is
-    /// nothing to lease.
+    /// [`ExecMode::Sharded`] was requested without a
+    /// [`TileConfig`](crate::TileConfig). Sharding deals *tiles* to
+    /// workers; without tiling there is nothing to lease.
     ShardRequiresTiling,
 }
 
 impl fmt::Display for JobError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JobError::Checkpoint(e) => write!(f, "cannot resume: {e}"),
-            JobError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint fingerprint {found:016x} does not match job inputs {expected:016x} \
-                 (grid or trajectories changed since the checkpoint was written)"
-            ),
-            JobError::DimsMismatch { expected, found } => write!(
-                f,
-                "checkpoint is {}x{} but the job is {}x{}",
-                found.0, found.1, expected.0, expected.1
-            ),
             JobError::SubprocessUnsupported => write!(
                 f,
                 "subprocess execution needs a pure-config measure (Sts::new or the NoNoise \
@@ -272,20 +213,15 @@ impl fmt::Display for JobError {
             JobError::TileDir(e) => write!(f, "tile directory unusable: {e}"),
             JobError::ShardRequiresTiling => write!(
                 f,
-                "sharded execution distributes tiles and needs the tiled engine \
-                 (similarity_matrix_tiled); use Subprocess for untiled supervision"
+                "sharded execution distributes tiles and needs a tile config \
+                 (similarity_matrix_tiled or top_k_matrix_tiled); use Subprocess for \
+                 untiled supervision"
             ),
         }
     }
 }
 
 impl std::error::Error for JobError {}
-
-impl From<CheckpointError> for JobError {
-    fn from(e: CheckpointError) -> Self {
-        JobError::Checkpoint(e)
-    }
-}
 
 /// The full report of a supervised job: the data-quality half
 /// ([`BatchReport`]: quarantines, per-cell failures) plus the runtime
@@ -328,7 +264,7 @@ impl fmt::Display for JobReport {
     }
 }
 
-/// Binds a checkpoint to its job inputs: grid geometry plus the shape
+/// Binds tiles to their job inputs: grid geometry plus the shape
 /// (length, first/last point) of every trajectory. Deliberately *not*
 /// the full point data — hashing millions of points per flush would
 /// tax the hot path — so resuming with a corpus edited in place
@@ -347,7 +283,7 @@ pub(crate) fn job_fingerprint(
 /// One trajectory as the fingerprint sees it: length plus first/last
 /// point. A worker can reconstruct these from decoded preamble frames
 /// without holding full [`Trajectory`] values, so the handshake
-/// fingerprint check shares this exact hash with the checkpoint path.
+/// fingerprint check shares this exact hash with the tile store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TrajShape {
     pub len: u64,
@@ -397,454 +333,7 @@ pub(crate) fn fingerprint_shapes(
     h.finish()
 }
 
-/// Is this outcome terminal for resume purposes (never recomputed)?
-pub(crate) fn is_terminal(cell: &PairOutcome) -> bool {
-    !matches!(cell, PairOutcome::Skipped)
-}
-
-pub(crate) fn to_record(cell: &PairOutcome) -> Option<CellRecord> {
-    match cell {
-        PairOutcome::Score(s) => Some(CellRecord::Score(*s)),
-        PairOutcome::Failed { attempts } => Some(CellRecord::Failed {
-            attempts: *attempts,
-        }),
-        PairOutcome::Panicked => Some(CellRecord::Panicked),
-        // Poison is checkpointed: a resumed job must NOT rediscover a
-        // poison pair by feeding it to (and losing) another worker.
-        PairOutcome::Poisoned { exit } => Some(CellRecord::Poisoned { exit: *exit }),
-        // Quarantine is re-derived from preparation on resume; Skipped
-        // is by definition not terminal.
-        PairOutcome::Quarantined | PairOutcome::Skipped => None,
-    }
-}
-
-pub(crate) fn from_record(rec: CellRecord) -> PairOutcome {
-    match rec {
-        CellRecord::Score(s) => PairOutcome::Score(s),
-        CellRecord::Failed { attempts } => PairOutcome::Failed { attempts },
-        CellRecord::Panicked => PairOutcome::Panicked,
-        CellRecord::Poisoned { exit } => PairOutcome::Poisoned { exit },
-    }
-}
-
 impl Sts {
-    /// The supervised `queries × candidates` similarity matrix: the
-    /// degraded-mode guarantees of
-    /// [`similarity_matrix_degraded`](Sts::similarity_matrix_degraded)
-    /// plus deadlines, cancellation, retries and checkpoint/resume —
-    /// see the [module docs](crate::job).
-    ///
-    /// Never panics and never loses completed work: whatever stops the
-    /// job (deadline, budget, cancel, per-cell failures), every
-    /// completed cell is returned and the [`JobReport`] says exactly
-    /// what happened. `Err` is only possible when
-    /// [`JobConfig::checkpoint`] is set and the existing checkpoint
-    /// cannot be used (parse error, fingerprint/dims mismatch).
-    pub fn similarity_matrix_supervised(
-        &self,
-        queries: &[Trajectory],
-        candidates: &[Trajectory],
-        cfg: &JobConfig,
-    ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
-        let started = Instant::now();
-        let _job_span = trace::span("job.run");
-        if matches!(cfg.exec, ExecMode::Sharded(_)) {
-            return Err(JobError::ShardRequiresTiling);
-        }
-        let metrics_base = cfg.telemetry.then(|| sts_obs::metrics::global().snapshot());
-        let space = PairSpace::new(queries.len(), candidates.len());
-        let mut batch = BatchReport::default();
-
-        // A job with no budget at all returns before preparing
-        // anything: "0-pair budget" must mean *immediately*, not
-        // "after an O(n) preparation pass".
-        if let Some(reason) = check_start(cfg) {
-            let cells = vec![PairOutcome::Skipped; space.len()];
-            let stats = stats_from(&space, &cells, 0, JobState::from_run(Some(reason), false));
-            return Ok((
-                reshape(cells, &space),
-                JobReport {
-                    batch,
-                    stats: JobStats {
-                        elapsed: started.elapsed(),
-                        ..stats
-                    },
-                    telemetry: job_telemetry(metrics_base.as_ref()),
-                },
-            ));
-        }
-
-        let (prepared_q, prepared_c) = {
-            let _span = trace::span("job.prepare");
-            (
-                prepare_all(self, queries, &mut batch.quarantined_queries),
-                prepare_all(self, candidates, &mut batch.quarantined_candidates),
-            )
-        };
-
-        // Resume: restore terminal cells from an existing checkpoint.
-        let fingerprint = job_fingerprint(self.grid(), queries, candidates);
-        let mut cells: Vec<PairOutcome> = vec![PairOutcome::Skipped; space.len()];
-        let mut pairs_resumed = 0usize;
-        if let Some(ck) = &cfg.checkpoint {
-            if ck.path.exists() {
-                let _span = trace::span("job.resume");
-                let cp = load_checkpoint(&ck.path)?;
-                if cp.fingerprint != fingerprint {
-                    return Err(JobError::FingerprintMismatch {
-                        expected: fingerprint,
-                        found: cp.fingerprint,
-                    });
-                }
-                if (cp.rows, cp.cols) != (space.rows(), space.cols()) {
-                    return Err(JobError::DimsMismatch {
-                        expected: (space.rows(), space.cols()),
-                        found: (cp.rows, cp.cols),
-                    });
-                }
-                for (i, j, rec) in cp.cells {
-                    let outcome = from_record(rec);
-                    // The quarantine list survives the round-trip: a
-                    // resumed report names its poison pairs exactly
-                    // like the run that discovered them did.
-                    if let PairOutcome::Poisoned { exit } = &outcome {
-                        batch.poisoned_pairs.push((i, j, *exit));
-                    }
-                    cells[i * space.cols() + j] = outcome;
-                    pairs_resumed += 1;
-                }
-                sts_obs::static_counter!("core.job.pairs_resumed").add(pairs_resumed as u64);
-            }
-        }
-        let done: Vec<bool> = cells.iter().map(is_terminal).collect();
-
-        // Subprocess execution takes over from here: same quarantine,
-        // fingerprint and resume semantics, different engine.
-        if let ExecMode::Subprocess(opts) = &cfg.exec {
-            return self.similarity_matrix_subprocess(SubprocessArgs {
-                queries,
-                candidates,
-                cfg,
-                opts,
-                space: &space,
-                cells,
-                done,
-                batch,
-                fingerprint,
-                pairs_resumed,
-                started,
-                metrics_base,
-            });
-        }
-
-        // Chunks fully covered by the checkpoint are never queued.
-        let chunks: Vec<PairChunk> = space
-            .chunks(cfg.chunk_pairs)
-            .filter(|c| c.range().any(|lin| !done[lin]))
-            .collect();
-
-        let cell_retries = AtomicU64::new(0);
-        let work =
-            |scratch: &mut crate::StpScratch, chunk: &PairChunk| -> Vec<(usize, PairOutcome)> {
-                let mut out = Vec::with_capacity(chunk.len);
-                for lin in chunk.range() {
-                    if done[lin] {
-                        continue;
-                    }
-                    let (i, j) = space.pair(lin);
-                    out.push((
-                        lin,
-                        self.score_cell_retrying(
-                            prepared_q[i].as_ref(),
-                            prepared_c[j].as_ref(),
-                            cfg,
-                            lin,
-                            &cell_retries,
-                            scratch,
-                        ),
-                    ));
-                }
-                out
-            };
-
-        let pool_cfg = PoolConfig {
-            threads: cfg.threads,
-            retry: cfg.retry,
-            soft_timeout: cfg.soft_timeout,
-            budget: cfg.budget,
-            cancel: cfg.cancel.clone(),
-        };
-        let mut flush_pending = 0usize;
-        let mut flushes = 0usize;
-        let mut flush_errors = 0usize;
-        let run = run_supervised_with(
-            &chunks,
-            &pool_cfg,
-            |_slot| crate::StpScratch::new(),
-            work,
-            |_chunk, computed| {
-                for (lin, outcome) in computed {
-                    cells[lin] = outcome;
-                }
-                if let Some(ck) = &cfg.checkpoint {
-                    flush_pending += 1;
-                    if flush_pending >= ck.flush_every_chunks.max(1) {
-                        flush_pending = 0;
-                        trace::event("job.checkpoint_flush", flushes as f64 + 1.0);
-                        match save_checkpoint(&ck.path, &snapshot(fingerprint, &space, &cells)) {
-                            Ok(()) => flushes += 1,
-                            Err(_) => flush_errors += 1,
-                        }
-                    }
-                }
-            },
-        );
-
-        // Pool-level backstop: cells of a terminally failed chunk that
-        // never produced outcomes become Failed (or Panicked under the
-        // legacy no-retry contract).
-        for (idx, status) in run.statuses.iter().enumerate() {
-            if let ChunkStatus::Failed { attempts } = status {
-                for lin in chunks[idx].range() {
-                    if !done[lin] && !is_terminal(&cells[lin]) {
-                        cells[lin] = if cfg.retry.max_retries == 0 {
-                            PairOutcome::Panicked
-                        } else {
-                            PairOutcome::Failed {
-                                attempts: *attempts,
-                            }
-                        };
-                    }
-                }
-            }
-        }
-
-        // Final flush so a later resume (or post-mortem) sees the
-        // job's full terminal knowledge, whatever stopped it.
-        if let Some(ck) = &cfg.checkpoint {
-            match save_checkpoint(&ck.path, &snapshot(fingerprint, &space, &cells)) {
-                Ok(()) => flushes += 1,
-                Err(_) => flush_errors += 1,
-            }
-        }
-
-        // Fold per-cell outcomes into the batch report.
-        for (lin, cell) in cells.iter().enumerate() {
-            match cell {
-                PairOutcome::Panicked => batch.panicked_pairs.push(space.pair(lin)),
-                PairOutcome::Failed { .. } => batch.failed_pairs.push(space.pair(lin)),
-                _ => {}
-            }
-        }
-
-        let any_failed = !batch.failed_pairs.is_empty() || !batch.panicked_pairs.is_empty();
-        let mut stats = stats_from(
-            &space,
-            &cells,
-            pairs_resumed,
-            JobState::from_run(run.stop, any_failed),
-        );
-        stats.elapsed = started.elapsed();
-        stats.chunks_total = chunks.len();
-        stats.chunks_completed = run
-            .statuses
-            .iter()
-            .filter(|s| **s == ChunkStatus::Completed)
-            .count();
-        stats.chunks_failed = run
-            .statuses
-            .iter()
-            .filter(|s| matches!(s, ChunkStatus::Failed { .. }))
-            .count();
-        stats.chunks_skipped = run
-            .statuses
-            .iter()
-            .filter(|s| matches!(s, ChunkStatus::Skipped(_)))
-            .count();
-        stats.retries = run.retries + cell_retries.into_inner();
-        stats.slow_chunks = run.slow_chunks;
-        stats.checkpoint_flushes = flushes;
-        stats.checkpoint_write_errors = flush_errors;
-        stats.chunk_wait_total = run.chunk_wait;
-        stats.chunk_run_total = run.chunk_run;
-
-        Ok((
-            reshape(cells, &space),
-            JobReport {
-                batch,
-                stats,
-                telemetry: job_telemetry(metrics_base.as_ref()),
-            },
-        ))
-    }
-
-    /// The [`ExecMode::Subprocess`] engine: deals the pending pairs to
-    /// a supervised fleet of `sts-worker` subprocesses and folds their
-    /// results — and the crash-attribution verdicts — back into the
-    /// same cells/report structures the in-process engine fills.
-    fn similarity_matrix_subprocess(
-        &self,
-        args: SubprocessArgs<'_>,
-    ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
-        let SubprocessArgs {
-            queries,
-            candidates,
-            cfg,
-            opts,
-            space,
-            mut cells,
-            done,
-            mut batch,
-            fingerprint,
-            pairs_resumed,
-            started,
-            metrics_base,
-        } = args;
-        let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-        let program = opts
-            .worker
-            .clone()
-            .unwrap_or_else(worker::default_worker_path);
-        if !program.is_file() {
-            return Err(JobError::WorkerMissing { path: program });
-        }
-        let _span = trace::span("job.subprocess");
-        let preamble =
-            worker::encode_preamble(spec, self.grid(), cfg, space, queries, candidates, 0);
-        let chunks = pending_chunks(&done, cfg.chunk_pairs);
-        let iso = IsolateConfig {
-            worker: WorkerSpec {
-                program,
-                args: vec!["serve".to_string()],
-                envs: Vec::new(),
-            },
-            workers: cfg.threads,
-            hard_timeout: opts.hard_timeout,
-            ready_timeout: opts.ready_timeout,
-            restart_budget: opts.restart_budget,
-            poison_attempts: opts.poison_attempts,
-            budget: cfg.budget,
-            cancel: cfg.cancel.clone(),
-            ..IsolateConfig::default()
-        };
-
-        let mut flush_pending = 0usize;
-        let mut flushes = 0usize;
-        let mut flush_errors = 0usize;
-        let run = sts_isolate::supervise(&chunks, &iso, &preamble, |_chunk, payload| {
-            // The supervisor validated the framing; a payload that is
-            // not a record set would be a worker bug — leave those
-            // cells skipped rather than guessing.
-            let Some(parsed) = worker::decode_result_payload(payload) else {
-                return;
-            };
-            for (lin, outcome) in parsed {
-                if lin < cells.len() {
-                    cells[lin] = outcome;
-                }
-            }
-            if let Some(ck) = &cfg.checkpoint {
-                flush_pending += 1;
-                if flush_pending >= ck.flush_every_chunks.max(1) {
-                    flush_pending = 0;
-                    trace::event("job.checkpoint_flush", flushes as f64 + 1.0);
-                    match save_checkpoint(&ck.path, &snapshot(fingerprint, space, &cells)) {
-                        Ok(()) => flushes += 1,
-                        Err(_) => flush_errors += 1,
-                    }
-                }
-            }
-        });
-
-        // Crash-attribution verdicts: quarantine each poison pair with
-        // its worker's exit, in deterministic (ascending-lin) order.
-        for p in &run.poisoned {
-            if p.lin < cells.len() {
-                cells[p.lin] = PairOutcome::Poisoned { exit: p.exit };
-                let (i, j) = space.pair(p.lin);
-                batch.poisoned_pairs.push((i, j, p.exit));
-            }
-        }
-
-        // Final flush: poison verdicts land only after the supervisor
-        // returns, so this is what makes them resume-proof.
-        if let Some(ck) = &cfg.checkpoint {
-            match save_checkpoint(&ck.path, &snapshot(fingerprint, space, &cells)) {
-                Ok(()) => flushes += 1,
-                Err(_) => flush_errors += 1,
-            }
-        }
-
-        for (lin, cell) in cells.iter().enumerate() {
-            match cell {
-                PairOutcome::Panicked => batch.panicked_pairs.push(space.pair(lin)),
-                PairOutcome::Failed { .. } => batch.failed_pairs.push(space.pair(lin)),
-                _ => {}
-            }
-        }
-
-        let any_failed = !batch.failed_pairs.is_empty()
-            || !batch.panicked_pairs.is_empty()
-            || !batch.poisoned_pairs.is_empty();
-        let mut stats = stats_from(
-            space,
-            &cells,
-            pairs_resumed,
-            JobState::from_run(run.stop, any_failed),
-        );
-        stats.elapsed = started.elapsed();
-        stats.chunks_total = chunks.len();
-        stats.chunks_completed = chunks
-            .iter()
-            .filter(|c| c.range().all(|lin| is_terminal(&cells[lin])))
-            .count();
-        stats.chunks_skipped = chunks.len() - stats.chunks_completed;
-        stats.checkpoint_flushes = flushes;
-        stats.checkpoint_write_errors = flush_errors;
-        stats.isolate = Some(IsolateStats {
-            workers_spawned: run.workers_spawned,
-            worker_restarts: run.worker_restarts,
-            worker_kills: run.worker_kills,
-            protocol_errors: run.protocol_errors,
-            pairs_poisoned: run.poisoned.len(),
-            max_bisect_depth: run.max_bisect_depth,
-        });
-
-        Ok((
-            reshape(cells, space),
-            JobReport {
-                batch,
-                stats,
-                telemetry: job_telemetry(metrics_base.as_ref()),
-            },
-        ))
-    }
-
-    /// Supervised top-k: ranks every scorable candidate under the same
-    /// budget/cancellation/retry/checkpoint regime as
-    /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised)
-    /// (the query is row 0 of a `1 × candidates` job). Skipped,
-    /// quarantined and failed candidates are excluded from the ranking
-    /// — the report says which and why.
-    pub fn top_k_supervised(
-        &self,
-        query: &Trajectory,
-        candidates: &[Trajectory],
-        k: usize,
-        cfg: &JobConfig,
-    ) -> Result<(Vec<(usize, f64)>, JobReport), JobError> {
-        let (matrix, report) =
-            self.similarity_matrix_supervised(std::slice::from_ref(query), candidates, cfg)?;
-        let mut scored: Vec<(usize, f64)> = matrix[0]
-            .iter()
-            .enumerate()
-            .filter_map(|(j, cell)| cell.score().map(|s| (j, s)))
-            .collect();
-        sort_scores_descending(&mut scored);
-        scored.truncate(k);
-        Ok((scored, report))
-    }
-
     /// Scores one cell with per-cell panic containment and retries.
     /// The jitter is seeded by the cell's linear index, so a replayed
     /// job backs off through the same schedule. The fault hook runs
@@ -894,148 +383,4 @@ impl Sts {
             }
         }
     }
-}
-
-/// Everything [`Sts::similarity_matrix_subprocess`] inherits from the
-/// shared front half of the supervised job (one struct, because twelve
-/// positional arguments help nobody).
-struct SubprocessArgs<'a> {
-    queries: &'a [Trajectory],
-    candidates: &'a [Trajectory],
-    cfg: &'a JobConfig,
-    opts: &'a IsolateOptions,
-    space: &'a PairSpace,
-    cells: Vec<PairOutcome>,
-    done: Vec<bool>,
-    batch: BatchReport,
-    fingerprint: u64,
-    pairs_resumed: usize,
-    started: Instant,
-    metrics_base: Option<sts_obs::Snapshot>,
-}
-
-/// Chunks covering exactly the not-yet-terminal linear indices:
-/// maximal contiguous runs of pending pairs, split at `chunk_pairs`.
-/// Unlike the in-process path (whose work closure skips done pairs
-/// cell-by-cell), a subprocess worker scores every pair it is sent —
-/// so resumed-terminal pairs, checkpointed poison above all, must
-/// never appear in a chunk.
-fn pending_chunks(done: &[bool], chunk_pairs: usize) -> Vec<PairChunk> {
-    let size = chunk_pairs.max(1);
-    let mut chunks = Vec::new();
-    let mut lin = 0;
-    while lin < done.len() {
-        if done[lin] {
-            lin += 1;
-            continue;
-        }
-        let mut end = lin;
-        while end < done.len() && !done[end] && end - lin < size {
-            end += 1;
-        }
-        chunks.push(PairChunk {
-            id: chunks.len(),
-            start: lin,
-            len: end - lin,
-        });
-        lin = end;
-    }
-    chunks
-}
-
-/// The report's telemetry section: the global-registry delta since the
-/// job-start snapshot, zero-valued instruments dropped. `None` when
-/// telemetry was not requested.
-pub(crate) fn job_telemetry(base: Option<&sts_obs::Snapshot>) -> Option<Telemetry> {
-    base.map(|base| Telemetry {
-        metrics: sts_obs::metrics::global()
-            .snapshot()
-            .since(base)
-            .without_zeros(),
-    })
-}
-
-/// Does the config stop a job before any work at all?
-pub(crate) fn check_start(cfg: &JobConfig) -> Option<sts_runtime::StopReason> {
-    if cfg.cancel.is_cancelled() {
-        return Some(sts_runtime::StopReason::Cancelled);
-    }
-    cfg.budget.check(0)
-}
-
-/// The checkpoint snapshot of the current cell state.
-fn snapshot(fingerprint: u64, space: &PairSpace, cells: &[PairOutcome]) -> Checkpoint {
-    Checkpoint {
-        fingerprint,
-        rows: space.rows(),
-        cols: space.cols(),
-        cells: cells
-            .iter()
-            .enumerate()
-            .filter_map(|(lin, cell)| {
-                to_record(cell).map(|rec| {
-                    let (i, j) = space.pair(lin);
-                    (i, j, rec)
-                })
-            })
-            .collect(),
-    }
-}
-
-/// Pair-level accounting common to every exit path.
-pub(crate) fn stats_from(
-    space: &PairSpace,
-    cells: &[PairOutcome],
-    pairs_resumed: usize,
-    state: JobState,
-) -> JobStats {
-    let pairs_skipped = cells
-        .iter()
-        .filter(|c| matches!(c, PairOutcome::Skipped))
-        .count();
-    let pairs_failed = cells
-        .iter()
-        .filter(|c| {
-            matches!(
-                c,
-                PairOutcome::Failed { .. } | PairOutcome::Panicked | PairOutcome::Poisoned { .. }
-            )
-        })
-        .count();
-    JobStats {
-        state,
-        elapsed: Duration::ZERO,
-        pairs_total: space.len(),
-        pairs_completed: space.len() - pairs_skipped,
-        pairs_failed,
-        pairs_skipped,
-        pairs_resumed,
-        chunks_total: 0,
-        chunks_completed: 0,
-        chunks_failed: 0,
-        chunks_skipped: 0,
-        retries: 0,
-        slow_chunks: Vec::new(),
-        checkpoint_flushes: 0,
-        checkpoint_write_errors: 0,
-        chunk_wait_total: Duration::ZERO,
-        chunk_run_total: Duration::ZERO,
-        isolate: None,
-        tiles: None,
-        shard: None,
-    }
-}
-
-/// Flat row-major cells into `Vec<Vec<_>>` rows.
-pub(crate) fn reshape(cells: Vec<PairOutcome>, space: &PairSpace) -> Vec<Vec<PairOutcome>> {
-    let cols = space.cols();
-    if cols == 0 {
-        return vec![Vec::new(); space.rows()];
-    }
-    let mut rows = Vec::with_capacity(space.rows());
-    let mut it = cells.into_iter();
-    for _ in 0..space.rows() {
-        rows.push(it.by_ref().take(cols).collect());
-    }
-    rows
 }

@@ -55,7 +55,7 @@ pub use batch::{BatchReport, PairOutcome, QuarantineReason};
 pub use colocation::colocation_probability;
 pub use dist::SparseDistribution;
 pub use index::ColocationIndex;
-pub use job::{CheckpointConfig, ExecMode, IsolateOptions, JobConfig, JobError, JobReport};
+pub use job::{ExecMode, IsolateOptions, JobConfig, JobError, JobReport};
 pub use noise::{DeterministicNoise, GaussianNoise, NoiseModel, UniformDiscNoise};
 pub use shard::{ProcessLauncher, ShardOptions, WorkerHandle, WorkerLauncher};
 pub use stpcache::{StpCacheMode, StpScratch};

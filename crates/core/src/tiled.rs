@@ -1,34 +1,32 @@
-//! Out-of-core tiled similarity matrices: crash-safe spill/merge on
-//! top of the supervised job engine.
+//! The matrix engine: every supervised similarity matrix — in memory,
+//! out of core, on a thread pool, in worker subprocesses or on a
+//! socket fleet — runs through one engine, `Sts::tiled_engine`.
 //!
-//! [`Sts::similarity_matrix_supervised`] holds the whole `N × M` cell
-//! vector in memory for the life of the job. At production corpus
-//! sizes that is the binding constraint long before wall-clock is: a
-//! 200k × 200k matrix of outcomes does not fit, and an OOM kill at 90%
-//! loses everything the checkpoint interval did not cover. This module
-//! removes the constraint without weakening a single supervised
-//! guarantee:
+//! The pair space is dealt into **tiles**. An untiled job
+//! ([`Sts::similarity_matrix_supervised`]) is one in-memory tile
+//! spanning the whole space: the pool schedules every chunk in one run
+//! and nothing is written anywhere. Given a [`TileConfig`], the engine
+//! goes out of core without weakening a single supervised guarantee:
 //!
-//! * the pair space is dealt into **tiles** ([`TileConfig::tile_pairs`]
-//!   pairs each, derivable from a byte budget via
-//!   [`TileConfig::with_memory_budget`]);
-//! * each tile is computed on the existing engine — the in-process
+//! * tiles are [`TileConfig::tile_pairs`] pairs each, derivable from a
+//!   byte budget via [`TileConfig::with_memory_budget`];
+//! * each tile is computed on the configured executor — the in-process
 //!   pool or the `sts-worker` subprocess fleet, per
-//!   [`JobConfig::exec`](crate::job::JobConfig::exec) — then
+//!   [`JobConfig::exec`](crate::job::JobConfig::exec), or dealt whole
+//!   to a socket fleet under leases ([`crate::shard`]) — then
 //!   **spilled** to its own file through the
-//!   [`Storage`](sts_runtime::Storage) trait with the checkpoint
-//!   layer's full durability discipline (tmp write → fsync → rename →
-//!   dir fsync) and **read-back verified** before the in-memory copy
-//!   is dropped;
+//!   [`Storage`](sts_runtime::Storage) trait (tmp write → fsync →
+//!   rename → dir fsync) and **read-back verified** before the
+//!   in-memory copy is dropped;
 //! * tile files are bound to the job fingerprint and digest-protected
 //!   ([`sts_runtime::tile`]): a torn write, flipped byte or stale file
 //!   is *detected*, quarantined aside as `.corrupt` evidence and
 //!   recomputed — never silently read back;
-//! * completed tiles **are** the checkpoint: a killed job resumes by
-//!   reloading verified tiles and recomputing only the rest, so the
-//!   resumed result is byte-identical to an uninterrupted run (the
-//!   default [`StpCacheMode::Exact`](crate::StpCacheMode) scoring path
-//!   is deterministic and visitation-order independent);
+//! * completed tiles are the job's only resume state: a killed job
+//!   resumes by reloading verified tiles and recomputing only the
+//!   rest, so the resumed result is byte-identical to an uninterrupted
+//!   run (the default [`StpCacheMode::Exact`](crate::StpCacheMode)
+//!   scoring path is deterministic and visitation-order independent);
 //! * the final matrix is **stream-merged** tile by tile into the
 //!   caller's sink, so the engine itself holds at most one tile plus
 //!   any spill-failed fallbacks — the honest bound is reported as
@@ -44,23 +42,20 @@
 //! corruption detected.
 
 use crate::batch::{prepare_all, BatchReport, PairOutcome};
-use crate::job::{
-    check_start, from_record, is_terminal, job_fingerprint, job_telemetry, reshape, to_record,
-    ExecMode, IsolateOptions, JobConfig, JobError, JobReport,
-};
+use crate::job::{job_fingerprint, ExecMode, JobConfig, JobError, JobReport};
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
 use crate::worker;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use sts_isolate::{IsolateConfig, WorkerSpec};
-use sts_obs::trace;
+use sts_obs::{trace, Telemetry};
 use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
 use sts_runtime::{
-    Budget, FsStorage, IsolateStats, JobState, JobStats, PairChunk, PairSpace, StopReason, Storage,
-    TileData, TileError, TileStats, TileStore,
+    Budget, CellRecord, FsStorage, IsolateStats, JobState, JobStats, PairChunk, PairSpace,
+    StopReason, Storage, TileData, TileError, TileStats, TileStore,
 };
 use sts_traj::Trajectory;
 
@@ -125,47 +120,101 @@ impl TileConfig {
     }
 }
 
-/// Where a tile's cells live between phase A (compute/spill) and
-/// phase B (merge).
+/// Where a tile's cells live between computing and merging.
 enum TileSource {
     /// Durably on disk, verified; reloaded one at a time at merge.
     Disk,
-    /// Held in memory: the spill failed, or the run stopped mid-tile
-    /// (partial tiles are never spilled). Dense, tile-length.
+    /// Held in memory: the job is untiled, the spill failed, or the run
+    /// stopped mid-tile (partial tiles are never spilled). Dense,
+    /// tile-length.
     Memory(Vec<PairOutcome>),
     /// Never attempted — the run stopped before this tile.
     Skipped,
 }
 
-/// One tile's compute outcome.
-struct TileRun {
-    /// Dense outcomes for the tile's slab (`Skipped` where the run
-    /// stopped first).
-    outs: Vec<PairOutcome>,
-    /// Why the engine under this tile stopped early, if it did.
-    stop: Option<StopReason>,
-    /// Pool-level chunk retries (in-process only).
-    pool_retries: u64,
-    /// Scheduling/run time accounting (in-process only).
-    wait: Duration,
-    run: Duration,
+/// What every tile computation of one job shares.
+struct Scorer<'a> {
+    sts: &'a Sts,
+    cfg: &'a JobConfig,
+    space: PairSpace,
+    prepared_q: Vec<Option<PreparedTrajectory>>,
+    prepared_c: Vec<Option<PreparedTrajectory>>,
+    /// Supervisor template under [`ExecMode::Subprocess`]; `None`
+    /// scores on the thread pool.
+    spawn: Option<IsolateConfig>,
+    /// The job as worker preamble frames (empty in process).
+    preamble: Vec<String>,
+    /// Chunks in a full tile: tile `t` numbers its chunks from
+    /// `t * chunks_per_tile`, so chunk ids are distinct job-wide.
+    chunks_per_tile: usize,
+    cell_retries: AtomicU64,
 }
 
-/// Resolved subprocess execution context, prepared once per job.
-struct SubExec<'a> {
-    opts: &'a IsolateOptions,
-    program: PathBuf,
-    preamble: Vec<String>,
+/// What the tiles computed so far add up to.
+struct Progress {
+    /// Why the run stopped, once it has.
+    stop: Option<StopReason>,
+    /// Pairs given a terminal outcome this run — the budget's unit.
+    new_pairs: usize,
+    /// Chunk, retry, timing and isolation accounting.
+    stats: JobStats,
 }
 
 impl Sts {
+    /// The supervised `queries × candidates` similarity matrix: the
+    /// degraded-mode guarantees of
+    /// [`similarity_matrix_degraded`](Sts::similarity_matrix_degraded)
+    /// plus deadlines, cancellation and retries — see the
+    /// [`crate::job`] docs. The matrix is computed as one in-memory
+    /// tile; [`similarity_matrix_tiled`](Sts::similarity_matrix_tiled)
+    /// adds spilling and resume.
+    ///
+    /// Never panics and never loses completed work: whatever stops the
+    /// job (deadline, budget, cancel, per-cell failures), every
+    /// completed cell is returned and the [`JobReport`] says exactly
+    /// what happened. `Err` is only possible when the configured
+    /// executor cannot start ([`JobError`]).
+    pub fn similarity_matrix_supervised(
+        &self,
+        queries: &[Trajectory],
+        candidates: &[Trajectory],
+        cfg: &JobConfig,
+    ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
+        self.matrix_job(queries, candidates, cfg, None)
+    }
+
+    /// Supervised top-k: ranks every scorable candidate of a fully
+    /// built `1 × candidates` row under the same
+    /// budget/cancellation/retry regime as
+    /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised).
+    /// Skipped, quarantined and failed candidates are excluded from the
+    /// ranking — the report says which and why.
+    pub fn top_k_supervised(
+        &self,
+        query: &Trajectory,
+        candidates: &[Trajectory],
+        k: usize,
+        cfg: &JobConfig,
+    ) -> Result<(Vec<(usize, f64)>, JobReport), JobError> {
+        let (matrix, report) =
+            self.similarity_matrix_supervised(std::slice::from_ref(query), candidates, cfg)?;
+        let mut scored: Vec<(usize, f64)> = matrix[0]
+            .iter()
+            .enumerate()
+            .filter_map(|(j, cell)| cell.score().map(|s| (j, s)))
+            .collect();
+        sort_scores_descending(&mut scored);
+        scored.truncate(k);
+        Ok((scored, report))
+    }
+
     /// The supervised similarity matrix computed **out of core**: same
     /// contract as
     /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised)
-    /// — budget, cancellation, retries, fault injection, in-process or
-    /// subprocess execution — but progress is spilled per tile and the
-    /// engine never holds more than one tile of cells (see the
-    /// [module docs](crate::tiled)). The returned full matrix is the
+    /// — budget, cancellation, retries, fault injection, in-process,
+    /// subprocess or sharded execution — but progress is spilled per
+    /// tile and the engine never holds more than one tile of cells (see
+    /// the [module docs](crate::tiled)). The returned full matrix is the
     /// *caller's* memory; use
     /// [`top_k_matrix_tiled`](Sts::top_k_matrix_tiled) when the output
     /// itself must stay bounded.
@@ -179,12 +228,7 @@ impl Sts {
         cfg: &JobConfig,
         tiling: &TileConfig,
     ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
-        let space = PairSpace::new(queries.len(), candidates.len());
-        let mut cells = vec![PairOutcome::Skipped; space.len()];
-        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
-            cells[lin] = outcome;
-        })?;
-        Ok((reshape(cells, &space), report))
+        self.matrix_job(queries, candidates, cfg, Some(tiling))
     }
 
     /// Top-k nearest candidates for **every** query row, out of core:
@@ -205,16 +249,22 @@ impl Sts {
         let cols = candidates.len();
         let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
         let prune_at = k.saturating_mul(2).max(16);
-        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
-            if let Some(s) = outcome.score() {
-                let row = &mut rows[lin / cols];
-                row.push((lin % cols, s));
-                if row.len() >= prune_at {
-                    sort_scores_descending(row);
-                    row.truncate(k);
+        let report = self.tiled_engine(
+            queries,
+            candidates,
+            cfg,
+            Some(tiling),
+            &mut |lin, outcome| {
+                if let Some(s) = outcome.score() {
+                    let row = &mut rows[lin / cols];
+                    row.push((lin % cols, s));
+                    if row.len() >= prune_at {
+                        sort_scores_descending(row);
+                        row.truncate(k);
+                    }
                 }
-            }
-        })?;
+            },
+        )?;
         for row in &mut rows {
             sort_scores_descending(row);
             row.truncate(k);
@@ -222,60 +272,60 @@ impl Sts {
         Ok((rows, report))
     }
 
-    /// Single-query top-k, out of core: row 0 of a `1 × candidates`
-    /// [`top_k_matrix_tiled`](Sts::top_k_matrix_tiled) job.
-    pub fn top_k_tiled(
+    /// The full matrix out of the engine: cells it never reached stay
+    /// `Skipped`.
+    fn matrix_job(
         &self,
-        query: &Trajectory,
+        queries: &[Trajectory],
         candidates: &[Trajectory],
-        k: usize,
         cfg: &JobConfig,
-        tiling: &TileConfig,
-    ) -> Result<(Vec<(usize, f64)>, JobReport), JobError> {
-        let (mut rows, report) =
-            self.top_k_matrix_tiled(std::slice::from_ref(query), candidates, k, cfg, tiling)?;
-        Ok((rows.pop().unwrap_or_default(), report))
+        tiling: Option<&TileConfig>,
+    ) -> Result<(Vec<Vec<PairOutcome>>, JobReport), JobError> {
+        let cols = candidates.len();
+        let mut rows = vec![vec![PairOutcome::Skipped; cols]; queries.len()];
+        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
+            rows[lin / cols][lin % cols] = outcome;
+        })?;
+        Ok((rows, report))
     }
 
-    /// The engine both public entry points share. `sink` receives
-    /// every non-skipped cell exactly once, in ascending linear-index
-    /// order; cells the run never reached are simply not emitted (the
-    /// matrix sink pre-fills `Skipped`).
+    /// The one matrix engine every entry point shares. Without `tiling`
+    /// the job is a single in-memory tile. `sink` receives every
+    /// non-skipped cell exactly once, in ascending linear-index order;
+    /// cells the run never reached are simply not emitted.
     fn tiled_engine(
         &self,
         queries: &[Trajectory],
         candidates: &[Trajectory],
         cfg: &JobConfig,
-        tiling: &TileConfig,
+        tiling: Option<&TileConfig>,
         sink: &mut dyn FnMut(usize, PairOutcome),
     ) -> Result<JobReport, JobError> {
         let started = Instant::now();
-        let _job_span = trace::span("job.tiled");
+        let _job_span = trace::span("job.run");
         let metrics_base = cfg.telemetry.then(|| sts_obs::metrics::global().snapshot());
 
-        if tiling.tile_pairs == 0 {
+        if tiling.is_some_and(|t| t.tile_pairs == 0) {
             return Err(JobError::InvalidTiling(
                 "tile_pairs must be ≥ 1 (a zero-pair tile would never progress)".into(),
             ));
         }
-        if cfg.checkpoint.is_some() {
-            return Err(JobError::InvalidTiling(
-                "JobConfig::checkpoint cannot be combined with tiling — completed tiles are \
-                 the checkpoint"
-                    .into(),
-            ));
+        if tiling.is_none() && matches!(cfg.exec, ExecMode::Sharded(_)) {
+            return Err(JobError::ShardRequiresTiling);
         }
 
         let space = PairSpace::new(queries.len(), candidates.len());
         let mut batch = BatchReport::default();
+        let mut tstats = TileStats::default();
 
-        // A job with no budget returns before preparing anything, like
-        // the supervised engine: "0-pair budget" means *immediately*.
-        if let Some(reason) = check_start(cfg) {
-            let mut stats = zeroed_stats(JobState::from_run(Some(reason), false), space.len());
+        // A job with no budget at all returns before preparing
+        // anything: "0-pair budget" must mean *immediately*, not
+        // "after an O(n) preparation pass".
+        if let Some(reason) = stop_check(cfg, 0) {
+            let mut stats = JobStats::new(JobState::from_run(Some(reason), false), space.len());
             stats.elapsed = started.elapsed();
             stats.pairs_skipped = space.len();
-            stats.tiles = Some(TileStats::default());
+            stats.tiles = tiling.map(|_| tstats);
             return Ok(JobReport {
                 batch,
                 stats,
@@ -291,115 +341,113 @@ impl Sts {
             )
         };
 
-        // Resolve subprocess execution up front so a missing worker
-        // fails fast, before any tile I/O.
-        let sub: Option<SubExec<'_>> = match &cfg.exec {
-            ExecMode::InProcess => None,
-            ExecMode::Sharded(sopts) => {
-                // Fail fast like Subprocess: the measure must be
-                // wire-describable, and the process launcher needs an
-                // actual worker binary. (Custom launchers bring their
-                // own workers.)
-                self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-                if sopts.launcher.is_none() {
-                    let program = sopts
-                        .worker
-                        .clone()
-                        .unwrap_or_else(worker::default_worker_path);
-                    if !program.is_file() {
-                        return Err(JobError::WorkerMissing { path: program });
-                    }
-                }
+        // Resolve remote execution up front, so an undescribable
+        // measure or a missing worker fails fast, before any tile I/O.
+        let preamble = match &cfg.exec {
+            ExecMode::InProcess => Vec::new(),
+            ExecMode::Subprocess(_) | ExecMode::Sharded(_) => {
+                let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
+                let hb_every = match &cfg.exec {
+                    ExecMode::Sharded(opts) => opts.hb_every,
+                    _ => 0,
+                };
+                let grid = self.grid();
+                worker::encode_preamble(spec, grid, cfg, &space, queries, candidates, hb_every)
+            }
+        };
+        let spawn = match &cfg.exec {
+            ExecMode::Subprocess(opts) => Some(IsolateConfig {
+                worker: WorkerSpec {
+                    program: worker_program(&opts.worker)?,
+                    args: vec!["serve".to_string()],
+                    envs: Vec::new(),
+                },
+                workers: cfg.threads,
+                hard_timeout: opts.hard_timeout,
+                ready_timeout: opts.ready_timeout,
+                restart_budget: opts.restart_budget,
+                poison_attempts: opts.poison_attempts,
+                cancel: cfg.cancel.clone(),
+                ..IsolateConfig::default()
+            }),
+            // Custom launchers bring their own workers.
+            ExecMode::Sharded(opts) if opts.launcher.is_none() => {
+                worker_program(&opts.worker)?;
                 None
             }
-            ExecMode::Subprocess(opts) => {
-                let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-                let program = opts
-                    .worker
-                    .clone()
-                    .unwrap_or_else(worker::default_worker_path);
-                if !program.is_file() {
-                    return Err(JobError::WorkerMissing { path: program });
-                }
-                Some(SubExec {
-                    opts,
-                    program,
-                    preamble: worker::encode_preamble(
-                        spec,
-                        self.grid(),
-                        cfg,
-                        &space,
-                        queries,
-                        candidates,
-                        0,
-                    ),
-                })
+            _ => None,
+        };
+
+        let store = match tiling {
+            Some(t) => {
+                let fingerprint = job_fingerprint(self.grid(), queries, candidates);
+                let (store, swept) = TileStore::open(t.storage.as_ref(), &t.dir, fingerprint)
+                    .map_err(JobError::TileDir)?;
+                tstats.stale_tmp_swept = swept.stale_tmp;
+                tstats.corrupt_swept = swept.corrupt;
+                Some(store)
             }
+            None => None,
         };
 
-        let fingerprint = job_fingerprint(self.grid(), queries, candidates);
-        let (store, swept) = TileStore::open(tiling.storage.as_ref(), &tiling.dir, fingerprint)
-            .map_err(JobError::TileDir)?;
-
-        let tiles: Vec<PairChunk> = space.chunks(tiling.tile_pairs).collect();
-        let mut tstats = TileStats {
-            tiles_total: tiles.len(),
-            stale_tmp_swept: swept.stale_tmp,
-            corrupt_swept: swept.corrupt,
-            ..TileStats::default()
+        let tile_pairs = tiling.map_or(space.len(), |t| t.tile_pairs);
+        let tiles: Vec<PairChunk> = space.chunks(tile_pairs).collect();
+        tstats.tiles_total = tiles.len();
+        let scorer = Scorer {
+            sts: self,
+            cfg,
+            space,
+            prepared_q,
+            prepared_c,
+            spawn,
+            preamble,
+            chunks_per_tile: tile_pairs.div_ceil(cfg.chunk_pairs.max(1)),
+            cell_retries: AtomicU64::new(0),
         };
+        let mut progress = Progress {
+            stop: None,
+            new_pairs: 0,
+            stats: JobStats::new(JobState::Complete, space.len()),
+        };
+        progress.stats.isolate = scorer.spawn.as_ref().map(|_| IsolateStats::default());
 
-        // ---- Phase A: per tile, resume-or-compute, then spill. -----
-        let cell_retries = AtomicU64::new(0);
-        let mut sources: Vec<TileSource> = Vec::with_capacity(tiles.len());
-        let mut stop_reason: Option<StopReason> = None;
-        let mut new_pairs = 0usize; // computed this run (budget unit)
+        // ---- Resume: a verified tile on disk is free progress. -----
+        let mut sources: Vec<TileSource> = tiles.iter().map(|_| TileSource::Skipped).collect();
+        let mut todo: Vec<usize> = Vec::new();
         let mut pairs_resumed = 0usize;
-        let mut pool_retries = 0u64;
-        let mut wait_total = Duration::ZERO;
-        let mut run_total = Duration::ZERO;
         let mut resident_fallback = 0usize; // cells pinned by Memory sources
-        let mut agg_iso: Option<IsolateStats> = None;
+        match &store {
+            None => todo.extend(0..tiles.len()),
+            Some(store) => {
+                let _span = trace::span("job.resume");
+                for (idx, tile) in tiles.iter().enumerate() {
+                    match load_verified(store, tile, &scorer) {
+                        Loaded::Verified => {
+                            tstats.max_resident_cells = tstats.max_resident_cells.max(tile.len);
+                            tstats.tiles_resumed += 1;
+                            pairs_resumed += tile.len;
+                            sources[idx] = TileSource::Disk;
+                        }
+                        Loaded::Corrupt => {
+                            store.quarantine(tile.id);
+                            tstats.tiles_corrupt += 1;
+                            todo.push(idx);
+                        }
+                        Loaded::Absent => todo.push(idx),
+                    }
+                }
+            }
+        }
+
+        // ---- Sharded: deal the rest to the fleet under leases,
+        // spilling each commit as it lands. ----
         let mut shard_stats = None;
         let mut fleet_telemetry = None;
-
-        if let ExecMode::Sharded(sopts) = &cfg.exec {
-            // ---- Phase A, sharded: resume what's on disk, deal the
-            // rest to the worker fleet under leases, spill each commit
-            // as it lands, and compute any leftovers locally. ----
-            sources = (0..tiles.len()).map(|_| TileSource::Skipped).collect();
-            let mut todo: Vec<usize> = Vec::new();
-            for (idx, tile) in tiles.iter().enumerate() {
-                match load_verified(&store, tile, &space, &prepared_q, &prepared_c) {
-                    Loaded::Verified => {
-                        tstats.max_resident_cells =
-                            tstats.max_resident_cells.max(resident_fallback + tile.len);
-                        tstats.tiles_resumed += 1;
-                        pairs_resumed += tile.len;
-                        sources[idx] = TileSource::Disk;
-                    }
-                    Loaded::Corrupt => {
-                        store.quarantine(tile.id);
-                        tstats.tiles_corrupt += 1;
-                        todo.push(idx);
-                    }
-                    Loaded::Absent => todo.push(idx),
-                }
-            }
-            let spec = self.measure_spec().ok_or(JobError::SubprocessUnsupported)?;
-            let preamble = worker::encode_preamble(
-                spec,
-                self.grid(),
-                cfg,
-                &space,
-                queries,
-                candidates,
-                sopts.hb_every,
-            );
+        if let (ExecMode::Sharded(sopts), Some(store)) = (&cfg.exec, &store) {
             let run = crate::shard::run_sharded(
                 &tiles,
                 &todo,
-                &preamble,
+                &scorer.preamble,
                 sopts,
                 &cfg.cancel,
                 cfg.budget,
@@ -408,142 +456,53 @@ impl Sts {
                     tstats.max_resident_cells =
                         tstats.max_resident_cells.max(resident_fallback + tile.len);
                     tstats.tiles_computed += 1;
-                    new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
+                    progress.new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
                     sources[idx] =
-                        spill_tile(&store, tile, outs, &mut tstats, &mut resident_fallback);
+                        spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback);
                 },
             );
-            let mut sstats = run.stats;
-            stop_reason = run.stop;
+            progress.stop = run.stop;
+            shard_stats = Some(run.stats);
             fleet_telemetry = Some(run.telemetry);
             // Whatever the fleet could not finish — it was exhausted,
             // rejected the handshake, or the run stopped — degrades to
-            // the in-process engine. A dead fleet never loses a job.
-            for idx in run.leftover {
-                let tile = &tiles[idx];
-                if stop_reason.is_none() {
-                    stop_reason = stop_check(cfg, new_pairs);
-                }
-                if stop_reason.is_some() {
-                    continue; // stays Skipped
-                }
-                tstats.max_resident_cells =
-                    tstats.max_resident_cells.max(resident_fallback + tile.len);
-                let remaining = Budget {
-                    deadline: cfg.budget.deadline,
-                    max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(new_pairs)),
-                };
-                let tr = self.compute_tile(
-                    tile,
-                    &space,
-                    &prepared_q,
-                    &prepared_c,
-                    cfg,
-                    None,
-                    remaining,
-                    &cell_retries,
-                    &mut agg_iso,
-                );
-                tstats.tiles_computed += 1;
+            // the local executor below. A dead fleet never loses a job.
+            todo = run.leftover;
+        }
+
+        // ---- Compute the remaining tiles locally, then spill. ----
+        for idx in todo {
+            let tile = &tiles[idx];
+            let Some(outs) = scorer.compute_tile(tile, &mut progress) else {
+                continue; // the run stopped first: stays Skipped
+            };
+            tstats.max_resident_cells = tstats.max_resident_cells.max(resident_fallback + tile.len);
+            tstats.tiles_computed += 1;
+            if let Some(sstats) = shard_stats.as_mut() {
                 sstats.tiles_local_fallback += 1;
                 sts_obs::static_counter!("shard.tiles.local_fallback").incr();
                 trace::event("shard.tile.fallback", tile.id as f64);
-                new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                pool_retries += tr.pool_retries;
-                wait_total += tr.wait;
-                run_total += tr.run;
-                if tr.stop.is_some() {
-                    stop_reason = tr.stop;
-                    resident_fallback += tile.len;
-                    sources[idx] = TileSource::Memory(tr.outs);
-                    continue;
-                }
-                sources[idx] =
-                    spill_tile(&store, tile, tr.outs, &mut tstats, &mut resident_fallback);
             }
-            shard_stats = Some(sstats);
-        } else {
-            for tile in &tiles {
-                let _span = trace::span("job.tiled.tile");
-                // Resume first, stopped or not: a verified tile on disk is
-                // free progress, exactly like checkpointed cells in the
-                // supervised engine.
-                match load_verified(&store, tile, &space, &prepared_q, &prepared_c) {
-                    Loaded::Verified => {
-                        tstats.max_resident_cells =
-                            tstats.max_resident_cells.max(resident_fallback + tile.len);
-                        tstats.tiles_resumed += 1;
-                        pairs_resumed += tile.len;
-                        sources.push(TileSource::Disk);
-                        continue;
-                    }
-                    Loaded::Corrupt => {
-                        store.quarantine(tile.id);
-                        tstats.tiles_corrupt += 1;
-                    }
-                    Loaded::Absent => {}
+            sources[idx] = match &store {
+                // Partial tiles are never spilled: a tile file always
+                // represents a *complete* slab.
+                Some(store) if progress.stop.is_none() => {
+                    spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback)
                 }
-
-                if stop_reason.is_none() {
-                    stop_reason = stop_check(cfg, new_pairs);
-                }
-                if stop_reason.is_some() {
-                    sources.push(TileSource::Skipped);
-                    continue;
-                }
-
-                // Compute the tile on the configured engine with whatever
-                // budget is left globally (the deadline is absolute, so it
-                // carries over unchanged).
-                tstats.max_resident_cells =
-                    tstats.max_resident_cells.max(resident_fallback + tile.len);
-                let remaining = Budget {
-                    deadline: cfg.budget.deadline,
-                    max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(new_pairs)),
-                };
-                let tr = self.compute_tile(
-                    tile,
-                    &space,
-                    &prepared_q,
-                    &prepared_c,
-                    cfg,
-                    sub.as_ref(),
-                    remaining,
-                    &cell_retries,
-                    &mut agg_iso,
-                );
-                tstats.tiles_computed += 1;
-                new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                pool_retries += tr.pool_retries;
-                wait_total += tr.wait;
-                run_total += tr.run;
-
-                if tr.stop.is_some() {
-                    // Partial tiles are never spilled: a tile file always
-                    // represents a *complete* slab.
-                    stop_reason = tr.stop;
+                _ => {
                     resident_fallback += tile.len;
-                    sources.push(TileSource::Memory(tr.outs));
-                    continue;
+                    TileSource::Memory(outs)
                 }
+            };
+        }
 
-                sources.push(spill_tile(
-                    &store,
-                    tile,
-                    tr.outs,
-                    &mut tstats,
-                    &mut resident_fallback,
-                ));
-            }
-        } // end in-process / subprocess phase A
-
-        // ---- Phase B: stream-merge tiles into the sink. ------------
+        // ---- Stream-merge tiles into the sink. ----
         let merge_span = trace::span("job.tiled.merge");
-        let mut pairs_skipped = 0usize;
+        let mut pairs_completed = 0usize;
         let mut pairs_failed = 0usize;
         let mut emit = |lin: usize, outcome: PairOutcome, batch: &mut BatchReport| {
             match &outcome {
-                PairOutcome::Skipped => pairs_skipped += 1,
+                PairOutcome::Skipped => return,
                 PairOutcome::Panicked => {
                     pairs_failed += 1;
                     batch.panicked_pairs.push(space.pair(lin));
@@ -559,46 +518,22 @@ impl Sts {
                 }
                 PairOutcome::Score(_) | PairOutcome::Quarantined => {}
             }
-            if !matches!(outcome, PairOutcome::Skipped) {
-                sink(lin, outcome);
-            }
+            pairs_completed += 1;
+            sink(lin, outcome);
         };
-
-        let mut chunks_completed = 0usize;
         for (tile, source) in tiles.iter().zip(sources) {
-            match source {
-                TileSource::Skipped => {
-                    for lin in tile.range() {
-                        emit(lin, PairOutcome::Skipped, &mut batch);
-                    }
-                }
+            let outs = match source {
+                TileSource::Skipped => continue,
                 TileSource::Memory(outs) => {
-                    if outs.iter().all(is_terminal) {
-                        chunks_completed += 1;
-                    }
-                    for (off, outcome) in outs.into_iter().enumerate() {
-                        emit(tile.start + off, outcome, &mut batch);
-                    }
                     resident_fallback = resident_fallback.saturating_sub(tile.len);
+                    outs
                 }
                 TileSource::Disk => {
                     tstats.max_resident_cells =
                         tstats.max_resident_cells.max(resident_fallback + tile.len);
+                    let store = store.as_ref().expect("disk tiles come from a store");
                     match store.load(tile.id, tile.start, tile.len) {
-                        Ok(Some(mut data)) => {
-                            chunks_completed += 1;
-                            data.cells.sort_unstable_by_key(|(lin, _)| *lin);
-                            let mut recs = data.cells.into_iter().peekable();
-                            for lin in tile.range() {
-                                let outcome = match recs.peek() {
-                                    Some((l, _)) if *l == lin => {
-                                        from_record(recs.next().expect("peeked").1)
-                                    }
-                                    _ => PairOutcome::Quarantined,
-                                };
-                                emit(lin, outcome, &mut batch);
-                            }
-                        }
+                        Ok(Some(data)) => dense_outcomes(tile, data.cells),
                         // Verified minutes ago and unreadable now —
                         // disk decay mid-job. Detect, quarantine,
                         // recompute inline: a corrupt tile is never
@@ -606,74 +541,42 @@ impl Sts {
                         Ok(None) | Err(_) => {
                             store.quarantine(tile.id);
                             tstats.tiles_corrupt += 1;
-                            if stop_reason.is_none() {
-                                stop_reason = stop_check(cfg, new_pairs);
-                            }
-                            if stop_reason.is_some() {
-                                for lin in tile.range() {
-                                    emit(lin, PairOutcome::Skipped, &mut batch);
-                                }
+                            let Some(outs) = scorer.compute_tile(tile, &mut progress) else {
                                 continue;
-                            }
-                            let remaining = Budget {
-                                deadline: cfg.budget.deadline,
-                                max_pairs: cfg
-                                    .budget
-                                    .max_pairs
-                                    .map(|m| m.saturating_sub(new_pairs)),
                             };
-                            let tr = self.compute_tile(
-                                tile,
-                                &space,
-                                &prepared_q,
-                                &prepared_c,
-                                cfg,
-                                sub.as_ref(),
-                                remaining,
-                                &cell_retries,
-                                &mut agg_iso,
-                            );
                             tstats.tiles_computed += 1;
-                            new_pairs += tr.outs.iter().filter(|o| is_terminal(o)).count();
-                            pool_retries += tr.pool_retries;
-                            stop_reason = tr.stop;
-                            if tr.outs.iter().all(is_terminal) {
-                                chunks_completed += 1;
-                            }
-                            for (off, outcome) in tr.outs.into_iter().enumerate() {
-                                emit(tile.start + off, outcome, &mut batch);
-                            }
+                            outs
                         }
                     }
                 }
+            };
+            for (off, outcome) in outs.into_iter().enumerate() {
+                emit(tile.start + off, outcome, &mut batch);
             }
         }
         drop(merge_span);
 
-        // Tiles are resume state: only a run that resolved every pair
-        // may clean up (quarantined `.corrupt` files are kept either
-        // way — they are the post-mortem evidence).
-        if stop_reason.is_none() && !tiling.keep_tiles {
-            let _ = store.remove_all_tiles();
+        if let (Some(store), Some(tiling)) = (&store, tiling) {
+            // Tiles are resume state: only a run that resolved every
+            // pair may clean up (quarantined `.corrupt` files are kept
+            // either way — they are the post-mortem evidence).
+            if progress.stop.is_none() && !tiling.keep_tiles {
+                let _ = store.remove_all_tiles();
+            }
+            tstats.peak_rss_bytes = sts_obs::record_peak_rss();
         }
 
-        tstats.peak_rss_bytes = sts_obs::record_peak_rss();
-
-        let any_failed = pairs_failed > 0;
-        let mut stats = zeroed_stats(JobState::from_run(stop_reason, any_failed), space.len());
+        let mut stats = progress.stats;
+        stats.state = JobState::from_run(progress.stop, pairs_failed > 0);
         stats.elapsed = started.elapsed();
-        stats.pairs_completed = space.len() - pairs_skipped;
+        stats.pairs_completed = pairs_completed;
         stats.pairs_failed = pairs_failed;
-        stats.pairs_skipped = pairs_skipped;
+        stats.pairs_skipped = space.len() - pairs_completed;
         stats.pairs_resumed = pairs_resumed;
-        stats.chunks_total = tiles.len();
-        stats.chunks_completed = chunks_completed;
-        stats.chunks_skipped = tiles.len() - chunks_completed;
-        stats.chunk_wait_total = wait_total;
-        stats.chunk_run_total = run_total;
-        stats.retries = pool_retries + cell_retries.into_inner();
-        stats.isolate = agg_iso;
-        stats.tiles = Some(tstats);
+        stats.retries += scorer.cell_retries.into_inner();
+        stats.slow_chunks.sort_unstable();
+        stats.slow_chunks.dedup();
+        stats.tiles = tiling.map(|_| tstats);
         stats.shard = shard_stats;
 
         let mut telemetry = job_telemetry(metrics_base.as_ref());
@@ -699,136 +602,209 @@ impl Sts {
             telemetry,
         })
     }
+}
 
-    /// Computes one tile's slab on the configured engine. Returns
-    /// dense outcomes (`Skipped` where the engine stopped first).
-    #[allow(clippy::too_many_arguments)]
-    fn compute_tile(
-        &self,
-        tile: &PairChunk,
-        space: &PairSpace,
-        prepared_q: &[Option<PreparedTrajectory>],
-        prepared_c: &[Option<PreparedTrajectory>],
-        cfg: &JobConfig,
-        sub: Option<&SubExec<'_>>,
-        remaining: Budget,
-        cell_retries: &AtomicU64,
-        agg_iso: &mut Option<IsolateStats>,
-    ) -> TileRun {
-        let sub_chunks = chunk_tile(tile, cfg.chunk_pairs);
+impl Scorer<'_> {
+    /// Computes one tile on the local executor — the thread pool, or
+    /// the subprocess supervisor under [`ExecMode::Subprocess`] — with
+    /// whatever budget the run has left (the deadline is absolute, so
+    /// it carries over unchanged). `None` when the run had already
+    /// stopped: the tile is never attempted. Otherwise the tile's dense
+    /// outcomes, `Skipped` where the executor stopped first, in which
+    /// case `p.stop` says why.
+    fn compute_tile(&self, tile: &PairChunk, p: &mut Progress) -> Option<Vec<PairOutcome>> {
+        let cfg = self.cfg;
+        p.stop = p.stop.or_else(|| stop_check(cfg, p.new_pairs));
+        if p.stop.is_some() {
+            return None;
+        }
+        let _span = trace::span("job.tiled.tile");
+        let budget = Budget {
+            deadline: cfg.budget.deadline,
+            max_pairs: cfg.budget.max_pairs.map(|m| m.saturating_sub(p.new_pairs)),
+        };
+        let chunks = chunk_tile(tile, cfg.chunk_pairs, tile.id * self.chunks_per_tile);
         let mut outs = vec![PairOutcome::Skipped; tile.len];
+        let stats = &mut p.stats;
+        stats.chunks_total += chunks.len();
 
-        if let Some(sub) = sub {
+        if let Some(iso) = &self.spawn {
             let iso = IsolateConfig {
-                worker: WorkerSpec {
-                    program: sub.program.clone(),
-                    args: vec!["serve".to_string()],
-                    envs: Vec::new(),
-                },
-                workers: cfg.threads,
-                hard_timeout: sub.opts.hard_timeout,
-                ready_timeout: sub.opts.ready_timeout,
-                restart_budget: sub.opts.restart_budget,
-                poison_attempts: sub.opts.poison_attempts,
-                budget: remaining,
-                cancel: cfg.cancel.clone(),
-                ..IsolateConfig::default()
+                budget,
+                ..iso.clone()
             };
-            let run =
-                sts_isolate::supervise(&sub_chunks, &iso, &sub.preamble, |_chunk, payload| {
-                    let Some(parsed) = worker::decode_result_payload(payload) else {
-                        return;
-                    };
-                    for (lin, outcome) in parsed {
-                        if lin >= tile.start && lin < tile.start + tile.len {
-                            outs[lin - tile.start] = outcome;
-                        }
+            let run = sts_isolate::supervise(&chunks, &iso, &self.preamble, |_chunk, payload| {
+                // The supervisor validated the framing; a payload that
+                // is not a record set would be a worker bug — leave
+                // those cells skipped rather than guessing.
+                let Some(parsed) = worker::decode_result_payload(payload) else {
+                    return;
+                };
+                for (lin, outcome) in parsed {
+                    if tile.range().contains(&lin) {
+                        outs[lin - tile.start] = outcome;
                     }
-                });
-            for p in &run.poisoned {
-                if p.lin >= tile.start && p.lin < tile.start + tile.len {
-                    outs[p.lin - tile.start] = PairOutcome::Poisoned { exit: p.exit };
+                }
+            });
+            // Crash-attribution verdicts: quarantine each poison pair
+            // with its worker's exit.
+            for poison in &run.poisoned {
+                if tile.range().contains(&poison.lin) {
+                    outs[poison.lin - tile.start] = PairOutcome::Poisoned { exit: poison.exit };
                 }
             }
-            let iso_stats = agg_iso.get_or_insert_with(IsolateStats::default);
+            let resolved = chunks
+                .iter()
+                .filter(|c| c.range().all(|lin| is_terminal(&outs[lin - tile.start])))
+                .count();
+            stats.chunks_completed += resolved;
+            stats.chunks_skipped += chunks.len() - resolved;
+            stats.chunk_run_total += run.elapsed;
+            let iso_stats = stats.isolate.get_or_insert_with(IsolateStats::default);
             iso_stats.workers_spawned += run.workers_spawned;
             iso_stats.worker_restarts += run.worker_restarts;
             iso_stats.worker_kills += run.worker_kills;
             iso_stats.protocol_errors += run.protocol_errors;
             iso_stats.pairs_poisoned += run.poisoned.len();
             iso_stats.max_bisect_depth = iso_stats.max_bisect_depth.max(run.max_bisect_depth);
-            return TileRun {
-                outs,
-                stop: run.stop,
-                pool_retries: 0,
-                wait: Duration::ZERO,
-                run: run.elapsed,
+            p.stop = run.stop;
+        } else {
+            let pool_cfg = PoolConfig {
+                threads: cfg.threads,
+                retry: cfg.retry,
+                soft_timeout: cfg.soft_timeout,
+                budget,
+                cancel: cfg.cancel.clone(),
             };
-        }
-
-        let work =
-            |scratch: &mut crate::StpScratch, chunk: &PairChunk| -> Vec<(usize, PairOutcome)> {
-                let mut v = Vec::with_capacity(chunk.len);
-                for lin in chunk.range() {
-                    let (i, j) = space.pair(lin);
-                    v.push((
-                        lin,
-                        self.score_cell_retrying(
-                            prepared_q[i].as_ref(),
-                            prepared_c[j].as_ref(),
-                            cfg,
-                            lin,
-                            cell_retries,
-                            scratch,
-                        ),
-                    ));
-                }
-                v
-            };
-        let pool_cfg = PoolConfig {
-            threads: cfg.threads,
-            retry: cfg.retry,
-            soft_timeout: cfg.soft_timeout,
-            budget: remaining,
-            cancel: cfg.cancel.clone(),
-        };
-        let run = run_supervised_with(
-            &sub_chunks,
-            &pool_cfg,
-            |_slot| crate::StpScratch::new(),
-            work,
-            |_chunk, computed| {
-                for (lin, outcome) in computed {
-                    outs[lin - tile.start] = outcome;
-                }
-            },
-        );
-        // Pool-level backstop, identical to the supervised engine:
-        // cells of a terminally failed chunk become Failed (or
-        // Panicked under the legacy no-retry contract).
-        for (idx, status) in run.statuses.iter().enumerate() {
-            if let ChunkStatus::Failed { attempts } = status {
-                for lin in sub_chunks[idx].range() {
-                    if !is_terminal(&outs[lin - tile.start]) {
-                        outs[lin - tile.start] = if cfg.retry.max_retries == 0 {
-                            PairOutcome::Panicked
-                        } else {
-                            PairOutcome::Failed {
-                                attempts: *attempts,
+            let run = run_supervised_with(
+                &chunks,
+                &pool_cfg,
+                |_slot| crate::StpScratch::new(),
+                |scratch: &mut crate::StpScratch, chunk: &PairChunk| -> Vec<(usize, PairOutcome)> {
+                    chunk
+                        .range()
+                        .map(|lin| {
+                            let (i, j) = self.space.pair(lin);
+                            let outcome = self.sts.score_cell_retrying(
+                                self.prepared_q[i].as_ref(),
+                                self.prepared_c[j].as_ref(),
+                                cfg,
+                                lin,
+                                &self.cell_retries,
+                                scratch,
+                            );
+                            (lin, outcome)
+                        })
+                        .collect()
+                },
+                |_chunk, computed| {
+                    for (lin, outcome) in computed {
+                        outs[lin - tile.start] = outcome;
+                    }
+                },
+            );
+            // Pool-level backstop: cells of a terminally failed chunk
+            // become Failed (or Panicked under the legacy no-retry
+            // contract).
+            for (chunk, status) in chunks.iter().zip(&run.statuses) {
+                match status {
+                    ChunkStatus::Completed => stats.chunks_completed += 1,
+                    ChunkStatus::Skipped(_) => stats.chunks_skipped += 1,
+                    ChunkStatus::Failed { attempts } => {
+                        stats.chunks_failed += 1;
+                        for out in &mut outs[chunk.start - tile.start..][..chunk.len] {
+                            if !is_terminal(out) {
+                                *out = if cfg.retry.max_retries == 0 {
+                                    PairOutcome::Panicked
+                                } else {
+                                    PairOutcome::Failed {
+                                        attempts: *attempts,
+                                    }
+                                };
                             }
-                        };
+                        }
                     }
                 }
             }
+            stats.slow_chunks.extend(run.slow_chunks);
+            stats.retries += run.retries;
+            stats.chunk_wait_total += run.chunk_wait;
+            stats.chunk_run_total += run.chunk_run;
+            p.stop = run.stop;
         }
-        TileRun {
-            outs,
-            stop: run.stop,
-            pool_retries: run.retries,
-            wait: run.chunk_wait,
-            run: run.chunk_run,
-        }
+        p.new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
+        Some(outs)
     }
+}
+
+/// The worker executable `worker` names (default: `sts-worker` next to
+/// the current executable), checked to exist.
+fn worker_program(worker: &Option<PathBuf>) -> Result<PathBuf, JobError> {
+    let path = worker.clone().unwrap_or_else(worker::default_worker_path);
+    if path.is_file() {
+        Ok(path)
+    } else {
+        Err(JobError::WorkerMissing { path })
+    }
+}
+
+/// Cancellation and global-budget check: before any work, and before
+/// every tile.
+fn stop_check(cfg: &JobConfig, new_pairs: usize) -> Option<StopReason> {
+    if cfg.cancel.is_cancelled() {
+        return Some(StopReason::Cancelled);
+    }
+    cfg.budget.check(new_pairs)
+}
+
+/// The report's telemetry section: the global-registry delta since the
+/// job-start snapshot, zero-valued instruments dropped. `None` when
+/// telemetry was not requested.
+fn job_telemetry(base: Option<&sts_obs::Snapshot>) -> Option<Telemetry> {
+    base.map(|base| Telemetry {
+        metrics: sts_obs::metrics::global()
+            .snapshot()
+            .since(base)
+            .without_zeros(),
+    })
+}
+
+/// Is this outcome terminal for resume purposes (never recomputed)?
+fn is_terminal(cell: &PairOutcome) -> bool {
+    !matches!(cell, PairOutcome::Skipped)
+}
+
+/// The durable record of a terminal, computed outcome.
+fn to_record(cell: &PairOutcome) -> Option<CellRecord> {
+    match cell {
+        PairOutcome::Score(s) => Some(CellRecord::Score(*s)),
+        PairOutcome::Failed { attempts } => Some(CellRecord::Failed {
+            attempts: *attempts,
+        }),
+        PairOutcome::Panicked => Some(CellRecord::Panicked),
+        // Poison is persisted: a resumed job must NOT rediscover a
+        // poison pair by feeding it to (and losing) another worker.
+        PairOutcome::Poisoned { exit } => Some(CellRecord::Poisoned { exit: *exit }),
+        // Quarantine is re-derived from preparation on resume; Skipped
+        // is by definition not terminal.
+        PairOutcome::Quarantined | PairOutcome::Skipped => None,
+    }
+}
+
+/// A spilled tile's records as dense outcomes: pairs without a record
+/// are the quarantined ones (verified against preparation on resume).
+fn dense_outcomes(tile: &PairChunk, mut cells: Vec<(usize, CellRecord)>) -> Vec<PairOutcome> {
+    cells.sort_unstable_by_key(|(lin, _)| *lin);
+    let mut recs = cells.into_iter().peekable();
+    tile.range()
+        .map(|lin| match recs.next_if(|(l, _)| *l == lin) {
+            Some((_, CellRecord::Score(s))) => PairOutcome::Score(s),
+            Some((_, CellRecord::Failed { attempts })) => PairOutcome::Failed { attempts },
+            Some((_, CellRecord::Panicked)) => PairOutcome::Panicked,
+            Some((_, CellRecord::Poisoned { exit })) => PairOutcome::Poisoned { exit },
+            None => PairOutcome::Quarantined,
+        })
+        .collect()
 }
 
 /// What probing the store for an existing tile concluded.
@@ -848,13 +824,7 @@ enum Loaded {
 /// record XOR be quarantined (fingerprint-matched inputs prepare
 /// deterministically, so any disagreement means the file does not
 /// describe this job and is treated as corrupt).
-fn load_verified(
-    store: &TileStore<'_>,
-    tile: &PairChunk,
-    space: &PairSpace,
-    prepared_q: &[Option<PreparedTrajectory>],
-    prepared_c: &[Option<PreparedTrajectory>],
-) -> Loaded {
+fn load_verified(store: &TileStore<'_>, tile: &PairChunk, scorer: &Scorer<'_>) -> Loaded {
     let mut data = match store.load(tile.id, tile.start, tile.len) {
         Ok(Some(data)) => data,
         Ok(None) | Err(TileError::Io(_)) => return Loaded::Absent,
@@ -863,12 +833,9 @@ fn load_verified(
     data.cells.sort_unstable_by_key(|(lin, _)| *lin);
     let mut recs = data.cells.iter().peekable();
     for lin in tile.range() {
-        let has_record = matches!(recs.peek(), Some((l, _)) if *l == lin);
-        if has_record {
-            recs.next();
-        }
-        let (i, j) = space.pair(lin);
-        let quarantined = prepared_q[i].is_none() || prepared_c[j].is_none();
+        let has_record = recs.next_if(|(l, _)| *l == lin).is_some();
+        let (i, j) = scorer.space.pair(lin);
+        let quarantined = scorer.prepared_q[i].is_none() || scorer.prepared_c[j].is_none();
         if has_record == quarantined {
             return Loaded::Corrupt;
         }
@@ -876,10 +843,10 @@ fn load_verified(
     Loaded::Verified
 }
 
-/// Spills a completed tile and read-back-verifies it before letting
-/// go of the in-memory copy. Any failure — write error (ENOSPC, a
-/// crash-shaped storage fault) or a read-back that does not verify
-/// bit-for-bit — degrades to serving the tile from memory.
+/// Spills a completed tile, verified by read-back, before letting go of
+/// the in-memory copy. Any failure — write error (ENOSPC, a
+/// crash-shaped storage fault) or a read-back that differs from the
+/// bytes written — degrades to serving the tile from memory.
 fn spill_tile(
     store: &TileStore<'_>,
     tile: &PairChunk,
@@ -898,19 +865,17 @@ fn spill_tile(
             .collect(),
     };
     let durable = match store.save(&data) {
-        Err(_) => false,
-        Ok(()) => match store.load(tile.id, tile.start, tile.len) {
-            Ok(Some(back)) if back == data => true,
-            Ok(_) | Err(TileError::Io(_)) => false,
-            Err(TileError::Corrupt { .. }) => {
-                store.quarantine(tile.id);
-                tstats.tiles_corrupt += 1;
-                false
-            }
-        },
+        Ok(()) => true,
+        Err(TileError::Io(_)) => false,
+        Err(TileError::Corrupt { .. }) => {
+            store.quarantine(tile.id);
+            tstats.tiles_corrupt += 1;
+            false
+        }
     };
     if durable {
         tstats.tiles_spilled += 1;
+        trace::event("job.tile.spilled", tile.id as f64);
         TileSource::Disk
     } else {
         tstats.spill_errors += 1;
@@ -920,54 +885,71 @@ fn spill_tile(
 }
 
 /// Deals one tile's slab into scheduling chunks of `chunk_pairs`
-/// (clamped to ≥ 1), with linear indices absolute in the full pair
-/// space — a subprocess worker scores whatever slab it is sent, so
-/// the chunks must speak the global coordinate system.
-fn chunk_tile(tile: &PairChunk, chunk_pairs: usize) -> Vec<PairChunk> {
+/// (clamped to ≥ 1), numbered from `first_id`, with linear indices
+/// absolute in the full pair space — a subprocess worker scores
+/// whatever slab it is sent, so the chunks must speak the global
+/// coordinate system.
+fn chunk_tile(tile: &PairChunk, chunk_pairs: usize, first_id: usize) -> Vec<PairChunk> {
     let size = chunk_pairs.max(1);
-    let n = tile.len.div_ceil(size);
-    (0..n)
+    (0..tile.len.div_ceil(size))
         .map(|k| PairChunk {
-            id: k,
+            id: first_id + k,
             start: tile.start + k * size,
             len: size.min(tile.len - k * size),
         })
         .collect()
 }
 
-/// Cancellation and global-budget check between tiles, mirroring the
-/// supervised engine's per-chunk stop checks.
-fn stop_check(cfg: &JobConfig, new_pairs: usize) -> Option<StopReason> {
-    if cfg.cancel.is_cancelled() {
-        return Some(StopReason::Cancelled);
-    }
-    cfg.budget.check(new_pairs)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// A [`JobStats`] with every counter at zero — the tiled engine fills
-/// in what it tracked (`JobStats` carries no `Default`: a job state
-/// has no meaningful default).
-fn zeroed_stats(state: JobState, pairs_total: usize) -> JobStats {
-    JobStats {
-        state,
-        elapsed: Duration::ZERO,
-        pairs_total,
-        pairs_completed: 0,
-        pairs_failed: 0,
-        pairs_skipped: 0,
-        pairs_resumed: 0,
-        chunks_total: 0,
-        chunks_completed: 0,
-        chunks_failed: 0,
-        chunks_skipped: 0,
-        retries: 0,
-        slow_chunks: Vec::new(),
-        checkpoint_flushes: 0,
-        checkpoint_write_errors: 0,
-        chunk_wait_total: Duration::ZERO,
-        chunk_run_total: Duration::ZERO,
-        isolate: None,
-        tiles: None,
-        shard: None,
+    #[test]
+    fn chunk_ids_are_distinct_across_tiles() {
+        let space = PairSpace::new(5, 7); // 35 pairs
+        let (tile_pairs, chunk_pairs) = (10usize, 4usize);
+        let per_tile = tile_pairs.div_ceil(chunk_pairs);
+        let chunks: Vec<PairChunk> = space
+            .chunks(tile_pairs)
+            .flat_map(|t| chunk_tile(&t, chunk_pairs, t.id * per_tile))
+            .collect();
+        // Every pair covered once, in order, by chunks no larger than
+        // `chunk_pairs` that never straddle a tile boundary.
+        let lins: Vec<usize> = chunks.iter().flat_map(|c| c.range()).collect();
+        assert_eq!(lins, (0..35).collect::<Vec<_>>());
+        assert!(chunks.iter().all(|c| c.len <= chunk_pairs));
+        assert!(chunks
+            .iter()
+            .all(|c| c.start / 10 == (c.start + c.len - 1) / 10));
+        let mut ids: Vec<usize> = chunks.iter().map(|c| c.id).collect();
+        ids.dedup();
+        assert_eq!(ids.len(), chunks.len(), "ids collide: {ids:?}");
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn dense_outcomes_fill_quarantine_gaps_between_records() {
+        let tile = PairChunk {
+            id: 1,
+            start: 4,
+            len: 4,
+        };
+        let cells = vec![
+            (7, CellRecord::Panicked),
+            (4, CellRecord::Score(0.25)),
+            (6, CellRecord::Failed { attempts: 3 }),
+        ];
+        assert_eq!(
+            dense_outcomes(&tile, cells),
+            vec![
+                PairOutcome::Score(0.25),
+                PairOutcome::Quarantined,
+                PairOutcome::Failed { attempts: 3 },
+                PairOutcome::Panicked,
+            ]
+        );
+        // And back: only computed outcomes are persisted.
+        assert_eq!(to_record(&PairOutcome::Quarantined), None);
+        assert_eq!(to_record(&PairOutcome::Skipped), None);
     }
 }

@@ -57,15 +57,15 @@
 //!
 //! The `hello` handshake makes version or corpus skew a *typed*
 //! rejection instead of undefined scoring: the worker recomputes the
-//! job fingerprint from its own decoded preamble (the same hash the
-//! checkpoint header uses) and answers `reject ...` instead of `ready`
+//! job fingerprint from its own decoded preamble (the same hash tile
+//! files are bound to) and answers `reject ...` instead of `ready`
 //! on any mismatch. Supervisors treat a rejection as permanent — the
 //! pairing of binaries is wrong, and restarting cannot fix it. A
 //! preamble without a `hello` frame is served without verification,
 //! for hand-rolled drivers.
 //!
 //! `f64`s travel as Rust's shortest round-trip decimal (the same
-//! encoding the checkpoint format relies on), so a worker-scored cell
+//! encoding the tile format relies on), so a worker-scored cell
 //! is bit-identical to its in-process twin. Injected
 //! [`Fault::GarbageOutput`](sts_runtime::Fault) pairs make the worker
 //! replace the chunk's result frame with unframed noise — the

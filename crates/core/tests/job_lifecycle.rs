@@ -1,12 +1,14 @@
 //! Lifecycle tests for supervised similarity jobs: budget/deadline
-//! semantics and checkpoint → crash → resume round-trips.
+//! semantics and tiled crash → resume round-trips.
 //!
 //! Seeded tests embed the seed in every assertion message so a CI
 //! failure is replayable (`scripts/ci.sh` runtime step).
 
 use std::path::PathBuf;
 use std::time::Duration;
-use sts_core::{CheckpointConfig, JobConfig, JobError, PairOutcome, Sts, StsConfig};
+use sts_core::{
+    ExecMode, JobConfig, JobError, PairOutcome, ShardOptions, Sts, StsConfig, TileConfig,
+};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_runtime::{Budget, CancelToken, JobState};
@@ -41,21 +43,38 @@ fn corpus(seed: u64, n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// A unique temp path that is cleaned up on drop.
-struct TempCkpt(PathBuf);
+/// A unique tile directory that is removed on drop.
+struct TempTiles(PathBuf);
 
-impl TempCkpt {
+impl TempTiles {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("sts-job-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempCkpt(dir.join(format!("{tag}.ckpt")))
+        let dir = std::env::temp_dir().join(format!("sts-job-tests-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempTiles(dir)
+    }
+
+    /// Tiles of `tile_pairs` pairs in this directory.
+    fn tiling(&self, tile_pairs: usize) -> TileConfig {
+        TileConfig {
+            tile_pairs,
+            ..TileConfig::new(&self.0)
+        }
+    }
+
+    /// `*.tile` files currently in the directory.
+    fn tile_count(&self) -> usize {
+        std::fs::read_dir(&self.0).map_or(0, |entries| {
+            entries
+                .filter_map(|e| e.ok())
+                .filter(|e| e.path().extension().is_some_and(|x| x == "tile"))
+                .count()
+        })
     }
 }
 
-impl Drop for TempCkpt {
+impl Drop for TempTiles {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -181,58 +200,49 @@ fn mid_job_deadline_yields_completed_cells_and_no_panics() {
     }
 }
 
-/// Checkpoint round-trip across 8 seeds: write → "crash" mid-job
-/// (CancelToken mid-run) → resume → the final matrix is byte-identical
-/// to an uninterrupted run's.
+/// Tiled crash → resume across 8 seeds: a run cut short mid-job (pair
+/// budget, mid-tile) leaves its completed tiles on disk, and the
+/// resumed run is byte-identical to an uninterrupted in-memory run.
 #[test]
-fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
+fn budget_cut_tiled_run_resumes_byte_identical_across_seeds() {
     for seed in 0..8u64 {
         let sts = Sts::new(StsConfig::default(), grid());
         let qs = corpus(0xC0DE + seed, 12); // 144 pairs
-        let ckpt = TempCkpt::new(&format!("resume-{seed}"));
+        let tiles = TempTiles::new(&format!("resume-{seed}"));
+        let tiling = tiles.tiling(16);
 
         let uninterrupted = sts
             .similarity_matrix_supervised(&qs, &qs, &JobConfig::default())
             .unwrap()
             .0;
 
-        // "Crash": cancel from a chunk boundary onwards. The token
-        // trips after ~half the pairs have been dealt; a flush every
-        // chunk makes the checkpoint as fresh as possible (the
-        // contract is "lose at most one flush interval").
-        let cancel = CancelToken::new();
+        // "Crash": the pair budget runs out partway through the fifth
+        // tile, so four tiles are on disk and the fifth is lost.
         let crash_cfg = JobConfig {
-            cancel: cancel.clone(),
+            cancel: CancelToken::new(),
             budget: Budget::with_max_pairs(70),
             chunk_pairs: 8,
-            checkpoint: Some(CheckpointConfig {
-                path: ckpt.0.clone(),
-                flush_every_chunks: 1,
-            }),
             ..JobConfig::default()
         };
         let (_partial, crash_report) = sts
-            .similarity_matrix_supervised(&qs, &qs, &crash_cfg)
+            .similarity_matrix_tiled(&qs, &qs, &crash_cfg, &tiling)
             .unwrap();
         assert!(
             !crash_report.is_complete(),
             "seed={seed}: the crashed run must not finish ({crash_report})"
         );
-        assert!(
-            crash_report.stats.checkpoint_flushes > 0,
-            "seed={seed}: no checkpoint was written"
-        );
-        assert!(ckpt.0.exists(), "seed={seed}");
+        let spilled = crash_report.stats.tiles.unwrap().tiles_spilled;
+        assert!(spilled > 0, "seed={seed}: no tile was written");
+        assert_eq!(tiles.tile_count(), spilled, "seed={seed}");
 
-        // Resume from the checkpoint with no budget: must complete and
+        // Resume from the tiles with no budget: must complete and
         // match the uninterrupted run bit for bit.
         let resume_cfg = JobConfig {
-            checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
             chunk_pairs: 8,
             ..JobConfig::default()
         };
         let (resumed, resume_report) = sts
-            .similarity_matrix_supervised(&qs, &qs, &resume_cfg)
+            .similarity_matrix_tiled(&qs, &qs, &resume_cfg, &tiling)
             .unwrap();
         assert_eq!(
             resume_report.state(),
@@ -241,7 +251,7 @@ fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
         );
         assert!(
             resume_report.stats.pairs_resumed > 0,
-            "seed={seed}: nothing was restored from the checkpoint"
+            "seed={seed}: nothing was restored from the tiles"
         );
         assert!(
             resume_report.stats.pairs_resumed < 144,
@@ -255,46 +265,99 @@ fn checkpoint_crash_resume_is_byte_identical_across_seeds() {
     }
 }
 
-/// Resuming a checkpoint against different inputs is refused, not
-/// silently blended.
+/// Tiles written for other inputs are never blended in: resuming
+/// against a different corpus restores nothing, counts every tile
+/// corrupt (the fingerprint check), and equals a clean in-memory run.
 #[test]
-fn resume_with_changed_inputs_is_a_fingerprint_error() {
+fn tiles_from_other_inputs_are_corrupt_and_recomputed() {
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(50, 6);
-    let ckpt = TempCkpt::new("fingerprint");
-    let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-        ..JobConfig::default()
+    let tiles = TempTiles::new("fingerprint");
+    let tiling = TileConfig {
+        keep_tiles: true,
+        ..tiles.tiling(8)
     };
-    sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    sts.similarity_matrix_tiled(&qs, &qs, &JobConfig::default(), &tiling)
+        .unwrap();
+    assert_eq!(tiles.tile_count(), 5, "36 pairs in 8-pair tiles");
 
     let other = corpus(51, 6);
-    let err = sts
-        .similarity_matrix_supervised(&other, &other, &cfg)
-        .unwrap_err();
-    assert!(
-        matches!(err, JobError::FingerprintMismatch { .. }),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("fingerprint"), "{err}");
+    let clean = sts
+        .similarity_matrix_supervised(&other, &other, &JobConfig::default())
+        .unwrap()
+        .0;
+    let (matrix, report) = sts
+        .similarity_matrix_tiled(&other, &other, &JobConfig::default(), &tiling)
+        .unwrap();
+    let t = report.stats.tiles.unwrap();
+    assert_eq!(t.tiles_resumed, 0, "{report}");
+    assert_eq!(report.stats.pairs_resumed, 0, "{report}");
+    assert_eq!(t.tiles_corrupt, t.tiles_total, "{report}");
+    assert_eq!(t.tiles_computed, t.tiles_total, "{report}");
+    assert_eq!(score_bits(&matrix), score_bits(&clean));
 }
 
-/// A completed job's checkpoint makes a re-run a pure restore: zero
-/// recomputation, same matrix.
+/// A completed job's kept tiles make a re-run a pure restore: every
+/// tile resumed, no pool chunk queued, and both runs equal the
+/// in-memory matrix.
 #[test]
-fn rerun_after_complete_checkpoint_restores_everything() {
+fn rerun_after_complete_tiled_run_restores_everything() {
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(60, 6);
-    let ckpt = TempCkpt::new("rerun");
-    let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-        ..JobConfig::default()
+    let tiles = TempTiles::new("rerun");
+    let tiling = TileConfig {
+        keep_tiles: true,
+        ..tiles.tiling(8)
     };
-    let (first, _) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
-    let (second, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    let cfg = JobConfig::default();
+    let (reference, _) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    let (first, _) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
+    let (second, report) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
+    let t = report.stats.tiles.unwrap();
+    assert_eq!(t.tiles_resumed, t.tiles_total, "{report}");
     assert_eq!(report.stats.pairs_resumed, 36, "{report}");
     assert_eq!(report.stats.chunks_total, 0, "no chunk was queued");
-    assert_eq!(score_bits(&first), score_bits(&second));
+    assert_eq!(score_bits(&first), score_bits(&reference));
+    assert_eq!(score_bits(&second), score_bits(&reference));
+}
+
+/// An untiled job is one in-memory tile: no tile accounting, and the
+/// chunk counters count every pool chunk of the pair space.
+#[test]
+fn untiled_job_counts_pool_chunks_and_reports_no_tiles() {
+    let sts = Sts::new(StsConfig::default(), grid());
+    let qs = corpus(90, 7); // 49 pairs
+    let cfg = JobConfig {
+        chunk_pairs: 8,
+        ..JobConfig::default()
+    };
+    let (_, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    assert_eq!(report.state(), JobState::Complete);
+    assert!(report.stats.tiles.is_none(), "{report}");
+    assert_eq!(report.stats.chunks_total, 7, "{report}");
+    assert_eq!(report.stats.chunks_completed, 7, "{report}");
+    assert_eq!(report.stats.pairs_resumed, 0, "{report}");
+}
+
+/// Sharding deals tiles: without a tile config there is nothing to
+/// lease, and the job says so before preparing anything.
+#[test]
+fn sharded_job_without_tiles_is_rejected() {
+    let sts = Sts::new(StsConfig::default(), grid());
+    let qs = corpus(91, 3);
+    let cfg = JobConfig {
+        exec: ExecMode::Sharded(ShardOptions::default()),
+        ..JobConfig::default()
+    };
+    let err = sts
+        .similarity_matrix_supervised(&qs, &qs, &cfg)
+        .unwrap_err();
+    assert!(matches!(err, JobError::ShardRequiresTiling), "{err:?}");
+    assert!(err.to_string().contains("tile"), "{err}");
 }
 
 #[test]

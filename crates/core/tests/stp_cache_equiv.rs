@@ -4,7 +4,7 @@
 //! as written. These tests pin the cached paths against it:
 //!
 //! * `Exact` mode must agree **bit for bit** — on full matrices, on
-//!   top-k, through checkpoint crash→resume, and through
+//!   top-k, through tiled crash→resume, and through
 //!   `ExecMode::Subprocess` workers;
 //! * `Lattice` mode is a documented tolerance-gated approximation
 //!   (same co-location curve, different time quadrature), so it is
@@ -18,8 +18,8 @@
 
 use std::path::PathBuf;
 use sts_core::{
-    default_worker_path, CheckpointConfig, ExecMode, IsolateOptions, JobConfig, PairOutcome,
-    StpCacheMode, Sts, StsConfig,
+    default_worker_path, ExecMode, IsolateOptions, JobConfig, PairOutcome, StpCacheMode, Sts,
+    StsConfig, TileConfig,
 };
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::check::Checker;
@@ -118,21 +118,21 @@ fn score_bits(matrix: &[Vec<PairOutcome>]) -> Vec<Vec<Option<u64>>> {
         .collect()
 }
 
-/// A unique temp path that is cleaned up on drop.
-struct TempCkpt(PathBuf);
+/// A unique tile directory that is removed on drop.
+struct TempTiles(PathBuf);
 
-impl TempCkpt {
+impl TempTiles {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("sts-cache-equiv-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempCkpt(dir.join(format!("{tag}.ckpt")))
+        let dir =
+            std::env::temp_dir().join(format!("sts-cache-equiv-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempTiles(dir)
     }
 }
 
-impl Drop for TempCkpt {
+impl Drop for TempTiles {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -231,9 +231,9 @@ fn lattice_mode_preserves_oracle_ranking_on_separated_lanes() {
     }
 }
 
-/// Exact cached scoring through a checkpoint crash→resume is
-/// bit-identical to an *uncached, uninterrupted* run — the cache never
-/// leaks into what gets persisted or restored.
+/// Exact cached scoring through a tiled crash→resume is bit-identical
+/// to an *uncached, uninterrupted* run — the cache never leaks into
+/// what gets persisted or restored.
 #[test]
 fn crash_resume_with_cached_scoring_matches_uncached_uninterrupted_run() {
     for seed in 0..4u64 {
@@ -244,33 +244,35 @@ fn crash_resume_with_cached_scoring_matches_uncached_uninterrupted_run() {
             .0;
 
         let exact = sts_with(grid(), StpCacheMode::Exact);
-        let ckpt = TempCkpt::new(&format!("cache-resume-{seed}"));
+        let tiles = TempTiles::new(&format!("cache-resume-{seed}"));
+        let tiling = TileConfig {
+            tile_pairs: 16,
+            ..TileConfig::new(&tiles.0)
+        };
         let crash_cfg = JobConfig {
             cancel: CancelToken::new(),
             budget: Budget::with_max_pairs(48),
             chunk_pairs: 8,
-            checkpoint: Some(CheckpointConfig {
-                path: ckpt.0.clone(),
-                flush_every_chunks: 1,
-            }),
             ..JobConfig::default()
         };
         let (_partial, crash_report) = exact
-            .similarity_matrix_supervised(&ts, &ts, &crash_cfg)
+            .similarity_matrix_tiled(&ts, &ts, &crash_cfg, &tiling)
             .unwrap();
         assert!(
             !crash_report.is_complete(),
             "seed={seed}: the crashed run must not finish ({crash_report})"
         );
-        assert!(ckpt.0.exists(), "seed={seed}: no checkpoint written");
+        assert!(
+            crash_report.stats.tiles.unwrap().tiles_spilled > 0,
+            "seed={seed}: no tile written"
+        );
 
         let resume_cfg = JobConfig {
-            checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
             chunk_pairs: 8,
             ..JobConfig::default()
         };
         let (resumed, resume_report) = exact
-            .similarity_matrix_supervised(&ts, &ts, &resume_cfg)
+            .similarity_matrix_tiled(&ts, &ts, &resume_cfg, &tiling)
             .unwrap();
         assert_eq!(
             resume_report.state(),
@@ -279,7 +281,7 @@ fn crash_resume_with_cached_scoring_matches_uncached_uninterrupted_run() {
         );
         assert!(
             resume_report.stats.pairs_resumed > 0,
-            "seed={seed}: nothing restored from the checkpoint"
+            "seed={seed}: nothing restored from the tiles"
         );
         assert_eq!(
             score_bits(&resumed),

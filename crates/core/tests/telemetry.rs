@@ -10,7 +10,7 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
-use sts_core::{CheckpointConfig, JobConfig, Sts, StsConfig};
+use sts_core::{JobConfig, Sts, StsConfig, TileConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_obs::json::is_valid_json;
 use sts_obs::{clear_subscriber, set_subscriber, JsonlSubscriber};
@@ -53,7 +53,7 @@ fn corpus(seed: u64, n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// A unique temp path that is cleaned up on drop.
+/// A unique temp path (file or tile directory) removed on drop.
 struct TempFile(PathBuf);
 
 impl TempFile {
@@ -67,33 +67,35 @@ impl TempFile {
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
 /// `STS_TRACE=jsonl`-equivalent: a JSONL subscriber on a file captures
-/// parseable span/event lines covering prepare → chunk work →
-/// checkpoint, stitched into one tree under `job.run`.
+/// parseable span/event lines covering prepare → chunk work → tile
+/// spill, stitched into one tree under `job.run`.
 #[test]
 fn jsonl_trace_covers_the_job_stages() {
     let _guard = serial();
     let trace = TempFile::new("stages.jsonl");
-    let ckpt = TempFile::new("stages.ckpt");
+    let tiles = TempFile::new("stages-tiles");
 
     let sub = Arc::new(JsonlSubscriber::to_file(&trace.0).unwrap());
     set_subscriber(sub.clone());
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(11, 10);
     let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig {
-            path: ckpt.0.clone(),
-            flush_every_chunks: 2,
-        }),
         chunk_pairs: 8,
         threads: 2,
         ..JobConfig::default()
     };
-    let (_, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    let tiling = TileConfig {
+        tile_pairs: 16,
+        ..TileConfig::new(&tiles.0)
+    };
+    let (_, report) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
     clear_subscriber();
     assert_eq!(report.state(), JobState::Complete);
     assert_eq!(sub.write_errors(), 0);
@@ -125,7 +127,7 @@ fn jsonl_trace_covers_the_job_stages() {
         "sts.prepare",
         "pool.run",
         "pool.chunk",
-        "checkpoint.save",
+        "tile.save",
     ] {
         assert!(
             span_names.contains(required),
@@ -133,49 +135,51 @@ fn jsonl_trace_covers_the_job_stages() {
         );
     }
     assert!(
-        event_names.contains("job.checkpoint_flush"),
-        "missing flush event; got {event_names:?}"
+        event_names.contains("job.tile.spilled"),
+        "missing spill event; got {event_names:?}"
     );
 }
 
-/// Resuming from a checkpoint traces `checkpoint.load` + `job.resume`.
+/// Resuming from tiles traces `tile.load` + `job.resume`.
 #[test]
-fn resume_traces_checkpoint_load() {
+fn resume_traces_tile_load() {
     let _guard = serial();
     let trace = TempFile::new("resume.jsonl");
-    let ckpt = TempFile::new("resume.ckpt");
+    let tiles = TempFile::new("resume-tiles");
 
     let sts = Sts::new(StsConfig::default(), grid());
     let qs = corpus(12, 8);
     let base_cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig {
-            path: ckpt.0.clone(),
-            flush_every_chunks: 1,
-        }),
         chunk_pairs: 8,
         threads: 1,
         ..JobConfig::default()
     };
-    // First pass writes checkpoints but is budget-cut partway.
+    let tiling = TileConfig {
+        tile_pairs: 8,
+        ..TileConfig::new(&tiles.0)
+    };
+    // First pass spills tiles but is budget-cut partway.
     let cfg = JobConfig {
         budget: sts_runtime::Budget::with_max_pairs(24),
         ..base_cfg.clone()
     };
-    let (_, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
+    let (_, report) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
     assert_eq!(report.state(), JobState::BudgetExhausted);
 
     // Second pass resumes under tracing.
     let sub = Arc::new(JsonlSubscriber::to_file(&trace.0).unwrap());
     set_subscriber(sub);
     let (_, report) = sts
-        .similarity_matrix_supervised(&qs, &qs, &base_cfg)
+        .similarity_matrix_tiled(&qs, &qs, &base_cfg, &tiling)
         .unwrap();
     clear_subscriber();
     assert_eq!(report.state(), JobState::Complete);
     assert!(report.stats.pairs_resumed > 0, "{report}");
 
     let text = std::fs::read_to_string(&trace.0).unwrap();
-    for required in ["\"checkpoint.load\"", "\"job.resume\""] {
+    for required in ["\"tile.load\"", "\"job.resume\""] {
         assert!(text.contains(required), "missing {required} in trace");
     }
 }

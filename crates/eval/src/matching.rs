@@ -86,8 +86,8 @@ pub fn matching_ranks(measure: &dyn MatrixMeasure, pairs: &MatchingPairs) -> Vec
     ranks_of_true_matches(&matrix)
 }
 
-/// The matching task under a supervised STS job: deadlines, cancellation
-/// and checkpoint/resume all apply, and the [`JobReport`] tells the
+/// The matching task under a supervised STS job: deadlines,
+/// cancellation and retries all apply, and the [`JobReport`] tells the
 /// caller how much of the matrix actually ran.
 ///
 /// Cells that did not produce a score — quarantined, failed after

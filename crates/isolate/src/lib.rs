@@ -10,7 +10,7 @@
 //! and std-only:
 //!
 //! * [`protocol`] — a length-prefixed line protocol over stdin/stdout
-//!   (same in-repo text style as the checkpoint and `sts-traj::io`
+//!   (same in-repo text style as the tile and `sts-traj::io`
 //!   formats), whose length prefix makes *garbage output* a detectable
 //!   [`ProtocolError`] instead of silent corruption;
 //! * [`transport`] — the same frames over TCP loopback: a

@@ -1,6 +1,6 @@
 //! The length-prefixed line protocol between supervisor and worker.
 //!
-//! Same zero-dependency text style as the `checkpoint` and
+//! Same zero-dependency text style as the matrix tile and
 //! `sts-traj::io` formats, with one addition: every frame carries its
 //! own byte length up front, so the reader can tell a *torn* or
 //! *garbage* frame from a merely unexpected one.

@@ -58,7 +58,7 @@ pub struct SpanRecord {
 /// A point-in-time event, as delivered to a [`Subscriber`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
-    /// Static event name (e.g. `"job.checkpoint_flush"`).
+    /// Static event name (e.g. `"job.tile.spilled"`).
     pub name: &'static str,
     /// Id of the span the event occurred in, or 0 outside any span.
     pub span: u64,
@@ -437,7 +437,7 @@ impl Subscriber for RingRecorder {
 ///
 /// ```text
 /// {"type":"span","name":"job.run","id":7,"parent":0,"thread":1,"start_ns":123,"dur_ns":456}
-/// {"type":"event","name":"job.checkpoint_flush","span":7,"thread":1,"t_ns":200,"value":3}
+/// {"type":"event","name":"job.tile.spilled","span":7,"thread":1,"t_ns":200,"value":3}
 /// ```
 ///
 /// Output is buffered and flushed after every record — tracing is a

@@ -9,9 +9,9 @@
 //! * a job under injection still terminates under its deadline, with
 //!   every healthy cell scored and every poisoned cell named in the
 //!   [`JobReport`] — partial-but-consistent, never hung, never dead;
-//! * crash (cancel mid-job) → resume from checkpoint reproduces an
-//!   uninterrupted run's matrix byte for byte, *including* the failed
-//!   cells, across 8 seeds;
+//! * crash (a tiled run cut short mid-job) → resume from its tiles
+//!   reproduces an uninterrupted in-memory run's matrix byte for byte,
+//!   *including* the failed cells, across 8 seeds;
 //! * a corpus of wedged-slow pairs cannot outlive the wall-clock
 //!   deadline by more than one chunk's worth of work.
 //!
@@ -20,7 +20,7 @@
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use sts_core::{CheckpointConfig, JobConfig, PairOutcome, Sts, StsConfig};
+use sts_core::{JobConfig, PairOutcome, Sts, StsConfig, TileConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_runtime::{Budget, FaultPlan, JobState, RetryPolicy};
@@ -84,20 +84,21 @@ fn fast_retry() -> RetryPolicy {
     }
 }
 
-struct TempCkpt(PathBuf);
+/// A unique tile directory that is removed on drop.
+struct TempTiles(PathBuf);
 
-impl TempCkpt {
+impl TempTiles {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("sts-supervised-chaos-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        TempCkpt(dir.join(format!("{tag}.ckpt")))
+        let dir =
+            std::env::temp_dir().join(format!("sts-supervised-chaos-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempTiles(dir)
     }
 }
 
-impl Drop for TempCkpt {
+impl Drop for TempTiles {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(self.0.with_extension("tmp"));
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -136,8 +137,8 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
 /// The acceptance criterion: for 8 seeds, a 64-trajectory matrix job
 /// under injected panics and slow pairs (1) completes under its
 /// deadline with the failed cells named in the report, and (2) a crash
-/// (cancel mid-job) followed by a resume from checkpoint reproduces
-/// the uninterrupted run's matrix byte for byte.
+/// (a tiled run cut short mid-job) followed by a resume from its tiles
+/// reproduces the uninterrupted run's matrix byte for byte.
 #[test]
 fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
     quietly(|| {
@@ -197,34 +198,32 @@ fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
                 "seed={seed}: no slow chunk marked ({report})"
             );
 
-            // Crash: checkpoint every chunk, cancel via a mid-job pair
+            // Crash: spill 256-pair tiles, stop via a mid-job pair
             // budget, then resume under the same fault plan.
-            let ckpt = TempCkpt::new(&format!("chaos-{seed}"));
+            let tiles = TempTiles::new(&format!("chaos-{seed}"));
+            let tiling = TileConfig {
+                tile_pairs: 256,
+                ..TileConfig::new(&tiles.0)
+            };
             let crash = JobConfig {
                 budget: Budget::with_max_pairs(N_PAIRS / 2).deadline(deadline),
-                checkpoint: Some(CheckpointConfig {
-                    path: ckpt.0.clone(),
-                    flush_every_chunks: 1,
-                }),
                 ..base.clone()
             };
-            let (_partial, crash_report) =
-                sts.similarity_matrix_supervised(&qs, &qs, &crash).unwrap();
+            let (_partial, crash_report) = sts
+                .similarity_matrix_tiled(&qs, &qs, &crash, &tiling)
+                .unwrap();
             assert!(
                 !crash_report.is_complete(),
                 "seed={seed}: crash run finished ({crash_report})"
             );
             assert!(
-                crash_report.stats.checkpoint_flushes > 0,
-                "seed={seed}: nothing checkpointed"
+                crash_report.stats.tiles.unwrap().tiles_spilled > 0,
+                "seed={seed}: no tile spilled"
             );
 
-            let resume = JobConfig {
-                checkpoint: Some(CheckpointConfig::new(ckpt.0.clone())),
-                ..base.clone()
-            };
-            let (resumed, resume_report) =
-                sts.similarity_matrix_supervised(&qs, &qs, &resume).unwrap();
+            let (resumed, resume_report) = sts
+                .similarity_matrix_tiled(&qs, &qs, &base, &tiling)
+                .unwrap();
             assert_eq!(
                 resume_report.state(),
                 JobState::Degraded,
@@ -232,7 +231,7 @@ fn chaos_job_meets_deadline_names_failures_and_resumes_byte_identical() {
             );
             assert!(
                 resume_report.stats.pairs_resumed > 0,
-                "seed={seed}: checkpoint restored nothing"
+                "seed={seed}: the tiles restored nothing"
             );
             assert_eq!(
                 matrix_bits(&resumed),

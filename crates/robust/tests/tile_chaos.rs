@@ -149,17 +149,19 @@ fn tile_files(dir: &PathBuf) -> Vec<PathBuf> {
     v
 }
 
-/// The acceptance criterion: for 8 seeds, a tiled job on a disk that
-/// tears, flips, fills and crashes produces the byte-identical matrix
-/// of an in-memory supervised run, and the report's detection counts
-/// match the injection log exactly — every torn/flipped write is
-/// caught as corrupt, every failed spill is counted, nothing is
+/// The acceptance criterion: for 8 seeds and at every tile size — one
+/// pair, [`TILE_PAIRS`] and the whole space — a tiled job on a disk
+/// that tears, flips, fills and crashes produces the byte-identical
+/// matrix of an in-memory supervised run, and the report's detection
+/// counts match the injection log exactly — every torn/flipped write
+/// is caught as corrupt, every failed spill is counted, nothing is
 /// silently read back.
 #[test]
 fn faulty_disk_runs_are_byte_identical_and_every_fault_detected() {
     quietly(|| {
         let mut injected_kinds = [0usize; 4];
-        for seed in 0..SEEDS {
+        for (seed, tile_pairs) in (0..SEEDS).flat_map(|s| [1, TILE_PAIRS, N_PAIRS].map(|t| (s, t)))
+        {
             let sts = Sts::new(StsConfig::default(), grid());
             let qs = corpus(0x71C5 + seed, N_TRAJECTORIES);
             let cfg = base_cfg(seed);
@@ -167,7 +169,7 @@ fn faulty_disk_runs_are_byte_identical_and_every_fault_detected() {
             let (reference, ref_report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
             assert!(ref_report.is_complete(), "seed={seed}: {ref_report}");
 
-            let tiles = TempTiles::new(&format!("faulty-{seed}"));
+            let tiles = TempTiles::new(&format!("faulty-{seed}-{tile_pairs}"));
             let storage = Arc::new(FaultyStorage::new(DiskFaultPlan {
                 seed: 0xD15C ^ seed,
                 torn_per_mille: 150,
@@ -177,18 +179,22 @@ fn faulty_disk_runs_are_byte_identical_and_every_fault_detected() {
                 enospc_at_write: None,
             }));
             let tiling = TileConfig {
-                tile_pairs: TILE_PAIRS,
+                tile_pairs,
                 storage: storage.clone() as Arc<dyn Storage>,
                 ..TileConfig::new(&tiles.0)
             };
             let (tiled, report) = sts
                 .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
                 .unwrap();
-            assert!(report.is_complete(), "seed={seed}: {report}");
+            assert!(
+                report.is_complete(),
+                "seed={seed} tile_pairs={tile_pairs}: {report}"
+            );
             assert_eq!(
                 matrix_bits(&tiled),
                 matrix_bits(&reference),
-                "seed={seed}: faulty-disk tiled matrix differs from in-memory run"
+                "seed={seed} tile_pairs={tile_pairs}: faulty-disk tiled matrix differs from \
+                 in-memory run"
             );
 
             // Exact detection accounting against the injection log:
@@ -202,17 +208,20 @@ fn faulty_disk_runs_are_byte_identical_and_every_fault_detected() {
             assert_eq!(
                 t.tiles_corrupt,
                 torn + flip,
-                "seed={seed}: corrupt-detection count drifted from injections ({t})"
+                "seed={seed} tile_pairs={tile_pairs}: corrupt-detection count drifted from \
+                 injections ({t})"
             );
             assert_eq!(
                 t.spill_errors,
                 torn + flip + enospc + stale,
-                "seed={seed}: every injected fault must cost exactly one spill ({t})"
+                "seed={seed} tile_pairs={tile_pairs}: every injected fault must cost exactly one \
+                 spill ({t})"
             );
             assert_eq!(
                 t.tiles_spilled + t.spill_errors,
                 t.tiles_computed,
-                "seed={seed}: every computed tile either spilled or degraded ({t})"
+                "seed={seed} tile_pairs={tile_pairs}: every computed tile either spilled or \
+                 degraded ({t})"
             );
             for i in 0..4 {
                 injected_kinds[i] += [torn, flip, enospc, stale][i];
@@ -438,9 +447,8 @@ fn stale_tmp_debris_is_swept_and_counted_on_the_next_open() {
     );
 }
 
-/// Config validation: a zero tile size and a checkpoint+tiling combo
-/// are rejected up front with a typed error — not accepted, not spun
-/// on forever.
+/// Config validation: a zero tile size is rejected up front with a
+/// typed error — not accepted, not spun on forever.
 #[test]
 fn unusable_tile_configs_are_rejected_up_front() {
     let sts = Sts::new(StsConfig::default(), grid());
@@ -456,18 +464,47 @@ fn unusable_tile_configs_are_rejected_up_front() {
         matches!(err, sts_core::JobError::InvalidTiling(_)),
         "zero tile_pairs: {err}"
     );
+}
 
-    let with_ckpt = JobConfig {
-        checkpoint: Some(sts_core::CheckpointConfig::new(tiles.0.join("x.ckpt"))),
+/// The soft-timeout watchdog's verdicts survive tiling: a tiled job
+/// whose every pair is slow reports its slow chunks, named by ids that
+/// are distinct across tiles (each tile's chunks are numbered within
+/// the whole pair space), and every chunk it dealt is accounted for.
+#[test]
+fn tiled_soft_timeouts_report_distinct_slow_chunks() {
+    let sts = Sts::new(StsConfig::default(), grid());
+    let qs = corpus(0x5104, 8); // 64 pairs
+    let cfg = JobConfig {
+        chunk_pairs: 4,
+        threads: 2,
+        soft_timeout: Some(std::time::Duration::from_millis(2)),
+        fault: Some(FaultPlan {
+            seed: 7,
+            slow_per_mille: 1000,
+            slow_for: std::time::Duration::from_millis(3),
+            ..FaultPlan::default()
+        }),
         ..JobConfig::default()
     };
-    let err = sts
-        .similarity_matrix_tiled(&qs, &qs, &with_ckpt, &TileConfig::new(&tiles.0))
-        .unwrap_err();
-    assert!(
-        matches!(err, sts_core::JobError::InvalidTiling(_)),
-        "checkpoint+tiles: {err}"
-    );
+    let tiles = TempTiles::new("slow");
+    let tiling = TileConfig {
+        tile_pairs: 16,
+        ..TileConfig::new(&tiles.0)
+    };
+    let (matrix, report) = sts
+        .similarity_matrix_tiled(&qs, &qs, &cfg, &tiling)
+        .unwrap();
+    assert!(report.is_complete(), "{report}");
+    let slow = &report.stats.slow_chunks;
+    // 4 tiles of 16 pairs, 4 chunks of 4 pairs each, all of them slow.
+    assert_eq!(report.stats.chunks_total, 16, "{report}");
+    assert_eq!(report.stats.chunks_completed, 16, "{report}");
+    assert_eq!(slow.len(), 16, "every chunk overran: {slow:?}");
+    let mut distinct = slow.clone();
+    distinct.dedup();
+    assert_eq!(&distinct, slow, "slow chunk ids collide: {slow:?}");
+    assert_eq!(report.stats.tiles.unwrap().tiles_computed, 4, "{report}");
+    assert!(matrix.iter().flatten().all(|c| c.score().is_some()));
 }
 
 /// The out-of-core ranking path: per-row top-k matches the supervised

@@ -77,7 +77,7 @@ pub struct Budget {
     /// Stop dealing work once this instant passes.
     pub deadline: Option<Deadline>,
     /// Stop dealing work once this many pairs have been processed this
-    /// run (checkpoint-restored cells do not count — they cost nothing).
+    /// run (cells restored from tiles do not count — they cost nothing).
     pub max_pairs: Option<usize>,
 }
 

@@ -5,8 +5,8 @@
 //! row-striped it independently — duplicated logic that had already
 //! started to drift. [`PairSpace`] linearizes the space row-major and
 //! [`PairSpace::chunks`] deals it out in fixed-size [`PairChunk`]s,
-//! the unit of scheduling, cancellation checks, retry and
-//! checkpointing throughout the runtime.
+//! the unit of scheduling, cancellation checks and retry throughout
+//! the runtime (tiles are chunks too, one level up).
 
 /// A `rows × cols` pair space, linearized row-major: linear index
 /// `lin` names the cell `(lin / cols, lin % cols)`.
@@ -85,8 +85,9 @@ impl PairSpace {
 /// the supervised pool's shared queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairChunk {
-    /// Sequential chunk id (`0..n_chunks`), also the chunk's index in
-    /// the pool's status vector.
+    /// Sequential chunk id (`0..n_chunks` for [`PairSpace::chunks`]).
+    /// The pool reports slow chunks by this id; its status vector is
+    /// indexed by position in the chunk slice instead.
     pub id: usize,
     /// First linear pair index covered.
     pub start: usize,

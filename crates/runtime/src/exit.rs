@@ -1,13 +1,13 @@
 //! How a worker subprocess died.
 //!
 //! Crash attribution needs a compact, serializable description of the
-//! death so a poisoned pair can be checkpointed, reported and replayed.
+//! death so a poisoned pair can be persisted, reported and replayed.
 //! [`WorkerExit`] is that description: it round-trips through a single
 //! whitespace-free token (`code:1`, `signal:6`, `hard-timeout`,
-//! `protocol`), which is what the checkpoint `x` record and the job
-//! report print. It lives in `sts-runtime` — below both the checkpoint
-//! codec and the `sts-isolate` supervisor — so the two agree on one
-//! type without a dependency cycle.
+//! `protocol`), which is what the tile `x` record and the job report
+//! print. It lives in `sts-runtime` — below both the record codec and
+//! the `sts-isolate` supervisor — so the two agree on one type without
+//! a dependency cycle.
 
 use std::fmt;
 use std::str::FromStr;

@@ -3,7 +3,7 @@
 //! The chaos suite has to push *operational* faults — panicking cells
 //! and pathologically slow cells — through a real similarity job, not
 //! a mock pool: the interesting failure modes live in the interplay of
-//! retries, the watchdog, checkpoint flushes and the budget checks.
+//! retries, the watchdog, tile spills and the budget checks.
 //! After PR 2 hardened the measure, no constructible trajectory makes
 //! scoring panic, so the faults need an explicit injection point — the
 //! same pattern as the failpoint hooks production storage engines ship

@@ -23,18 +23,16 @@
 //!   chunks from a shared queue, retries panicked chunks with
 //!   decorrelated-jitter backoff ([`DecorrelatedJitter`]), and runs a
 //!   watchdog that marks chunks exceeding a per-chunk soft timeout;
-//! * [`checkpoint`] — a zero-dependency line-based checkpoint format
-//!   (same style as the `sts-traj` `io` module) with a header
-//!   fingerprint, so a crashed or cancelled job resumes losing at most
-//!   one flush interval;
+//! * [`CellRecord`] / [`Fnv1a`] — the bit-exact cell record codec and
+//!   the fingerprint hash shared by tiles, the serve WAL and snapshots;
 //! * [`store`] — the injectable [`Storage`] trait behind every durable
-//!   artifact (checkpoints, tiles), with [`FsStorage`] owning the
-//!   tmp-write → fsync → rename discipline; the disk-chaos suite in
-//!   `sts-robust` swaps in a fault-injecting implementation;
-//! * [`tile`] — per-tile spill files for the out-of-core matrix
-//!   engine: job-fingerprint bound, payload-digest verified, trailer
-//!   closed, so torn writes and bit rot are detected on load instead
-//!   of silently read back;
+//!   artifact (tiles, WAL segments, snapshots), with [`FsStorage`]
+//!   owning the tmp-write → fsync → rename discipline; the disk-chaos
+//!   suite in `sts-robust` swaps in a fault-injecting implementation;
+//! * [`tile`] — per-tile spill files for the matrix engine, which are
+//!   also its only resume state: job-fingerprint bound, payload-digest
+//!   verified, trailer closed, so torn writes and bit rot are detected
+//!   on load instead of silently read back;
 //! * [`JobStats`] / [`JobState`] — timing, retry and completion
 //!   accounting for the job report surfaced by `sts-core`;
 //! * [`FaultPlan`] — deterministic, seeded fault injection (panicking
@@ -55,12 +53,12 @@
 mod backoff;
 mod budget;
 mod cancel;
-pub mod checkpoint;
 mod chunk;
 mod exit;
 pub mod fault;
 pub mod lease;
 pub mod pool;
+mod record;
 mod stats;
 pub mod store;
 pub mod tile;
@@ -68,12 +66,12 @@ pub mod tile;
 pub use backoff::DecorrelatedJitter;
 pub use budget::{Budget, Deadline, StopReason};
 pub use cancel::CancelToken;
-pub use checkpoint::{CellRecord, Checkpoint, CheckpointError, Fnv1a};
 pub use chunk::{PairChunk, PairSpace};
 pub use exit::{ParseWorkerExitError, WorkerExit};
 pub use fault::{Fault, FaultPlan};
 pub use lease::{CommitOutcome, LeaseTable};
 pub use pool::{ChunkStatus, PoolConfig, PoolRun, RetryPolicy};
+pub use record::{CellRecord, Fnv1a};
 pub use stats::{IsolateStats, JobState, JobStats, ShardStats, TileStats};
 pub use store::{sweep_stale_tmp, FsStorage, Storage};
 pub use tile::{sweep_quarantine, TileData, TileError, TileStore, TileSweep};

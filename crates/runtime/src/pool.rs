@@ -11,8 +11,8 @@
 //! are not killable — but a marked chunk tells the operator *which*
 //! pairs wedged). Completed chunk results are streamed back to the
 //! caller's thread through [`run_supervised`]'s `on_complete` sink, so
-//! the caller can fold cells into its matrix and flush checkpoints
-//! without any shared mutable state.
+//! the caller can fold cells into its matrix without any shared
+//! mutable state.
 
 use crate::{Budget, CancelToken, DecorrelatedJitter, PairChunk, StopReason};
 use std::collections::VecDeque;
@@ -114,7 +114,8 @@ pub struct PoolRun {
     pub pairs_completed: usize,
     /// Chunk retry attempts performed.
     pub retries: u64,
-    /// Ids of chunks that exceeded the soft timeout, ascending.
+    /// [`PairChunk::id`]s of chunks that exceeded the soft timeout,
+    /// ascending.
     pub slow_chunks: Vec<usize>,
     /// Why the run stopped early, if it did.
     pub stop: Option<StopReason>,
@@ -152,15 +153,15 @@ struct Shared {
     /// spans on it so the trace stitches across threads.
     span: u64,
     done: AtomicBool,
-    /// `(chunk idx, start instant)` per worker slot, for the watchdog.
+    /// `(chunk id, start instant)` per worker slot, for the watchdog.
     in_flight: Vec<Mutex<Option<(usize, Instant)>>>,
 }
 
 impl Shared {
-    fn mark_slow(&self, idx: usize) {
+    fn mark_slow(&self, id: usize) {
         let mut slow = lock_unpoisoned(&self.slow);
-        if !slow.contains(&idx) {
-            slow.push(idx);
+        if !slow.contains(&id) {
+            slow.push(id);
             static_counter!("runtime.pool.soft_timeouts").incr();
         }
     }
@@ -178,8 +179,8 @@ impl Shared {
 /// `work(chunk)` returns the computed cells as `(linear index, value)`
 /// pairs; they are handed — in completion order, on the calling
 /// thread — to `on_complete(chunk, cells)`, which is where the caller
-/// folds them into its result and (periodically) flushes a
-/// checkpoint. Panics inside `work` are caught and retried per
+/// folds them into its result. Panics inside `work` are caught and
+/// retried per
 /// [`RetryPolicy`]; `on_complete` must not panic.
 ///
 /// The call returns when every chunk is completed, terminally failed,
@@ -352,7 +353,7 @@ fn worker_loop<W, T, I, F>(
         shared.wait_ns.fetch_add(as_ns(waited), Ordering::Relaxed);
         static_histogram!("runtime.pool.chunk_wait_ns").record_duration(waited);
 
-        *lock_unpoisoned(&shared.in_flight[slot]) = Some((item.idx, Instant::now()));
+        *lock_unpoisoned(&shared.in_flight[slot]) = Some((item.chunk.id, Instant::now()));
         let chunk_started = Instant::now();
         let result = {
             let _span = trace::span_with_parent("pool.chunk", shared.span);
@@ -363,7 +364,7 @@ fn worker_loop<W, T, I, F>(
         shared.run_ns.fetch_add(as_ns(took), Ordering::Relaxed);
         static_histogram!("runtime.pool.chunk_run_ns").record_duration(took);
         if cfg.soft_timeout.is_some_and(|soft| took > soft) {
-            shared.mark_slow(item.idx);
+            shared.mark_slow(item.chunk.id);
         }
 
         match result {
@@ -406,9 +407,9 @@ fn watchdog_loop(shared: &Shared, soft: Duration) {
     while !shared.done.load(Ordering::Acquire) {
         std::thread::sleep(tick);
         for slot in &shared.in_flight {
-            if let Some((idx, since)) = *lock_unpoisoned(slot) {
+            if let Some((id, since)) = *lock_unpoisoned(slot) {
                 if since.elapsed() > soft {
-                    shared.mark_slow(idx);
+                    shared.mark_slow(id);
                 }
             }
         }
@@ -641,6 +642,34 @@ mod tests {
         );
         assert!(run.slow_chunks.contains(&1), "slow: {:?}", run.slow_chunks);
         assert!(run.statuses.iter().all(|s| *s == ChunkStatus::Completed));
+    }
+
+    #[test]
+    fn slow_chunks_are_named_by_chunk_id_not_position() {
+        // A slab dealt from the middle of a larger space: ids 10..13.
+        let chunks: Vec<PairChunk> = (0..3)
+            .map(|k| PairChunk {
+                id: 10 + k,
+                start: 40 + k,
+                len: 1,
+            })
+            .collect();
+        let cfg = PoolConfig {
+            soft_timeout: Some(Duration::from_millis(5)),
+            ..PoolConfig::default()
+        };
+        let run = run_supervised(
+            &chunks,
+            &cfg,
+            |c| {
+                if c.id == 11 {
+                    std::thread::sleep(Duration::from_millis(30));
+                }
+                vec![(c.start, ())]
+            },
+            |_, _| {},
+        );
+        assert_eq!(run.slow_chunks, vec![11]);
     }
 
     #[test]

@@ -222,21 +222,23 @@ impl fmt::Display for ShardStats {
 pub struct JobStats {
     /// Terminal state.
     pub state: JobState,
-    /// Wall-clock time of the run (excludes checkpoint-restored work).
+    /// Wall-clock time of the run (excludes work restored from tiles).
     pub elapsed: Duration,
     /// Total pairs in the matrix.
     pub pairs_total: usize,
     /// Pairs with a terminal outcome (scored, quarantined, failed) —
-    /// including cells restored from a checkpoint.
+    /// including cells restored from tiles.
     pub pairs_completed: usize,
     /// Pairs whose scoring panicked through every retry.
     pub pairs_failed: usize,
     /// Pairs never attempted (budget/deadline/cancel stopped the job).
     pub pairs_skipped: usize,
-    /// Pairs restored from the checkpoint instead of recomputed.
+    /// Pairs restored from verified tiles instead of recomputed.
     pub pairs_resumed: usize,
-    /// Chunks dealt to the pool (excludes chunks fully covered by the
-    /// checkpoint, which are never queued).
+    /// Pair chunks dealt to the local executor (the thread pool or the
+    /// subprocess supervisor). Resumed tiles and tiles a worker fleet
+    /// computed deal none; tiles themselves are counted in
+    /// [`TileStats`].
     pub chunks_total: usize,
     /// Chunks that completed.
     pub chunks_completed: usize,
@@ -246,13 +248,10 @@ pub struct JobStats {
     pub chunks_skipped: usize,
     /// Retry attempts performed (cell-level and chunk-level).
     pub retries: u64,
-    /// Ids of chunks that exceeded the per-chunk soft timeout.
+    /// Ids of chunks that exceeded the per-chunk soft timeout,
+    /// ascending. Ids number the chunks of the whole pair space, so
+    /// they are distinct across tiles.
     pub slow_chunks: Vec<usize>,
-    /// Checkpoint flushes written during the run.
-    pub checkpoint_flushes: usize,
-    /// Checkpoint flushes that failed with an I/O error (the job keeps
-    /// running — losing durability is better than losing the matrix).
-    pub checkpoint_write_errors: usize,
     /// Total time chunks spent queued before a worker picked them up,
     /// summed over all attempts (`> elapsed` is normal with several
     /// workers: it sums *per-chunk* waits).
@@ -270,6 +269,31 @@ pub struct JobStats {
 }
 
 impl JobStats {
+    /// A report for a `pairs_total`-pair job in `state` with every
+    /// counter at zero; the engine fills in what it tracked.
+    pub fn new(state: JobState, pairs_total: usize) -> Self {
+        JobStats {
+            state,
+            elapsed: Duration::ZERO,
+            pairs_total,
+            pairs_completed: 0,
+            pairs_failed: 0,
+            pairs_skipped: 0,
+            pairs_resumed: 0,
+            chunks_total: 0,
+            chunks_completed: 0,
+            chunks_failed: 0,
+            chunks_skipped: 0,
+            retries: 0,
+            slow_chunks: Vec::new(),
+            chunk_wait_total: Duration::ZERO,
+            chunk_run_total: Duration::ZERO,
+            isolate: None,
+            tiles: None,
+            shard: None,
+        }
+    }
+
     /// Fraction of the matrix with a terminal outcome, in percent.
     /// An empty matrix is 100% complete — and so is a zero-pair job
     /// stopped before it started, whichever path produced it.
@@ -309,7 +333,7 @@ impl fmt::Display for JobStats {
         write!(
             f,
             "{}: {:.1}% complete ({}/{} pairs, {} resumed, {} failed, {} skipped) \
-             in {:.3}s; {} retries, {} slow chunk(s), {} checkpoint flush(es)",
+             in {:.3}s; {} retries, {} slow chunk(s)",
             self.state,
             self.percent_complete(),
             self.pairs_completed,
@@ -320,7 +344,6 @@ impl fmt::Display for JobStats {
             self.elapsed.as_secs_f64(),
             self.retries,
             self.slow_chunks.len(),
-            self.checkpoint_flushes,
         )?;
         if self.chunk_run_total > Duration::ZERO {
             write!(
@@ -328,13 +351,6 @@ impl fmt::Display for JobStats {
                 "; chunk wait/run {:.3}s/{:.3}s",
                 self.chunk_wait_total.as_secs_f64(),
                 self.chunk_run_total.as_secs_f64(),
-            )?;
-        }
-        if self.checkpoint_write_errors > 0 {
-            write!(
-                f,
-                " [{} checkpoint write error(s)]",
-                self.checkpoint_write_errors
             )?;
         }
         if let Some(iso) = &self.isolate {
@@ -386,28 +402,7 @@ mod tests {
 
     #[test]
     fn percent_complete_handles_empty_and_partial() {
-        let mut s = JobStats {
-            state: JobState::Complete,
-            elapsed: Duration::from_millis(5),
-            pairs_total: 0,
-            pairs_completed: 0,
-            pairs_failed: 0,
-            pairs_skipped: 0,
-            pairs_resumed: 0,
-            chunks_total: 0,
-            chunks_completed: 0,
-            chunks_failed: 0,
-            chunks_skipped: 0,
-            retries: 0,
-            slow_chunks: Vec::new(),
-            checkpoint_flushes: 0,
-            checkpoint_write_errors: 0,
-            chunk_wait_total: Duration::ZERO,
-            chunk_run_total: Duration::ZERO,
-            isolate: None,
-            tiles: None,
-            shard: None,
-        };
+        let mut s = JobStats::new(JobState::Complete, 0);
         assert_eq!(s.percent_complete(), 100.0);
         s.pairs_total = 200;
         s.pairs_completed = 50;
@@ -415,31 +410,6 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("25.0% complete"), "{text}");
         assert!(text.contains("50/200"), "{text}");
-    }
-
-    fn empty_stats(state: JobState) -> JobStats {
-        JobStats {
-            state,
-            elapsed: Duration::ZERO,
-            pairs_total: 0,
-            pairs_completed: 0,
-            pairs_failed: 0,
-            pairs_skipped: 0,
-            pairs_resumed: 0,
-            chunks_total: 0,
-            chunks_completed: 0,
-            chunks_failed: 0,
-            chunks_skipped: 0,
-            retries: 0,
-            slow_chunks: Vec::new(),
-            checkpoint_flushes: 0,
-            checkpoint_write_errors: 0,
-            chunk_wait_total: Duration::ZERO,
-            chunk_run_total: Duration::ZERO,
-            isolate: None,
-            tiles: None,
-            shard: None,
-        }
     }
 
     #[test]
@@ -456,7 +426,7 @@ mod tests {
             JobState::WorkersExhausted,
             JobState::WorkerRejected,
         ] {
-            let s = empty_stats(state);
+            let s = JobStats::new(state, 0);
             assert_eq!(s.percent_complete(), 100.0, "{state}");
             assert_eq!(s.mean_chunk_wait(), Duration::ZERO);
             assert_eq!(s.mean_chunk_run(), Duration::ZERO);
@@ -465,7 +435,7 @@ mod tests {
 
     #[test]
     fn chunk_timing_means_and_display() {
-        let mut s = empty_stats(JobState::Complete);
+        let mut s = JobStats::new(JobState::Complete, 0);
         s.pairs_total = 100;
         s.pairs_completed = 100;
         s.chunks_total = 4;
@@ -481,7 +451,7 @@ mod tests {
 
     #[test]
     fn shard_stats_render_in_the_job_report() {
-        let mut s = empty_stats(JobState::Complete);
+        let mut s = JobStats::new(JobState::Complete, 0);
         s.shard = Some(ShardStats {
             workers_spawned: 4,
             worker_restarts: 2,

@@ -1,6 +1,6 @@
 //! The injectable storage boundary for durable job artifacts.
 //!
-//! Everything the runtime persists — checkpoints, matrix tiles — goes
+//! Everything the runtime persists — matrix tiles, WAL segments — goes
 //! through the [`Storage`] trait instead of calling `std::fs`
 //! directly. Production uses [`FsStorage`], which owns the workspace's
 //! atomic-write discipline (tmp file → flush → `fsync` → rename →
@@ -61,7 +61,7 @@ pub fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// The production [`Storage`]: plain `std::fs`, with the atomic-write
-/// discipline the checkpoint layer proved out in PR 3/5.
+/// discipline every durable artifact in the workspace relies on.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FsStorage;
 

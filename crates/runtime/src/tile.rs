@@ -8,10 +8,10 @@
 //! ```text
 //! # STS matrix tile (DESIGN.md §3h)
 //! tile v1
-//! job <16 hex digits>          # job-input fingerprint (as checkpoints)
+//! job <16 hex digits>          # job-input fingerprint
 //! tile <id> <start> <len>      # which slab of the pair space this is
 //! payload <16 hex digits>      # FNV-1a over the cell-line bytes below
-//! cell <lin> s <score>         # records: same tags as checkpoints
+//! cell <lin> s <score>         # records: the `CellRecord` codec
 //! cell <lin> f <attempts>      # (s/f/p/x; quarantined cells are
 //! cell <lin> x <exit>          #  re-derived, never stored)
 //! end <n_cells>                # trailer: number of cell lines above
@@ -21,7 +21,7 @@
 //! structurally impossible to read back:
 //!
 //! 1. the `job` fingerprint binds the tile to its inputs (a tile from
-//!    another corpus is rejected, exactly like a checkpoint);
+//!    another corpus is rejected);
 //! 2. the `payload` digest covers every cell-line byte, so a flipped
 //!    bit anywhere in the data fails the load;
 //! 3. the `end <n>` trailer closes the file, so a torn (truncated)
@@ -36,7 +36,7 @@
 //! the `sts-robust` disk-chaos suite drives torn writes, bit flips,
 //! ENOSPC and stale tmp files through this exact code.
 
-use crate::checkpoint::{record_fields, record_from_fields, CellRecord, Fnv1a};
+use crate::record::{record_fields, record_from_fields, CellRecord, Fnv1a};
 use crate::store::{sweep_stale_tmp, Storage};
 use std::fmt;
 use std::io;
@@ -54,8 +54,7 @@ pub struct TileData {
     pub len: usize,
     /// `(lin, record)` for every terminal cell, ascending by `lin`.
     /// Cells whose trajectory is quarantined carry no record — the
-    /// engine re-derives quarantine from preparation, as checkpoints
-    /// do.
+    /// engine re-derives quarantine from preparation.
     pub cells: Vec<(usize, CellRecord)>,
 }
 
@@ -348,17 +347,30 @@ impl<'s> TileStore<'s> {
         self.dir.join(format!("tile-{id:06}.tile"))
     }
 
-    /// Spills a completed tile atomically and durably.
-    pub fn save(&self, tile: &TileData) -> io::Result<()> {
+    /// Spills a completed tile atomically and durably, then reads it
+    /// back. `Corrupt` unless the file holds exactly the bytes written
+    /// — a write that reported success can still have torn or flipped
+    /// them, in bytes a decoder would never look at (the comment line)
+    /// as much as in the data; `Io` when the write or the read failed.
+    pub fn save(&self, tile: &TileData) -> Result<(), TileError> {
         let _span = sts_obs::trace::span("tile.save");
         let started = std::time::Instant::now();
+        let path = self.tile_path(tile.id);
         let bytes = encode_tile(self.job_fingerprint, tile);
-        let result = self.storage.write_atomic(&self.tile_path(tile.id), &bytes);
+        let back = self
+            .storage
+            .write_atomic(&path, &bytes)
+            .and_then(|()| self.storage.read(&path));
         sts_obs::static_histogram!("runtime.tile.save_ns").record_duration(started.elapsed());
-        if result.is_ok() {
-            sts_obs::static_counter!("runtime.tile.saved").incr();
+        if back? != bytes {
+            sts_obs::static_counter!("runtime.tile.corrupt_detected").incr();
+            return Err(TileError::Corrupt {
+                path,
+                reason: "read-back differs from the bytes written".into(),
+            });
         }
-        result
+        sts_obs::static_counter!("runtime.tile.saved").incr();
+        Ok(())
     }
 
     /// Loads and verifies tile `id` against the slab `(start, len)`.
@@ -529,6 +541,50 @@ mod tests {
         let bytes = encode_tile(7, &tile);
         let back = decode_tile(&bytes, 7, 0, 0, 10).unwrap();
         assert_eq!(back.cells, tile.cells);
+    }
+
+    /// Real storage whose writes flip one bit at a fixed offset and
+    /// still report success.
+    struct FlipAt(usize);
+
+    impl Storage for FlipAt {
+        fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            let mut mangled = bytes.to_vec();
+            mangled[self.0] ^= 0x01;
+            FsStorage.write_atomic(path, &mangled)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            FsStorage.read(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            FsStorage.exists(path)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            FsStorage.remove(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            FsStorage.rename(from, to)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+            FsStorage.list(dir)
+        }
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            FsStorage.create_dir_all(dir)
+        }
+    }
+
+    #[test]
+    fn save_rejects_a_flip_in_bytes_no_decoder_reads() {
+        // Offset 3 lies in the leading comment line: the file still
+        // decodes to the same tile, but it is not what was written.
+        let dir = std::env::temp_dir().join(format!("sts-tile-flip-{}", std::process::id()));
+        let storage = FlipAt(3);
+        let (store, _) = TileStore::open(&storage, &dir, 0xFEED).unwrap();
+        let tile = sample();
+        assert!(matches!(store.save(&tile), Err(TileError::Corrupt { .. })));
+        let decoded = store.load(3, 12, 6).unwrap().expect("still decodes");
+        assert_eq!(decoded.cells.len(), tile.cells.len());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

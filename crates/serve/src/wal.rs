@@ -1,8 +1,8 @@
 //! Segmented write-ahead log for the ingest path.
 //!
 //! Design: the WAL is a directory of **whole-file-atomic segments**
-//! (`seg-<idx>.log`) written through the [`Storage`] discipline from
-//! the checkpoint layer (tmp → fsync → rename → dir-fsync). There is
+//! (`seg-<idx>.log`) written through the [`Storage`] discipline the
+//! matrix tiles use (tmp → fsync → rename → dir-fsync). There is
 //! no appending-in-place: each group commit rewrites the *active*
 //! segment in full, which keeps every byte on disk covered by one
 //! atomic rename — a SIGKILL can lose the in-flight commit (whose

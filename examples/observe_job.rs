@@ -15,13 +15,13 @@
 //!
 //! Every span line carries `name`, `id`, `parent`, `thread`, `start_ns`
 //! and `dur_ns`; stitch them by `parent` to recover the job tree
-//! (`job.run` → `job.prepare` → `pool.run` → `pool.chunk` →
-//! `checkpoint.save`).
+//! (`job.run` → `job.prepare` → `job.tiled.tile` → `pool.run` →
+//! `pool.chunk`, then `tile.save`/`tile.load` as each tile spills).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use sts_repro::core::{CheckpointConfig, JobConfig, Sts, StsConfig};
+use sts_repro::core::{JobConfig, Sts, StsConfig, TileConfig};
 use sts_repro::geo::{BoundingBox, Grid, Point};
 use sts_repro::obs;
 use sts_repro::rng::{Rng, Xoshiro256pp};
@@ -64,13 +64,12 @@ fn main() {
     let sts = Sts::new(StsConfig::default(), grid);
     let queries = corpus(0x0B5E, 24);
 
-    let ckpt = std::env::temp_dir().join(format!("sts-observe-job-{}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&ckpt);
+    let tiles = std::env::temp_dir().join(format!("sts-observe-job-{}", std::process::id()));
+    let tiling = TileConfig {
+        tile_pairs: 64,
+        ..TileConfig::new(&tiles)
+    };
     let cfg = JobConfig {
-        checkpoint: Some(CheckpointConfig {
-            path: ckpt.clone(),
-            flush_every_chunks: 4,
-        }),
         chunk_pairs: 16,
         threads: 4,
         telemetry: true,
@@ -100,11 +99,11 @@ fn main() {
     };
 
     let (matrix, report) = sts
-        .similarity_matrix_supervised(&queries, &queries, &cfg)
-        .expect("supervised job");
+        .similarity_matrix_tiled(&queries, &queries, &cfg, &tiling)
+        .expect("tiled job");
     done.store(true, Ordering::Release);
     watcher.join().unwrap();
-    let _ = std::fs::remove_file(&ckpt);
+    let _ = std::fs::remove_dir_all(&tiles);
 
     println!("\nreport: {report}");
     println!(

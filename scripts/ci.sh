@@ -49,11 +49,11 @@ cargo test --workspace -q --offline
 echo "== chaos (fault injection + lenient-reader fuzz; seeds 0..128 per injector) =="
 run_seeded "chaos suite" cargo test -p sts-robust -q --offline --test chaos
 
-# Supervised batch runtime gate: budget/deadline semantics, the
-# checkpoint → crash → resume round-trip (8 fixed seeds, byte-identical
-# matrices) and the panic/slow-pair injection suite driving a real
-# 64-trajectory job.
-echo "== runtime (deadlines, cancellation, checkpoint/resume; fixed seeds) =="
+# Supervised batch runtime gate: budget/deadline/cancellation
+# semantics, per-cell retries and the soft-timeout watchdog, and the
+# panic/slow-pair injection suite driving a real 64-trajectory job.
+# (Crash → resume runs through tiles; the tiles step gates it.)
+echo "== runtime (deadlines, cancellation, retries, watchdog; fixed seeds) =="
 run_seeded "runtime unit tests" cargo test -p sts-runtime -q --offline
 run_seeded "job lifecycle suite" cargo test -p sts-core -q --offline --test job_lifecycle
 run_seeded "supervised chaos suite" cargo test -p sts-robust -q --offline --test supervised_chaos
@@ -116,6 +116,16 @@ echo "== telemetry (sts-obs unit tests + end-to-end tracing/overhead) =="
 run_seeded "obs unit tests" cargo test -p sts-obs -q --offline
 run_seeded "telemetry suite" cargo test -p sts-core -q --offline --test telemetry
 run_seeded "telemetry overhead guard" cargo test -p sts-core -q --offline --test telemetry_overhead
+
+# Benchmark gate: the benchmark package's own tests (workload smoke
+# runs with their correctness checks, calibration comparison, trace
+# output). The benchmark compiles against sts-core, so an API change
+# that breaks it fails here rather than when the benchmark is next run.
+# Built into the benchmark's own target directory, next to the
+# sts-serve/sts-worker binaries its fleet and serve workloads spawn.
+echo "== benchmark (own tests; workload smoke + correctness checks) =="
+cargo build --release --offline --target-dir .bench_build --bin sts-serve --bin sts-worker
+cargo test --release --offline --target-dir .bench_build --manifest-path benchmark/Cargo.toml
 
 # Non-gating perf snapshot: quick-config timings for every suite plus
 # registry-derived throughput/latency extras, written as BENCH_tier1.json

@@ -9,10 +9,6 @@
 //! - `serve-tcp <addr>`: connect to the sharded coordinator at `addr`
 //!   (loopback TCP) and speak the same wire protocol over the socket.
 //!   This is the binary [`sts_core::ExecMode::Sharded`] fleets spawn.
-//! - `drive <ckpt> <seed> <out>`: run a slow, checkpointed, in-process
-//!   job over a deterministic corpus and write the final matrix bits to
-//!   `<out>`. The kill-resume chaos test SIGKILLs this mid-run, reruns
-//!   it, and asserts the resumed output is byte-identical.
 //! - `chaos <in-process|subprocess> <seed>`: run the 8×8 crash-suite
 //!   workload whose fault plan aborts, wedges and garbles workers.
 //!   Subprocess mode finishes with only the poison pairs quarantined;
@@ -20,17 +16,16 @@
 //!   asserts this process dies or wedges).
 //! - `tile-drive <dir> <seed> <out> [subprocess]`: run a slow *tiled*
 //!   job spilling tiny tiles to `<dir>` and write the final matrix
-//!   bits to `<out>`. The tile crash suite SIGKILLs this mid-spill,
-//!   reruns it, and asserts the resumed output is byte-identical.
+//!   bits to `<out>`. The tile and isolation crash suites SIGKILL this
+//!   mid-spill, rerun it, and assert the resumed output is
+//!   byte-identical.
 
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use sts_core::{
-    CheckpointConfig, ExecMode, IsolateOptions, JobConfig, JobReport, PairOutcome, Sts, StsConfig,
-    TileConfig,
+    ExecMode, IsolateOptions, JobConfig, JobReport, PairOutcome, Sts, StsConfig, TileConfig,
 };
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
@@ -43,14 +38,13 @@ fn main() -> ExitCode {
     match argv.as_slice() {
         [] | ["serve"] => run_serve(),
         ["serve-tcp", addr] => run_serve_tcp(addr),
-        ["drive", ckpt, seed, out] => run_drive(ckpt, seed, out),
         ["chaos", mode, seed] => run_chaos(mode, seed),
         ["tile-drive", dir, seed, out] => run_tile_drive(dir, seed, out, false),
         ["tile-drive", dir, seed, out, "subprocess"] => run_tile_drive(dir, seed, out, true),
         _ => {
             eprintln!(
-                "usage: sts-worker [serve | serve-tcp <addr> | drive <ckpt> <seed> <out> | \
-                 chaos <mode> <seed> | tile-drive <dir> <seed> <out> [subprocess]]"
+                "usage: sts-worker [serve | serve-tcp <addr> | chaos <mode> <seed> | \
+                 tile-drive <dir> <seed> <out> [subprocess]]"
             );
             ExitCode::from(2)
         }
@@ -175,52 +169,6 @@ fn fast_retry() -> RetryPolicy {
         backoff_cap: Duration::from_micros(200),
         seed: 0xBAC0FF,
     }
-}
-
-/// Checkpointed in-process job, every pair slowed ~3 ms, flushed every
-/// chunk: a long window of mid-run checkpoints for the kill test.
-fn run_drive(ckpt: &str, seed: &str, out: &str) -> ExitCode {
-    let Ok(seed) = seed.parse::<u64>() else {
-        eprintln!("sts-worker: drive seed must be a u64");
-        return ExitCode::from(2);
-    };
-    let trajs = corpus(0xD21F_E000 ^ seed, 12);
-    let (queries, candidates) = trajs.split_at(6);
-    let cfg = JobConfig {
-        retry: fast_retry(),
-        threads: 1,
-        chunk_pairs: 1,
-        checkpoint: Some(CheckpointConfig {
-            path: PathBuf::from(ckpt),
-            flush_every_chunks: 1,
-        }),
-        fault: Some(FaultPlan {
-            seed,
-            slow_per_mille: 1000,
-            slow_for: Duration::from_millis(3),
-            ..FaultPlan::default()
-        }),
-        ..JobConfig::default()
-    };
-    let sts = Sts::new(StsConfig::default(), grid());
-    let (matrix, report) = match sts.similarity_matrix_supervised(queries, candidates, &cfg) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("sts-worker: drive failed: {e}");
-            return ExitCode::from(4);
-        }
-    };
-    let mut body = format!("state {:?}\n", report.stats.state);
-    for (i, row) in matrix.iter().enumerate() {
-        for (j, cell) in row.iter().enumerate() {
-            body.push_str(&format!("cell {i} {j} {}\n", cell_token(cell)));
-        }
-    }
-    if std::fs::write(out, body).is_err() {
-        eprintln!("sts-worker: cannot write {out}");
-        return ExitCode::from(4);
-    }
-    ExitCode::SUCCESS
 }
 
 /// Slow tiled in-process (or subprocess) job spilling 4-pair tiles to

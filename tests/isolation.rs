@@ -15,7 +15,7 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use sts_repro::core::{
-    CheckpointConfig, ExecMode, IsolateOptions, JobConfig, JobError, PairOutcome, Sts, StsConfig,
+    ExecMode, IsolateOptions, JobConfig, JobError, PairOutcome, Sts, StsConfig, TileConfig,
 };
 use sts_repro::geo::{BoundingBox, Grid, Point};
 use sts_repro::rng::{Rng, Xoshiro256pp};
@@ -85,15 +85,11 @@ fn subprocess_opts() -> IsolateOptions {
     }
 }
 
-fn chaos_cfg(seed: u64, ckpt: Option<PathBuf>) -> JobConfig {
+fn chaos_cfg(seed: u64) -> JobConfig {
     JobConfig {
         retry: fast_retry(),
         chunk_pairs: 8,
         fault: Some(chaos_plan(seed)),
-        checkpoint: ckpt.map(|p| CheckpointConfig {
-            path: p,
-            flush_every_chunks: 1,
-        }),
         exec: ExecMode::Subprocess(subprocess_opts()),
         ..JobConfig::default()
     }
@@ -154,7 +150,7 @@ fn subprocess_chaos_quarantines_exactly_the_poison_pairs() {
 
         let sts = Sts::new(StsConfig::default(), grid());
         let (matrix, report) = sts
-            .similarity_matrix_supervised(queries, candidates, &chaos_cfg(seed, None))
+            .similarity_matrix_supervised(queries, candidates, &chaos_cfg(seed))
             .unwrap();
 
         assert_eq!(report.stats.state, JobState::Degraded, "seed {seed}");
@@ -216,7 +212,7 @@ fn subprocess_chaos_quarantines_exactly_the_poison_pairs() {
 
         // Rerun: byte-identical outcome.
         let (again, report2) = sts
-            .similarity_matrix_supervised(queries, candidates, &chaos_cfg(seed, None))
+            .similarity_matrix_supervised(queries, candidates, &chaos_cfg(seed))
             .unwrap();
         assert_eq!(matrix_bits(&matrix), matrix_bits(&again), "seed {seed}");
         assert_eq!(report.batch.poisoned_pairs, report2.batch.poisoned_pairs);
@@ -286,96 +282,110 @@ fn subprocess_matches_in_process_bit_for_bit_on_a_clean_run() {
     assert!(r1.stats.isolate.is_none());
 }
 
-/// A completed (degraded) subprocess job checkpoints its poison cells;
-/// resuming it replays the whole matrix from the checkpoint — no
-/// workers spawned, no pair re-killed.
+/// A completed (degraded) subprocess job spills its poison cells into
+/// its kept tiles; rerunning it replays the whole matrix from the tiles
+/// — no workers spawned, no pair re-killed — and both runs equal the
+/// untiled subprocess run, poison list included.
 #[test]
 fn subprocess_resume_replays_poison_without_respawning() {
     let tmp = TempDir::new("resume");
-    let ckpt = tmp.path("chaos.ckpt");
     let trajs = corpus(0xC0FE ^ 1, 16);
     let (queries, candidates) = trajs.split_at(8);
     let sts = Sts::new(StsConfig::default(), grid());
 
-    let cfg = chaos_cfg(1, Some(ckpt.clone()));
-    let (first, r1) = sts
+    let cfg = chaos_cfg(1);
+    let (untiled, r0) = sts
         .similarity_matrix_supervised(queries, candidates, &cfg)
+        .unwrap();
+    let tiling = TileConfig {
+        tile_pairs: 16,
+        keep_tiles: true,
+        ..TileConfig::new(tmp.path("tiles"))
+    };
+    let (first, r1) = sts
+        .similarity_matrix_tiled(queries, candidates, &cfg, &tiling)
         .unwrap();
     assert_eq!(r1.stats.state, JobState::Degraded);
     assert!(r1.stats.isolate.unwrap().workers_spawned > 0);
+    assert!(
+        !r1.batch.poisoned_pairs.is_empty(),
+        "the plan kills workers"
+    );
 
     let (second, r2) = sts
-        .similarity_matrix_supervised(queries, candidates, &cfg)
+        .similarity_matrix_tiled(queries, candidates, &cfg, &tiling)
         .unwrap();
     assert_eq!(
         r2.stats.pairs_resumed, 64,
-        "everything comes from the checkpoint"
+        "everything comes from the tiles"
     );
     let iso = r2.stats.isolate.expect("still a subprocess job");
     assert_eq!(iso.workers_spawned, 0, "no work left, no workers");
     assert_eq!(iso.worker_kills, 0, "poison must not be rediscovered");
-    assert_eq!(matrix_bits(&first), matrix_bits(&second));
-    assert_eq!(r1.batch.poisoned_pairs, r2.batch.poisoned_pairs);
+    for (matrix, report) in [(&first, &r1), (&second, &r2)] {
+        assert_eq!(matrix_bits(matrix), matrix_bits(&untiled));
+        assert_eq!(report.batch.poisoned_pairs, r0.batch.poisoned_pairs);
+    }
 }
 
-/// Satellite: SIGKILL a checkpointing job mid-run (a real process
-/// death between flushes), resume it, and require the final matrix to
-/// be byte-identical to an uninterrupted run — across 8 seeds.
+/// SIGKILL a subprocess-mode tiled job mid-run (a real process death
+/// of the coordinator, between and during tile spills), resume it from
+/// its tiles, and require the final matrix to be byte-identical to the
+/// untiled in-memory run of the same workload — across 8 seeds.
 #[test]
 fn sigkill_resume_is_byte_identical_across_seeds() {
     let tmp = TempDir::new("sigkill");
+    let sts = Sts::new(StsConfig::default(), grid());
     let mut killed_mid_run = 0;
     for seed in 0u64..8 {
-        let ckpt = tmp.path(&format!("drive-{seed}.ckpt"));
+        let tiles = tmp.path(&format!("drive-{seed}"));
         let out = tmp.path(&format!("drive-{seed}.out"));
-        let reference = tmp.path(&format!("drive-{seed}.ref"));
 
-        // Uninterrupted reference run (its own checkpoint path).
-        let status = Command::new(WORKER)
-            .arg("drive")
-            .arg(tmp.path(&format!("drive-{seed}.refckpt")))
-            .arg(seed.to_string())
-            .arg(&reference)
-            .status()
+        // The reference: `tile-drive`'s corpus (only slow faults, which
+        // change timing, never scores) scored untiled in memory.
+        let trajs = corpus(0x711E_D000 ^ seed, 12);
+        let (queries, candidates) = trajs.split_at(6);
+        let (matrix, report) = sts
+            .similarity_matrix_supervised(queries, candidates, &JobConfig::default())
             .unwrap();
-        assert!(status.success(), "seed {seed}: reference run failed");
+        let mut reference = format!("state {:?}\n", report.stats.state);
+        for (lin, bits) in matrix_bits(&matrix).iter().enumerate() {
+            reference.push_str(&format!("cell {} {} {bits}\n", lin / 6, lin % 6));
+        }
 
-        // Victim run: SIGKILLed somewhere between checkpoint flushes.
-        let mut child = Command::new(WORKER)
-            .arg("drive")
-            .arg(&ckpt)
-            .arg(seed.to_string())
-            .arg(&out)
-            .spawn()
-            .unwrap();
+        // Victim run: SIGKILLed somewhere between tile spills.
+        let drive = || {
+            let mut cmd = Command::new(WORKER);
+            cmd.arg("tile-drive")
+                .arg(&tiles)
+                .arg(seed.to_string())
+                .arg(&out)
+                .arg("subprocess");
+            cmd
+        };
+        let mut child = drive().spawn().unwrap();
         std::thread::sleep(Duration::from_millis(40 + seed * 9));
         match child.try_wait().unwrap() {
             Some(status) => assert!(status.success(), "seed {seed}: early exit failed"),
             None => {
-                child.kill().unwrap(); // SIGKILL: no cleanup, no final flush
+                child.kill().unwrap(); // SIGKILL: no cleanup, no final spill
                 child.wait().unwrap();
                 killed_mid_run += 1;
             }
         }
 
         // Resume to completion and compare bytes.
-        let status = Command::new(WORKER)
-            .arg("drive")
-            .arg(&ckpt)
-            .arg(seed.to_string())
-            .arg(&out)
-            .status()
-            .unwrap();
+        let status = drive().status().unwrap();
         assert!(status.success(), "seed {seed}: resume failed");
         assert_eq!(
-            std::fs::read(&out).unwrap(),
-            std::fs::read(&reference).unwrap(),
-            "seed {seed}: resumed matrix differs from uninterrupted run"
+            std::fs::read_to_string(&out).unwrap(),
+            reference,
+            "seed {seed}: resumed matrix differs from the in-memory run"
         );
     }
     assert!(
         killed_mid_run >= 1,
-        "no run was actually killed mid-flight; slow the drive workload down"
+        "no run was actually killed mid-flight; slow the tile-drive workload down"
     );
 }
 
