@@ -51,14 +51,15 @@ pub enum ExecMode {
     /// computations take the whole job down.
     #[default]
     InProcess,
-    /// Score in supervised `sts-worker` subprocesses over the
-    /// [`sts_isolate`] protocol. A crashed, wedged or babbling worker
-    /// costs one chunk: the supervisor restarts it under a budget and
-    /// bisects the killing chunk down to the single poison pair, which
-    /// is quarantined as [`PairOutcome::Poisoned`] with the worker's
-    /// exit status. Budget, cancellation, tile resume and telemetry
-    /// behave exactly as in-process; per-cell *retries* run inside the
-    /// worker, so they are applied identically but not counted in
+    /// Score in `sts-worker` subprocesses: each tile's chunks are dealt
+    /// to a fleet on the lease coordinator in [`crate::shard`]. A
+    /// crashed, wedged or babbling worker costs one chunk: the
+    /// coordinator restarts it under a budget and bisects the killing
+    /// chunk down to the single poison pair, which is quarantined as
+    /// [`PairOutcome::Poisoned`] with how its worker ended. Budget,
+    /// cancellation, tile resume and telemetry behave exactly as
+    /// in-process; per-cell *retries* run inside the worker, so they
+    /// are applied identically but not counted in
     /// [`JobStats::retries`], and chunk accounting counts
     /// fully-resolved chunks (bisection fragments are not chunks).
     ///
@@ -67,8 +68,9 @@ pub enum ExecMode {
     /// measures cannot be described to a worker
     /// ([`JobError::SubprocessUnsupported`]).
     Subprocess(IsolateOptions),
-    /// Score on a fleet of socket workers dealt whole tiles by the
-    /// lease-based coordinator in [`crate::shard`]. Only meaningful
+    /// Score on a fleet of `sts-worker` processes dealt whole tiles by
+    /// the same lease coordinator; a tile the fleet cannot finish is
+    /// computed in-process. Only meaningful
     /// with a [`TileConfig`](crate::TileConfig) — tiles are the unit of
     /// distribution; an untiled job is one in-memory tile with nothing
     /// to deal ([`JobError::ShardRequiresTiling`]). Same pure-config
@@ -83,20 +85,19 @@ pub struct IsolateOptions {
     /// Worker executable; `None` resolves `sts-worker` next to the
     /// current executable ([`crate::worker::default_worker_path`]).
     pub worker: Option<PathBuf>,
-    /// Hard per-chunk timeout: a worker that has not answered within
-    /// this long is killed and the chunk attributed. Must comfortably
-    /// exceed the honest worst-case chunk time.
+    /// Hard per-chunk timeout — the chunk's lease: a worker that has
+    /// not answered within this long is killed and the chunk
+    /// attributed. Must comfortably exceed the honest worst-case chunk
+    /// time.
     pub hard_timeout: Duration,
     /// How long a fresh worker may take to rebuild the measure,
     /// prepare the corpus and answer `ready`.
     pub ready_timeout: Duration,
     /// Worker respawns allowed across the run (the initial fleet is
     /// free); exhaustion stops the job as
-    /// [`JobState::WorkersExhausted`].
+    /// [`JobState::WorkersExhausted`]. A single pair is quarantined as
+    /// poison on the first death it causes in isolation.
     pub restart_budget: usize,
-    /// Worker deaths an isolated single-pair chunk may cause before
-    /// the pair is quarantined as poison.
-    pub poison_attempts: u32,
 }
 
 impl Default for IsolateOptions {
@@ -106,7 +107,6 @@ impl Default for IsolateOptions {
             hard_timeout: Duration::from_secs(30),
             ready_timeout: Duration::from_secs(10),
             restart_budget: 256,
-            poison_attempts: 1,
         }
     }
 }

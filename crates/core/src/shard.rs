@@ -1,38 +1,55 @@
-//! The sharded tile coordinator: lease-based distribution of matrix
-//! tiles to a fleet of socket workers, with failover and byte-identical
-//! recovery.
+//! The worker-fleet coordinator: lease-based distribution of pair
+//! units to `sts-worker` processes over loopback TCP, with failover,
+//! crash attribution and byte-identical recovery.
 //!
-//! [`ExecMode::Sharded`](crate::job::ExecMode) turns the tiled engine's
-//! phase A into a distributed system: the coordinator deals each
-//! pending tile to one of `workers` tile workers over loopback TCP
-//! (framed by [`sts_isolate::protocol`], moved by
-//! [`sts_isolate::FrameConn`]), and the worker scores the whole tile as
-//! a single wire chunk. The pieces that make this safe under real
-//! network failure:
+//! Both fleet modes of [`ExecMode`](crate::job::ExecMode) run here,
+//! and differ only in the [`Policy`] the engine derives from the mode:
+//!
+//! * **`Sharded`** deals whole tiles, each scored by one worker as a
+//!   single wire chunk. A tile whose worker is lost is re-leased whole;
+//!   when the whole fleet is gone, the leftover tiles are returned to
+//!   the caller, which computes them in-process
+//!   ([`ShardStats::tiles_local_fallback`]) — graceful degradation,
+//!   never a lost job.
+//! * **`Subprocess`** deals one tile's scheduling chunks, with the hard
+//!   timeout as the lease and no heartbeats. A unit whose worker is
+//!   lost is **bisected**, its halves dealt first, until the single
+//!   pair that kills workers is isolated and quarantined as
+//!   [`PairOutcome::Poisoned`] with how its worker ended. Which pairs
+//!   end up quarantined depends only on which pairs kill workers, so
+//!   seeded chaos runs replay the same poison set whatever the thread
+//!   scheduling. Work left when the fleet is gone stops the job
+//!   ([`StopReason::WorkerRestartsExhausted`] or
+//!   [`StopReason::WorkerRejected`]).
+//!
+//! The pieces that make this safe under real failure:
 //!
 //! * **Leases, not assignments.** Every deal carries a fresh epoch from
-//!   a [`LeaseTable`] (the wire request id). A worker that dies, wedges
-//!   or goes silent past [`ShardOptions::lease_timeout`] forfeits its
-//!   lease; the tile returns to the queue and is re-dealt. Heartbeats
-//!   (`hb` frames every [`ShardOptions::hb_every`] scored pairs) let an
+//!   a [`LeaseTable`] (the wire request id). Heartbeats (`hb` frames
+//!   every [`ShardOptions::hb_every`] scored pairs) let an
 //!   honest-but-slow worker keep its lease alive indefinitely.
 //! * **At-most-once commit.** A result only commits when it carries the
-//!   *live* epoch of its tile. Duplicated frames and zombie results
+//!   *live* epoch of its unit. Duplicated frames and zombie results
 //!   from superseded leases are refused — refusal is sound because
 //!   scoring is deterministic, so the committed bytes equal whatever
-//!   the zombie computed. Exactly one spill per tile ever happens.
+//!   the zombie computed. Exactly one commit per unit ever happens.
+//! * **One loss path.** If the live epoch's result does not arrive —
+//!   the deadline passes, the connection hits EOF or an I/O error, or
+//!   a garbage or malformed frame arrives — the worker is killed, the
+//!   lease expires and the unit goes back to the policy. How the worker
+//!   ended is classified once: the reaped exit status if it died,
+//!   [`WorkerExit::HardTimeout`] if it went silent,
+//!   [`WorkerExit::Protocol`] if it broke the protocol. Every
+//!   replacement worker is charged to one shared restart budget, with
+//!   decorrelated-jitter backoff; a slot whose respawn the budget
+//!   refuses retires.
 //! * **Typed handshake rejection.** Workers verify the `hello` frame's
 //!   protocol version and job fingerprint before `ready`
 //!   ([`crate::worker`]); a rejection marks the *pairing of binaries*
-//!   broken, stops all further spawning, and falls through to local
-//!   compute rather than burning the restart budget on a permanent
-//!   condition.
-//! * **Bounded failover.** Worker respawns share one restart budget
-//!   with decorrelated-jitter backoff. A slot whose respawn budget is
-//!   exhausted retires; when the whole fleet is gone, the leftover
-//!   tiles are returned to the caller, which computes them in-process
-//!   ([`ShardStats::tiles_local_fallback`]) — graceful degradation,
-//!   never a lost job.
+//!   broken and stops all further spawning rather than burning the
+//!   restart budget on a permanent condition.
+//! * **Stop checks before every deal.** Cancellation, the deadline and
+//!   the pair budget are checked each time a slot claims a unit.
 //!
 //! The transport seam ([`ShardOptions::injector`]) is where the
 //! network-chaos suite in `sts-robust` injects seeded drops, delays,
@@ -49,15 +66,15 @@ use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use sts_isolate::protocol::ProtocolError;
-use sts_isolate::{FrameConn, NetDirection, NetFault, NetInjector};
+use sts_isolate::{is_timeout, FrameConn, NetDirection, NetFault, NetInjector};
 use sts_obs::trace::{self, ClockMap};
 use sts_obs::{Snapshot, SpanRecord};
 use sts_runtime::{
     Budget, CancelToken, CommitOutcome, DecorrelatedJitter, LeaseTable, PairChunk, ShardStats,
-    StopReason,
+    StopReason, WorkerExit,
 };
 
 /// Tuning for [`ExecMode::Sharded`](crate::job::ExecMode). `Default`
@@ -147,6 +164,15 @@ pub trait WorkerHandle: Send {
     /// Terminate the worker. Idempotent; called on every teardown
     /// path, including drop-equivalent cleanup at coordinator exit.
     fn kill(&mut self);
+
+    /// How a worker whose connection died (EOF or an I/O error) ended:
+    /// waits for it within a bound, killing it if it lingers. The
+    /// default, for workers with no exit status to read, kills and
+    /// reports [`WorkerExit::Protocol`] (an unexpected end of stream).
+    fn reap(&mut self) -> WorkerExit {
+        self.kill();
+        WorkerExit::Protocol
+    }
 }
 
 /// Spawns `<program> serve-tcp <addr>` subprocesses with null stdio —
@@ -179,6 +205,22 @@ impl WorkerHandle for ProcessHandle {
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
+
+    fn reap(&mut self) -> WorkerExit {
+        // Bounded: a child that lingers after its connection died is
+        // killed rather than blocking the slot forever.
+        for _ in 0..200 {
+            match self.child.try_wait() {
+                Ok(Some(status)) => return WorkerExit::from_status(status),
+                Ok(None) => std::thread::sleep(Duration::from_millis(10)),
+                Err(_) => break,
+            }
+        }
+        let _ = self.child.kill();
+        self.child
+            .wait()
+            .map_or(WorkerExit::Code(-1), WorkerExit::from_status)
+    }
 }
 
 impl Drop for ProcessHandle {
@@ -207,15 +249,28 @@ impl NetInjector for OffsetInjector {
 /// count, so windows never overlap.
 const CONN_INDEX_STRIDE: u64 = 1 << 20;
 
+/// How the coordinator treats a unit whose worker was lost, and the
+/// work the fleet could not finish. The engine derives it from the
+/// job's `ExecMode`; it is not a caller option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Policy {
+    /// `Sharded`: re-lease a lost tile whole; leftovers go back to the
+    /// caller for local compute.
+    Release,
+    /// `Subprocess`: bisect a lost unit, halves first, down to a single
+    /// pair, which is quarantined; leftovers stop the job.
+    Bisect,
+}
+
 /// What [`run_sharded`] concluded.
+#[derive(Default)]
 pub(crate) struct ShardRun {
     /// Coordinator accounting ([`ShardStats::tiles_local_fallback`] is
     /// left 0 — the caller owns the fallback).
     pub stats: ShardStats,
-    /// Tile indices (into the caller's tile list) not committed by the
-    /// fleet: the run stopped, or the fleet was exhausted/rejected.
-    /// Ascending order.
-    pub leftover: Vec<usize>,
+    /// Units the fleet did not resolve because the run stopped or the
+    /// fleet was exhausted or rejected, ascending by start.
+    pub leftover: Vec<PairChunk>,
     /// Why the run stopped early, if it did.
     pub stop: Option<StopReason>,
     /// The fleet's shipped telemetry, merged coordinator-side.
@@ -242,6 +297,16 @@ pub struct FleetTelemetry {
     pub flushes: usize,
 }
 
+impl FleetTelemetry {
+    /// Folds another fleet run's view into this one.
+    pub(crate) fn add(&mut self, other: &FleetTelemetry) {
+        self.merged.merge(&other.merged);
+        self.labeled.merge(&other.labeled);
+        self.workers += other.workers;
+        self.flushes += other.flushes;
+    }
+}
+
 /// Per-connection telemetry accumulation (keyed by connection id).
 #[derive(Default)]
 struct ConnTelemetry {
@@ -256,20 +321,15 @@ struct ConnTelemetry {
     committed_pairs: u64,
 }
 
-/// One slot's claim-serve-commit state machine outcome for a single
-/// wait on the wire.
-enum Verdict {
-    /// The live epoch's result committed; here are its dense outcomes.
-    Committed(Vec<PairOutcome>),
-    /// The frame was destroyed in transit (typed garbage): the worker
-    /// is alive, re-lease and resend to it.
-    RetrySameWorker,
-    /// Timeout, EOF, I/O error or protocol violation: kill the worker,
-    /// expire the lease, respawn under budget.
-    WorkerLost,
-    /// The commit gate refused our own epoch (defensive: should be
-    /// unreachable since a tile is held by exactly one slot).
-    AlreadyDone,
+/// Why the live epoch's result did not arrive.
+enum Loss {
+    /// The read deadline passed: the worker wedged or went silent.
+    Silent,
+    /// A garbage, oversized or malformed frame: the worker broke the
+    /// protocol.
+    Protocol,
+    /// EOF or an I/O error: the worker or its connection died.
+    Died,
 }
 
 enum SpawnError {
@@ -281,22 +341,54 @@ enum SpawnError {
     Rejected,
 }
 
+/// One dealable unit: a tile, a scheduling chunk, or a bisected half.
+#[derive(Clone, Copy)]
+struct Unit {
+    chunk: PairChunk,
+    /// Bisection depth (0 for a unit the caller dealt).
+    depth: usize,
+}
+
+/// A resolved unit on its way to the caller's commit sink.
+type Resolved = mpsc::Sender<(PairChunk, Vec<PairOutcome>)>;
+
+/// Scheduling state, under one lock. Positions index `units` and the
+/// lease table alike.
+struct Sched {
+    units: Vec<Unit>,
+    leases: LeaseTable,
+    /// Positions waiting for a slot, front first.
+    queue: VecDeque<usize>,
+    /// Units queued or in flight; 0 once every unit is resolved.
+    open: usize,
+    /// Pairs resolved this run — the pair budget's unit.
+    pairs_done: usize,
+    stop: Option<StopReason>,
+    pairs_poisoned: usize,
+    max_depth: usize,
+}
+
+impl Sched {
+    /// Hands a unit's outcomes to the caller: committed or poisoned,
+    /// it is final.
+    fn resolve(&mut self, chunk: PairChunk, outs: Vec<PairOutcome>, tx: &Resolved) {
+        self.open -= 1;
+        self.pairs_done += chunk.len;
+        // The receiver outlives every slot thread.
+        let _ = tx.send((chunk, outs));
+    }
+}
+
 /// Coordinator state shared by all slot threads.
 struct Shared<'a> {
-    tiles: &'a [PairChunk],
-    todo: &'a [usize],
     preamble: &'a [String],
     opts: &'a ShardOptions,
+    policy: Policy,
+    cancel: &'a CancelToken,
+    budget: Budget,
     launcher: Arc<dyn WorkerLauncher>,
-    /// Pending positions into `todo`.
-    queue: Mutex<VecDeque<usize>>,
-    queue_cv: Condvar,
-    /// Lease arbiter over `todo` positions.
-    lt: Mutex<LeaseTable>,
-    /// Committed flags per position (leftover = the unset ones).
-    done: Vec<AtomicBool>,
-    done_count: AtomicUsize,
-    stopped: AtomicBool,
+    sched: Mutex<Sched>,
+    sched_cv: Condvar,
     rejected: AtomicBool,
     restarts_left: AtomicUsize,
     conn_seq: AtomicU64,
@@ -304,8 +396,8 @@ struct Shared<'a> {
     worker_restarts: AtomicUsize,
     workers_rejected: AtomicUsize,
     frames_corrupt: AtomicUsize,
-    /// Results refused without going through the lease table (stale
-    /// epochs we cannot map to a tile).
+    /// Results refused without going through the lease table (epochs
+    /// other than the one a slot is waiting on).
     stale_results: AtomicUsize,
     /// Job-wide trace id forwarded in every connection's `trace` frame.
     trace_id: u64,
@@ -319,45 +411,113 @@ struct Shared<'a> {
 }
 
 impl Shared<'_> {
-    /// Claims the next pending position, waiting out windows where
-    /// every remaining tile is in flight on some other slot. `None`
-    /// once everything is committed or the run stopped.
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched
+            .lock()
+            .expect("a slot panicked holding the schedule")
+    }
+
+    /// Runs the stop checks — cancellation, deadline, pair budget —
+    /// then claims the next queued unit, waiting out windows where
+    /// every open unit is in flight on some other slot. `None` once the
+    /// run stopped or every unit is resolved.
     fn claim(&self) -> Option<usize> {
-        let mut q = self.queue.lock().unwrap();
+        let mut s = self.sched();
         loop {
-            if self.stopped.load(Ordering::SeqCst) {
+            if s.stop.is_none() {
+                s.stop = if self.cancel.is_cancelled() {
+                    Some(StopReason::Cancelled)
+                } else {
+                    self.budget.check(s.pairs_done)
+                };
+            }
+            if s.stop.is_some() {
                 return None;
             }
-            if let Some(pos) = q.pop_front() {
+            if let Some(pos) = s.queue.pop_front() {
                 return Some(pos);
             }
-            if self.done_count.load(Ordering::SeqCst) >= self.todo.len() {
+            if s.open == 0 {
                 return None;
             }
-            // An in-flight tile may yet be requeued by a failing slot;
+            // An in-flight unit may yet come back from a failing slot;
             // the timeout is only a safety net against lost wakeups.
-            q = self
-                .queue_cv
-                .wait_timeout(q, Duration::from_millis(50))
-                .unwrap()
+            s = self
+                .sched_cv
+                .wait_timeout(s, Duration::from_millis(50))
+                .expect("a slot panicked holding the schedule")
                 .0;
         }
     }
 
+    /// Returns a claimed, unleased unit to the front of the queue.
     fn requeue(&self, pos: usize) {
-        self.queue.lock().unwrap().push_back(pos);
-        self.queue_cv.notify_all();
+        self.sched().queue.push_front(pos);
+        self.sched_cv.notify_all();
     }
 
-    fn mark_done(&self, pos: usize) {
-        self.done[pos].store(true, Ordering::SeqCst);
-        self.done_count.fetch_add(1, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+    /// Leases `pos` under a fresh epoch. `None` if it is already
+    /// committed (defensive: a unit is claimed by one slot at a time).
+    fn lease(&self, pos: usize) -> Option<(PairChunk, u64)> {
+        let mut s = self.sched();
+        let epoch = s.leases.lease(pos)?;
+        trace::event("shard.tile.lease", s.units[pos].chunk.id as f64);
+        Some((s.units[pos].chunk, epoch))
     }
 
-    fn stop(&self) {
-        self.stopped.store(true, Ordering::SeqCst);
-        self.queue_cv.notify_all();
+    /// Commits the live epoch's outcomes through the at-most-once gate.
+    fn commit(&self, pos: usize, epoch: u64, outs: Vec<PairOutcome>, tx: &Resolved) -> bool {
+        let mut s = self.sched();
+        if s.leases.commit(pos, epoch) != CommitOutcome::Committed {
+            return false;
+        }
+        let chunk = s.units[pos].chunk;
+        trace::event("shard.tile.commit", chunk.id as f64);
+        s.resolve(chunk, outs, tx);
+        self.sched_cv.notify_all();
+        true
+    }
+
+    /// The scheduling half of the loss path: the lease expires and the
+    /// policy decides what becomes of the unit.
+    fn lose(&self, pos: usize, exit: WorkerExit, tx: &Resolved) {
+        let mut s = self.sched();
+        s.leases.expire(pos);
+        let Unit { chunk, depth } = s.units[pos];
+        trace::event("shard.tile.expire", chunk.id as f64);
+        match self.policy {
+            Policy::Release => s.queue.push_front(pos),
+            Policy::Bisect if chunk.len > 1 => {
+                let left = chunk.len / 2;
+                let halves = [
+                    PairChunk { len: left, ..chunk },
+                    PairChunk {
+                        start: chunk.start + left,
+                        len: chunk.len - left,
+                        ..chunk
+                    },
+                ];
+                // Right half pushed first, so the left half runs first.
+                for half in halves.into_iter().rev() {
+                    let at = s.leases.add();
+                    debug_assert_eq!(at, s.units.len());
+                    s.units.push(Unit {
+                        chunk: half,
+                        depth: depth + 1,
+                    });
+                    s.queue.push_front(at);
+                }
+                s.open += 1;
+                s.max_depth = s.max_depth.max(depth + 1);
+            }
+            Policy::Bisect => {
+                sts_obs::static_counter!("shard.pairs.poisoned").incr();
+                s.pairs_poisoned += 1;
+                s.max_depth = s.max_depth.max(depth);
+                s.resolve(chunk, vec![PairOutcome::Poisoned { exit }], tx);
+            }
+        }
+        self.sched_cv.notify_all();
     }
 
     /// Takes one respawn from the shared budget. `false` = exhausted.
@@ -367,15 +527,20 @@ impl Shared<'_> {
             .is_ok()
     }
 
-    fn expire(&self, pos: usize) {
-        self.lt.lock().unwrap().expire(pos);
-        trace::event("shard.tile.expire", self.tile_id(pos));
-    }
-
-    /// The caller-visible tile id at queue position `pos` — the value
-    /// every `shard.tile.*` lifecycle event carries.
-    fn tile_id(&self, pos: usize) -> f64 {
-        self.tiles[self.todo[pos]].id as f64
+    /// Classifies a failed send or receive. Every garbage frame read is
+    /// counted here, exactly once — the chaos suites reconcile this
+    /// count against their injection ledgers.
+    fn loss(&self, err: &ProtocolError) -> Loss {
+        match err {
+            ProtocolError::Garbage { .. } => {
+                self.frames_corrupt.fetch_add(1, Ordering::SeqCst);
+                sts_obs::static_counter!("shard.frames.corrupt").incr();
+                Loss::Protocol
+            }
+            ProtocolError::FrameTooLarge { .. } => Loss::Protocol,
+            err if is_timeout(err) => Loss::Silent,
+            _ => Loss::Died,
+        }
     }
 
     /// Credits `pairs` committed pairs to connection `conn_id` (the
@@ -505,27 +670,23 @@ impl Shared<'_> {
     }
 }
 
-/// Deals the `todo` tiles to a worker fleet and calls `on_commit` (on
-/// this thread) exactly once per committed tile, in commit order, with
-/// the tile's dense outcomes. See the [module docs](self) for the
-/// protocol; see [`ShardRun`] for what comes back.
+/// Deals `units` to a worker fleet under `policy` and calls `on_commit`
+/// (on this thread) exactly once per resolved unit, in resolution
+/// order, with the unit and its dense outcomes. See the
+/// [module docs](self) for the protocol; see [`ShardRun`] for what
+/// comes back.
 pub(crate) fn run_sharded(
-    tiles: &[PairChunk],
-    todo: &[usize],
+    units: &[PairChunk],
     preamble: &[String],
     opts: &ShardOptions,
+    policy: Policy,
     cancel: &CancelToken,
     budget: Budget,
-    on_commit: &mut dyn FnMut(usize, Vec<PairOutcome>),
+    on_commit: &mut dyn FnMut(&PairChunk, Vec<PairOutcome>),
 ) -> ShardRun {
     let shard_span = trace::span("job.shard");
-    if todo.is_empty() {
-        return ShardRun {
-            stats: ShardStats::default(),
-            leftover: Vec::new(),
-            stop: None,
-            telemetry: FleetTelemetry::default(),
-        };
+    if units.is_empty() {
+        return ShardRun::default();
     }
     let launcher: Arc<dyn WorkerLauncher> = match &opts.launcher {
         Some(l) => Arc::clone(l),
@@ -537,22 +698,31 @@ pub(crate) fn run_sharded(
         }),
     };
     let slots = if opts.workers == 0 {
-        sts_runtime::worker_count(todo.len())
+        sts_runtime::worker_count(units.len())
     } else {
-        opts.workers.min(todo.len()).max(1)
+        opts.workers.min(units.len()).max(1)
     };
     let shared = Shared {
-        tiles,
-        todo,
         preamble,
         opts,
+        policy,
+        cancel,
+        budget,
         launcher,
-        queue: Mutex::new((0..todo.len()).collect()),
-        queue_cv: Condvar::new(),
-        lt: Mutex::new(LeaseTable::new(todo.len())),
-        done: (0..todo.len()).map(|_| AtomicBool::new(false)).collect(),
-        done_count: AtomicUsize::new(0),
-        stopped: AtomicBool::new(false),
+        sched: Mutex::new(Sched {
+            units: units
+                .iter()
+                .map(|&chunk| Unit { chunk, depth: 0 })
+                .collect(),
+            leases: LeaseTable::new(units.len()),
+            queue: (0..units.len()).collect(),
+            open: units.len(),
+            pairs_done: 0,
+            stop: None,
+            pairs_poisoned: 0,
+            max_depth: 0,
+        }),
+        sched_cv: Condvar::new(),
         rejected: AtomicBool::new(false),
         restarts_left: AtomicUsize::new(opts.restart_budget),
         conn_seq: AtomicU64::new(0),
@@ -569,9 +739,7 @@ pub(crate) fn run_sharded(
         flushes: AtomicUsize::new(0),
     };
 
-    let (tx, rx) = mpsc::channel::<(usize, Vec<PairOutcome>)>();
-    let mut stop_reason: Option<StopReason> = None;
-    let mut committed_pairs = 0usize;
+    let (tx, rx) = mpsc::channel();
     std::thread::scope(|s| {
         for slot in 0..slots {
             let tx = tx.clone();
@@ -581,56 +749,43 @@ pub(crate) fn run_sharded(
         drop(tx);
         // This thread owns the commit sink: spills happen here, in
         // commit order, so the caller's closure needs no Send bound.
-        loop {
-            match rx.recv_timeout(Duration::from_millis(25)) {
-                Ok((tile_idx, outs)) => {
-                    committed_pairs += outs.len();
-                    on_commit(tile_idx, outs);
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-            if stop_reason.is_none() {
-                stop_reason = if cancel.is_cancelled() {
-                    Some(StopReason::Cancelled)
-                } else {
-                    budget.check(committed_pairs)
-                };
-                if stop_reason.is_some() {
-                    shared.stop();
-                }
-            }
-        }
-        // Commits that raced the shutdown are still commits: the lease
-        // table accepted them and the spill must happen.
-        while let Ok((tile_idx, outs)) = rx.try_recv() {
-            committed_pairs += outs.len();
-            on_commit(tile_idx, outs);
+        for (chunk, outs) in rx {
+            on_commit(&chunk, outs);
         }
     });
 
-    let lt = shared.lt.lock().unwrap();
+    let telemetry = shared.fleet_telemetry();
+    let s = shared.sched();
+    // Every slot has exited and requeued what it held, so the queue is
+    // exactly the unresolved work.
+    let mut leftover: Vec<PairChunk> = s.queue.iter().map(|&pos| s.units[pos].chunk).collect();
+    leftover.sort_unstable_by_key(|c| c.start);
+    let rejected = shared.rejected.load(Ordering::SeqCst);
+    let stop = match (s.stop, policy) {
+        (None, Policy::Bisect) if !leftover.is_empty() => Some(if rejected {
+            StopReason::WorkerRejected
+        } else {
+            StopReason::WorkerRestartsExhausted
+        }),
+        (stop, _) => stop,
+    };
     let stats = ShardStats {
         workers_spawned: shared.workers_spawned.load(Ordering::SeqCst),
         worker_restarts: shared.worker_restarts.load(Ordering::SeqCst),
         workers_rejected: shared.workers_rejected.load(Ordering::SeqCst),
-        tiles_leased: lt.leases_granted(),
-        leases_expired: lt.leases_expired(),
-        commits_refused: lt.commits_refused() + shared.stale_results.load(Ordering::SeqCst),
+        tiles_leased: s.leases.leases_granted(),
+        leases_expired: s.leases.leases_expired(),
+        commits_refused: s.leases.commits_refused() + shared.stale_results.load(Ordering::SeqCst),
         frames_corrupt: shared.frames_corrupt.load(Ordering::SeqCst),
         tiles_local_fallback: 0,
         telemetry_flushes: shared.flushes.load(Ordering::SeqCst),
+        pairs_poisoned: s.pairs_poisoned,
+        max_bisect_depth: s.max_depth,
     };
-    drop(lt);
-    let leftover = (0..todo.len())
-        .filter(|&pos| !shared.done[pos].load(Ordering::SeqCst))
-        .map(|pos| todo[pos])
-        .collect();
-    let telemetry = shared.fleet_telemetry();
     ShardRun {
         stats,
         leftover,
-        stop: stop_reason,
+        stop,
         telemetry,
     }
 }
@@ -646,10 +801,33 @@ struct Worker {
     clock: ClockMap,
 }
 
-/// One slot: claim a tile, keep a worker alive, deal and commit, until
+impl Worker {
+    /// The worker half of the loss path: tears the worker down and
+    /// classifies how it ended.
+    fn lose(self, loss: Loss) -> WorkerExit {
+        let Worker {
+            conn, mut handle, ..
+        } = self;
+        // Closing our end lets a worker that is still reading exit.
+        drop(conn);
+        match loss {
+            Loss::Died => handle.reap(),
+            Loss::Silent => {
+                handle.kill();
+                WorkerExit::HardTimeout
+            }
+            Loss::Protocol => {
+                handle.kill();
+                WorkerExit::Protocol
+            }
+        }
+    }
+}
+
+/// One slot: claim a unit, keep a worker alive, deal and commit, until
 /// the queue drains, the run stops, the handshake is rejected, or the
 /// restart budget retires this slot.
-fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<PairOutcome>)>) {
+fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &Resolved) {
     let mut live: Option<Worker> = None;
     let mut jitter = DecorrelatedJitter::new(
         shared.opts.backoff_base,
@@ -657,77 +835,51 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
         0x5AAD_0000 ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
     );
     let mut spawned_once = false;
-    'slot: while let Some(pos) = shared.claim() {
-        loop {
-            if shared.stopped.load(Ordering::SeqCst) {
-                shared.requeue(pos);
-                break 'slot;
-            }
-            if live.is_none() {
-                if shared.rejected.load(Ordering::SeqCst) {
-                    // The binaries cannot agree; spawning more copies
-                    // of the same worker cannot fix it.
+    while let Some(pos) = shared.claim() {
+        let w = match &mut live {
+            Some(w) => w,
+            None => {
+                // Every spawn after the slot's first replaces a lost
+                // worker; a rejection is permanent for these binaries.
+                if shared.rejected.load(Ordering::SeqCst)
+                    || (spawned_once && !shared.charge_restart())
+                {
                     shared.requeue(pos);
-                    break 'slot;
+                    break; // the slot retires; the fleet shrinks
                 }
                 if spawned_once {
-                    if !shared.charge_restart() {
-                        shared.requeue(pos);
-                        break 'slot; // slot retires; fleet shrinks
-                    }
                     shared.worker_restarts.fetch_add(1, Ordering::SeqCst);
                     sts_obs::static_counter!("shard.workers.restarted").incr();
                     std::thread::sleep(jitter.next_delay());
                 }
                 spawned_once = true;
                 match spawn_ready_worker(shared) {
-                    Ok(w) => live = Some(w),
-                    Err(SpawnError::Failed) => continue,
-                    Err(SpawnError::Rejected) => {
-                        shared.workers_rejected.fetch_add(1, Ordering::SeqCst);
-                        sts_obs::static_counter!("shard.workers.rejected").incr();
-                        shared.rejected.store(true, Ordering::SeqCst);
+                    Ok(w) => live.insert(w),
+                    Err(e) => {
+                        if let SpawnError::Rejected = e {
+                            shared.workers_rejected.fetch_add(1, Ordering::SeqCst);
+                            sts_obs::static_counter!("shard.workers.rejected").incr();
+                            shared.rejected.store(true, Ordering::SeqCst);
+                        }
                         shared.requeue(pos);
-                        break 'slot;
+                        continue;
                     }
                 }
             }
-            let tile = &shared.tiles[shared.todo[pos]];
-            let Some(epoch) = shared.lt.lock().unwrap().lease(pos) else {
-                // Defensive: positions are claimed exclusively, so a
-                // committed tile cannot be re-claimed.
-                break;
-            };
-            trace::event("shard.tile.lease", shared.tile_id(pos));
-            let w = live.as_mut().expect("worker ensured above");
-            if w.conn
-                .send(&format!("chunk {epoch} {} {}", tile.start, tile.len))
-                .is_err()
-            {
-                teardown(&mut live);
-                shared.expire(pos);
-                continue;
+        };
+        let Some((unit, epoch)) = shared.lease(pos) else {
+            continue;
+        };
+        match deal(shared, w, &unit, epoch) {
+            Ok(outs) => {
+                let pairs = outs.len() as u64;
+                if shared.commit(pos, epoch, outs, tx) {
+                    shared.credit_commit(w.id, pairs);
+                }
             }
-            trace::event("shard.tile.deal", shared.tile_id(pos));
-            let _ = w.conn.set_read_deadline(Some(shared.opts.lease_timeout));
-            match wait_result(shared, w, pos, tile, epoch) {
-                Verdict::Committed(outs) => {
-                    shared.credit_commit(w.id, outs.len() as u64);
-                    trace::event("shard.tile.commit", shared.tile_id(pos));
-                    shared.mark_done(pos);
-                    let _ = tx.send((shared.todo[pos], outs));
-                    break;
-                }
-                Verdict::AlreadyDone => break,
-                Verdict::RetrySameWorker => {
-                    shared.expire(pos);
-                    continue;
-                }
-                Verdict::WorkerLost => {
-                    teardown(&mut live);
-                    shared.expire(pos);
-                    continue;
-                }
+            Err(loss) => {
+                let exit = live.take().expect("dealt on a live worker").lose(loss);
+                shared.lose(pos, exit, tx);
             }
         }
     }
@@ -756,13 +908,11 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
                     break;
                 }
                 Ok(_) => continue, // stale hb/result frames drain here
-                Err(ProtocolError::Garbage { .. }) => {
-                    // Corruption detected here still counts: the
-                    // chaos suites reconcile garbage frames against
-                    // the injection ledger exactly, shutdown included.
-                    shared.frames_corrupt.fetch_add(1, Ordering::SeqCst);
-                    sts_obs::static_counter!("shard.frames.corrupt").incr();
-                    continue;
+                // Corruption detected here still counts: the chaos
+                // suites reconcile garbage frames against the
+                // injection ledger exactly, shutdown included.
+                Err(e @ ProtocolError::Garbage { .. }) => {
+                    shared.loss(&e);
                 }
                 Err(_) => break,
             }
@@ -771,90 +921,56 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &mpsc::Sender<(usize, Vec<Pai
     }
 }
 
-fn teardown(live: &mut Option<Worker>) {
-    if let Some(mut w) = live.take() {
-        w.handle.kill();
-    }
-}
-
-/// Reads frames until the live epoch's result arrives (commit), the
-/// deadline passes, or the connection proves unusable. Heartbeats for
-/// any epoch reset the deadline simply by being frames; results for
-/// superseded epochs are refused and skipped. Telemetry frames
-/// (`tstat`/`tspan`) are absorbed in passing — malformed ones are
-/// protocol violations, not chaos, and lose the worker.
-fn wait_result(
+/// Deals `unit` under `epoch` and reads frames until the live epoch's
+/// result arrives, or the wait ends in a [`Loss`]. Heartbeats for any
+/// epoch reset the deadline simply by being frames; results for other
+/// epochs are refused and skipped. Telemetry frames (`tstat`/`tspan`)
+/// are absorbed in passing.
+fn deal(
     shared: &Shared<'_>,
     w: &mut Worker,
-    pos: usize,
-    tile: &PairChunk,
+    unit: &PairChunk,
     epoch: u64,
-) -> Verdict {
+) -> Result<Vec<PairOutcome>, Loss> {
+    let request = format!("chunk {epoch} {} {}", unit.start, unit.len);
+    w.conn.send(&request).map_err(|e| shared.loss(&e))?;
+    trace::event("shard.tile.deal", unit.id as f64);
+    let _ = w.conn.set_read_deadline(Some(shared.opts.lease_timeout));
     loop {
-        match w.conn.recv() {
-            Ok(frame) => {
-                let mut fields = frame.split_whitespace();
-                match fields.next() {
-                    Some("hb") => {
-                        // `hb <epoch> <pairs_done>` — surface progress
-                        // instead of treating the frame as opaque.
-                        let mut num = || fields.next().and_then(|s| s.parse::<u64>().ok());
-                        if let (Some(hb_epoch), Some(pairs_done)) = (num(), num()) {
-                            if hb_epoch == epoch {
-                                sts_obs::static_gauge!("shard.tile.progress")
-                                    .set(pairs_done as i64);
-                                trace::event("shard.tile.hb", shared.tile_id(pos));
-                            }
-                        }
-                        continue;
+        let frame = w.conn.recv().map_err(|e| shared.loss(&e))?;
+        let mut fields = frame.split_whitespace();
+        let well_formed = match fields.next() {
+            Some("hb") => {
+                // `hb <epoch> <pairs_done>` — surface progress instead
+                // of treating the frame as opaque.
+                let mut num = || fields.next().and_then(|s| s.parse::<u64>().ok());
+                if let (Some(hb_epoch), Some(pairs_done)) = (num(), num()) {
+                    if hb_epoch == epoch {
+                        sts_obs::static_gauge!("shard.tile.progress").set(pairs_done as i64);
+                        trace::event("shard.tile.hb", unit.id as f64);
                     }
-                    Some("tstat") => {
-                        if !shared.absorb_tstat(w.id, &frame) {
-                            return Verdict::WorkerLost;
-                        }
-                        continue;
-                    }
-                    Some("tspan") => {
-                        if !shared.absorb_tspan(w.id, w.clock, &frame) {
-                            return Verdict::WorkerLost;
-                        }
-                        continue;
-                    }
-                    Some("result") => {
-                        let Some(id) = fields.next().and_then(|s| s.parse::<u64>().ok()) else {
-                            return Verdict::WorkerLost;
-                        };
-                        if id != epoch {
-                            // A duplicated frame or a superseded
-                            // chunk's late result: refuse, keep
-                            // listening for ours.
-                            shared.stale_results.fetch_add(1, Ordering::SeqCst);
-                            continue;
-                        }
-                        let payload = frame
-                            .strip_prefix(&format!("result {id} "))
-                            .unwrap_or_default();
-                        let Some(outs) = decode_tile(payload, tile) else {
-                            return Verdict::WorkerLost;
-                        };
-                        return match shared.lt.lock().unwrap().commit(pos, epoch) {
-                            CommitOutcome::Committed => Verdict::Committed(outs),
-                            CommitOutcome::Duplicate | CommitOutcome::Stale => Verdict::AlreadyDone,
-                        };
-                    }
-                    _ => return Verdict::WorkerLost,
                 }
+                true
             }
-            Err(ProtocolError::Garbage { .. }) => {
-                // Line noise on the wire. The destroyed frame may have
-                // been our result — re-lease and resend to the same
-                // (healthy) worker; the commit gate absorbs any
-                // original that later limps in.
-                shared.frames_corrupt.fetch_add(1, Ordering::SeqCst);
-                sts_obs::static_counter!("shard.frames.corrupt").incr();
-                return Verdict::RetrySameWorker;
+            Some("tstat") => shared.absorb_tstat(w.id, &frame),
+            Some("tspan") => shared.absorb_tspan(w.id, w.clock, &frame),
+            Some("result") => {
+                let id = fields.next().and_then(|s| s.parse::<u64>().ok());
+                if id == Some(epoch) {
+                    let payload = frame
+                        .strip_prefix(&format!("result {epoch} "))
+                        .unwrap_or_default();
+                    return decode_tile(payload, unit).ok_or(Loss::Protocol);
+                }
+                // A duplicated frame or a superseded deal's late
+                // result: refuse it, keep listening for ours.
+                shared.stale_results.fetch_add(1, Ordering::SeqCst);
+                id.is_some()
             }
-            Err(_) => return Verdict::WorkerLost,
+            _ => false,
+        };
+        if !well_formed {
+            return Err(Loss::Protocol);
         }
     }
 }
@@ -889,9 +1005,9 @@ fn decode_tile(payload: &str, tile: &PairChunk) -> Option<Vec<PairOutcome>> {
 
 /// Launches one worker and walks it to `ready`: bind an ephemeral
 /// loopback listener, launch, accept within the ready deadline, send
-/// the preamble plus the `trace` context frame, and interpret the
-/// worker's answer. The worker's `ready <now_ns>` clock echo is paired
-/// with the coordinator's own clock at receipt to build the
+/// the preamble, the `trace` context frame and `begin`, and interpret
+/// the worker's answer. The worker's `ready <now_ns>` clock echo is
+/// paired with the coordinator's own clock at receipt to build the
 /// per-connection [`ClockMap`].
 fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
     let listener = TcpListener::bind(("127.0.0.1", 0)).map_err(|_| SpawnError::Failed)?;
@@ -909,11 +1025,7 @@ fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
     let stream = loop {
         match listener.accept() {
             Ok((stream, _)) => break stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    handle.kill();
-                    return Err(SpawnError::Failed);
-                }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock && Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => {
@@ -938,43 +1050,28 @@ fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
         return Err(SpawnError::Failed);
     };
     let _ = conn.set_read_deadline(Some(shared.opts.ready_timeout));
-    for frame in shared.preamble {
-        if conn.send(frame).is_err() {
-            handle.kill();
-            return Err(SpawnError::Failed);
-        }
-    }
     // Trace context: job-wide trace id, the span the worker's root
     // should parent under, a disjoint id window per connection, and
     // whether spans are worth shipping at all (the coordinator is the
     // only consumer, so its tracing switch decides).
     let span_base = (conn_id + 1) << 32;
     let ship_spans = u64::from(trace::tracing_enabled());
-    if conn
-        .send(&format!(
-            "trace {:016x} {} {span_base} {ship_spans}",
-            shared.trace_id, shared.trace_parent
-        ))
-        .is_err()
-    {
-        handle.kill();
-        return Err(SpawnError::Failed);
-    }
-    if conn.send("begin").is_err() {
-        handle.kill();
-        return Err(SpawnError::Failed);
-    }
-    loop {
-        match conn.recv() {
-            Ok(f) if f == "ready" || f.starts_with("ready ") => {
-                // `ready <worker_now_ns>` — the clock-origin exchange.
-                // A bare `ready` (older worker) degrades to identity
-                // mapping: spans keep their worker-relative times.
-                let clock = f
-                    .strip_prefix("ready ")
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .map(|remote| ClockMap::from_exchange(remote, trace::now_ns()))
-                    .unwrap_or_default();
+    let trace_frame = format!(
+        "trace {:016x} {} {span_base} {ship_spans}",
+        shared.trace_id, shared.trace_parent
+    );
+    let answer = shared
+        .preamble
+        .iter()
+        .map(String::as_str)
+        .chain([trace_frame.as_str(), "begin"])
+        .try_for_each(|frame| conn.send(frame))
+        .and_then(|()| conn.recv());
+    match answer {
+        Ok(f) => {
+            // `ready <worker_now_ns>` is the clock-origin exchange.
+            if let Some(remote) = f.strip_prefix("ready ").and_then(|s| s.parse().ok()) {
+                let clock = ClockMap::from_exchange(remote, trace::now_ns());
                 return Ok(Worker {
                     conn,
                     handle,
@@ -982,23 +1079,17 @@ fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
                     clock,
                 });
             }
-            Ok(f) if f.starts_with("reject ") => {
-                handle.kill();
-                return Err(SpawnError::Rejected);
-            }
-            Ok(_) => {
-                handle.kill();
-                return Err(SpawnError::Failed);
-            }
-            Err(ProtocolError::Garbage { .. }) => {
-                shared.frames_corrupt.fetch_add(1, Ordering::SeqCst);
-                sts_obs::static_counter!("shard.frames.corrupt").incr();
-                continue;
-            }
-            Err(_) => {
-                handle.kill();
-                return Err(SpawnError::Failed);
-            }
+            handle.kill();
+            Err(if f.starts_with("reject ") {
+                SpawnError::Rejected
+            } else {
+                SpawnError::Failed
+            })
+        }
+        Err(e) => {
+            shared.loss(&e); // counts a garbage answer
+            handle.kill();
+            Err(SpawnError::Failed)
         }
     }
 }
@@ -1119,21 +1210,27 @@ mod tests {
         );
         preamble_tamper(&mut preamble);
         let tiles: Vec<PairChunk> = space.chunks(4).collect();
-        let todo: Vec<usize> = (0..tiles.len()).collect();
         let mut committed: Vec<Option<Vec<PairOutcome>>> = vec![None; tiles.len()];
         let run = run_sharded(
             &tiles,
-            &todo,
             &preamble,
             opts,
-            &sts_runtime::CancelToken::new(),
+            Policy::Release,
+            &CancelToken::new(),
             Budget::default(),
-            &mut |idx, outs| {
-                assert!(committed[idx].is_none(), "tile {idx} committed twice");
-                committed[idx] = Some(outs);
+            &mut |tile, outs| {
+                assert!(
+                    committed[tile.id].is_none(),
+                    "tile {tile:?} committed twice"
+                );
+                committed[tile.id] = Some(outs);
             },
         );
         (committed, run, queries, candidates)
+    }
+
+    fn leftover_ids(run: &ShardRun) -> Vec<usize> {
+        run.leftover.iter().map(|tile| tile.id).collect()
     }
 
     #[test]
@@ -1206,7 +1303,7 @@ mod tests {
         let opts = shard_opts(Arc::new(BrokenLauncher));
         let (committed, run, _, _) = run(&opts, |_| {});
         assert!(committed.iter().all(Option::is_none));
-        assert_eq!(run.leftover, vec![0, 1, 2, 3]);
+        assert_eq!(leftover_ids(&run), vec![0, 1, 2, 3]);
         assert!(
             run.stop.is_none(),
             "exhaustion is not a stop: {:?}",
@@ -1229,7 +1326,7 @@ mod tests {
             );
         });
         assert!(committed.iter().all(Option::is_none));
-        assert_eq!(run.leftover, vec![0, 1, 2, 3]);
+        assert_eq!(leftover_ids(&run), vec![0, 1, 2, 3]);
         assert!(run.stats.workers_rejected >= 1);
         assert_eq!(
             run.stats.worker_restarts, 0,
@@ -1254,5 +1351,317 @@ mod tests {
         ] {
             assert!(decode_tile(bad, &tile).is_none(), "{bad:?}");
         }
+    }
+
+    // ---- The Subprocess policy, against scripted in-thread workers. ----
+
+    /// What a scripted worker does with one chunk.
+    #[derive(Clone, Copy)]
+    enum Act {
+        /// Answer `result` with `<lin> s <lin*2>` for every pair.
+        Score,
+        /// Exit with this code without answering.
+        Die(i32),
+        /// Never answer (until killed).
+        Hang,
+        /// Answer with unframed noise, and stay alive.
+        Garble,
+    }
+
+    /// In-thread workers that speak the wire protocol and do whatever
+    /// `script(start, len)` says with each chunk — or refuse the
+    /// handshake outright.
+    struct ScriptedLauncher {
+        script: fn(usize, usize) -> Act,
+        reject: bool,
+    }
+
+    struct ScriptedHandle {
+        stream: TcpStream,
+        exit: Arc<Mutex<Option<WorkerExit>>>,
+    }
+
+    impl WorkerHandle for ScriptedHandle {
+        fn kill(&mut self) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+
+        fn reap(&mut self) -> WorkerExit {
+            self.kill();
+            self.exit.lock().unwrap().unwrap_or(WorkerExit::Protocol)
+        }
+    }
+
+    impl WorkerLauncher for ScriptedLauncher {
+        fn launch(&self, addr: SocketAddr) -> io::Result<Box<dyn WorkerHandle>> {
+            let stream = TcpStream::connect(addr)?;
+            let mut r = io::BufReader::new(stream.try_clone()?);
+            let mut w = stream.try_clone()?;
+            let exit = Arc::new(Mutex::new(None));
+            let (script, reject, died) = (self.script, self.reject, Arc::clone(&exit));
+            std::thread::spawn(move || {
+                use std::io::Write;
+                use sts_isolate::protocol::{read_frame, write_frame};
+                while let Ok(frame) = read_frame(&mut r) {
+                    let fields: Vec<&str> = frame.split_whitespace().collect();
+                    match fields.as_slice() {
+                        ["begin"] if reject => {
+                            let _ = write_frame(&mut w, "reject version 1 4");
+                            break;
+                        }
+                        ["begin"] => {
+                            let _ = write_frame(&mut w, "ready 1");
+                        }
+                        ["chunk", id, start, len] => {
+                            let (start, len) = (start.parse().unwrap(), len.parse().unwrap());
+                            match script(start, len) {
+                                Act::Score => {
+                                    let mut out = format!("result {id} {len}");
+                                    for lin in start..start + len {
+                                        out.push_str(&format!(" {lin} s {}", lin * 2));
+                                    }
+                                    let _ = write_frame(&mut w, &out);
+                                }
+                                Act::Die(code) => {
+                                    *died.lock().unwrap() = Some(WorkerExit::Code(code));
+                                    break;
+                                }
+                                Act::Hang => {}
+                                Act::Garble => {
+                                    let _ = w.write_all(b"blorp blorp blorp\n");
+                                }
+                            }
+                        }
+                        ["shutdown"] => break,
+                        _ => {} // preamble frames
+                    }
+                }
+                // Exiting closes the worker's end of the connection.
+                let _ = w.shutdown(Shutdown::Both);
+            });
+            Ok(Box::new(ScriptedHandle { stream, exit }))
+        }
+    }
+
+    fn subprocess_opts(launcher: Arc<dyn WorkerLauncher>) -> ShardOptions {
+        ShardOptions {
+            workers: 2,
+            lease_timeout: Duration::from_secs(5),
+            ready_timeout: Duration::from_secs(5),
+            hb_every: 0,
+            restart_budget: 64,
+            backoff_base: Duration::from_micros(100),
+            backoff_cap: Duration::from_millis(2),
+            launcher: Some(launcher),
+            ..ShardOptions::default()
+        }
+    }
+
+    fn scripted(script: fn(usize, usize) -> Act) -> ShardOptions {
+        subprocess_opts(Arc::new(ScriptedLauncher {
+            script,
+            reject: false,
+        }))
+    }
+
+    /// Does the chunk `[start, start + len)` hold pair `lin`?
+    fn holds(start: usize, len: usize, lin: usize) -> bool {
+        (start..start + len).contains(&lin)
+    }
+
+    /// A `rows × cols` matrix in `chunk`-pair units under the Subprocess
+    /// policy: the cells and the run.
+    fn run_matrix(
+        rows: usize,
+        cols: usize,
+        chunk: usize,
+        opts: &ShardOptions,
+        cancel: &CancelToken,
+    ) -> (Vec<PairOutcome>, ShardRun) {
+        let space = PairSpace::new(rows, cols);
+        let chunks: Vec<PairChunk> = space.chunks(chunk).collect();
+        let mut cells = vec![PairOutcome::Skipped; space.len()];
+        let run = run_sharded(
+            &chunks,
+            &[],
+            opts,
+            Policy::Bisect,
+            cancel,
+            Budget::default(),
+            &mut |unit, outs| {
+                for (lin, outcome) in unit.range().zip(outs) {
+                    assert_eq!(
+                        cells[lin],
+                        PairOutcome::Skipped,
+                        "pair {lin} resolved twice"
+                    );
+                    cells[lin] = outcome;
+                }
+            },
+        );
+        (cells, run)
+    }
+
+    fn scored(cells: &[PairOutcome]) -> usize {
+        cells
+            .iter()
+            .filter(|c| matches!(c, PairOutcome::Score(_)))
+            .count()
+    }
+
+    fn skipped(run: &ShardRun) -> usize {
+        run.leftover.iter().map(|unit| unit.len).sum()
+    }
+
+    /// The quarantined pairs, ascending, with how their workers ended.
+    fn poisoned(cells: &[PairOutcome]) -> Vec<(usize, WorkerExit)> {
+        cells
+            .iter()
+            .enumerate()
+            .filter_map(|(lin, c)| match c {
+                PairOutcome::Poisoned { exit } => Some((lin, *exit)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn clean_fleet_completes_every_chunk() {
+        let opts = scripted(|_, _| Act::Score);
+        let (cells, run) = run_matrix(6, 7, 5, &opts, &CancelToken::new());
+        assert_eq!(run.stop, None);
+        assert_eq!(scored(&cells), 42);
+        assert_eq!(run.stats.pairs_poisoned, 0);
+        assert_eq!(run.stats.worker_restarts, 0);
+        for (lin, cell) in cells.iter().enumerate() {
+            assert_eq!(*cell, PairOutcome::Score(lin as f64 * 2.0), "cell {lin}");
+        }
+    }
+
+    #[test]
+    fn aborting_pair_is_bisected_to_poison_and_the_rest_completes() {
+        // Pair 11 kills its worker (exit 13 stands in for a crash).
+        let opts = scripted(|start, len| match holds(start, len, 11) {
+            true => Act::Die(13),
+            false => Act::Score,
+        });
+        let (cells, run) = run_matrix(4, 8, 8, &opts, &CancelToken::new());
+        assert_eq!(run.stop, None, "{:?}", run.stats);
+        assert_eq!(poisoned(&cells), vec![(11, WorkerExit::Code(13))]);
+        assert_eq!(run.stats.pairs_poisoned, 1);
+        assert_eq!(scored(&cells), 31);
+        assert!(run.stats.worker_restarts > 0);
+        assert!(
+            run.stats.max_bisect_depth >= 3,
+            "depth {}",
+            run.stats.max_bisect_depth
+        );
+        for (lin, cell) in cells.iter().enumerate() {
+            if lin != 11 {
+                assert_eq!(*cell, PairOutcome::Score(lin as f64 * 2.0), "cell {lin}");
+            }
+        }
+    }
+
+    #[test]
+    fn wedged_pair_is_killed_and_attributed_as_hard_timeout() {
+        let mut opts = scripted(|start, len| match holds(start, len, 3) {
+            true => Act::Hang,
+            false => Act::Score,
+        });
+        opts.lease_timeout = Duration::from_millis(250);
+        let (cells, run) = run_matrix(2, 4, 4, &opts, &CancelToken::new());
+        assert_eq!(run.stop, None, "{:?}", run.stats);
+        assert_eq!(poisoned(&cells), vec![(3, WorkerExit::HardTimeout)]);
+        // The silent worker was killed and replaced.
+        assert!(run.stats.leases_expired > 0 && run.stats.worker_restarts > 0);
+        assert_eq!(scored(&cells), 7);
+    }
+
+    #[test]
+    fn garbage_output_is_attributed_as_protocol_poison() {
+        let opts = scripted(|start, len| match holds(start, len, 5) {
+            true => Act::Garble,
+            false => Act::Score,
+        });
+        let (cells, run) = run_matrix(3, 3, 4, &opts, &CancelToken::new());
+        assert_eq!(run.stop, None, "{:?}", run.stats);
+        assert_eq!(poisoned(&cells), vec![(5, WorkerExit::Protocol)]);
+        assert!(run.stats.frames_corrupt > 0);
+        assert_eq!(scored(&cells), 8);
+    }
+
+    #[test]
+    fn restart_budget_exhaustion_stops_instead_of_crash_looping() {
+        // Every chunk kills the worker: with a tiny budget the run
+        // must stop with WorkerRestartsExhausted and skip the rest.
+        let mut opts = scripted(|_, _| Act::Die(7));
+        opts.restart_budget = 3;
+        opts.workers = 1;
+        let (cells, run) = run_matrix(4, 4, 2, &opts, &CancelToken::new());
+        assert_eq!(run.stop, Some(StopReason::WorkerRestartsExhausted));
+        assert_eq!(scored(&cells), 0);
+        assert!(skipped(&run) > 0, "{:?}", run.stats);
+    }
+
+    #[test]
+    fn missing_worker_binary_exhausts_the_budget_cleanly() {
+        let mut opts = subprocess_opts(Arc::new(ProcessLauncher {
+            program: PathBuf::from("/nonexistent/sts-worker"),
+        }));
+        opts.restart_budget = 2;
+        opts.workers = 1;
+        let (cells, run) = run_matrix(2, 2, 2, &opts, &CancelToken::new());
+        assert_eq!(run.stop, Some(StopReason::WorkerRestartsExhausted));
+        assert_eq!(scored(&cells), 0);
+        assert_eq!(skipped(&run), 4);
+    }
+
+    #[test]
+    fn handshake_rejection_stops_typed_without_burning_restarts() {
+        // The worker answers `begin` with a typed reject frame — a
+        // version-skewed binary. The run must stop as WorkerRejected
+        // on the first refusal, not crash-loop through the budget.
+        let mut opts = subprocess_opts(Arc::new(ScriptedLauncher {
+            script: |_, _| Act::Score,
+            reject: true,
+        }));
+        opts.workers = 1;
+        let (cells, run) = run_matrix(2, 2, 2, &opts, &CancelToken::new());
+        assert_eq!(run.stop, Some(StopReason::WorkerRejected));
+        assert_eq!(run.stats.workers_rejected, 1);
+        assert_eq!(run.stats.worker_restarts, 0, "rejection must not retry");
+        assert_eq!(scored(&cells), 0);
+        assert_eq!(skipped(&run), 4);
+    }
+
+    #[test]
+    fn cancellation_skips_queued_chunks() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let (cells, run) = run_matrix(4, 4, 2, &scripted(|_, _| Act::Score), &cancel);
+        assert_eq!(run.stop, Some(StopReason::Cancelled));
+        assert_eq!(scored(&cells), 0);
+        assert_eq!(skipped(&run), 16);
+    }
+
+    #[test]
+    fn poison_set_is_deterministic_across_repeat_runs() {
+        let mut sets = Vec::new();
+        for _ in 0..3 {
+            let opts = scripted(
+                |start, len| match holds(start, len, 2) || holds(start, len, 9) {
+                    true => Act::Die(5),
+                    false => Act::Score,
+                },
+            );
+            let (cells, _) = run_matrix(4, 4, 16, &opts, &CancelToken::new());
+            let set = poisoned(&cells);
+            let lins: Vec<usize> = set.iter().map(|&(lin, _)| lin).collect();
+            assert_eq!(lins, vec![2, 9], "{set:?}");
+            sets.push(set);
+        }
+        assert_eq!(sets[0], sets[1]);
+        assert_eq!(sets[1], sets[2]);
     }
 }

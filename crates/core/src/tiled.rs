@@ -10,10 +10,11 @@
 //!
 //! * tiles are [`TileConfig::tile_pairs`] pairs each, derivable from a
 //!   byte budget via [`TileConfig::with_memory_budget`];
-//! * each tile is computed on the configured executor — the in-process
-//!   pool or the `sts-worker` subprocess fleet, per
-//!   [`JobConfig::exec`](crate::job::JobConfig::exec), or dealt whole
-//!   to a socket fleet under leases ([`crate::shard`]) — then
+//! * each tile is computed on the configured executor, per
+//!   [`JobConfig::exec`](crate::job::JobConfig::exec) — the in-process
+//!   pool, or the `sts-worker` fleet of [`crate::shard`], which either
+//!   takes the tile's chunks (`Subprocess`) or is dealt whole tiles
+//!   (`Sharded`) — then
 //!   **spilled** to its own file through the
 //!   [`Storage`](sts_runtime::Storage) trait (tmp write → fsync →
 //!   rename → dir fsync) and **read-back verified** before the
@@ -43,18 +44,18 @@
 
 use crate::batch::{prepare_all, BatchReport, PairOutcome};
 use crate::job::{job_fingerprint, ExecMode, JobConfig, JobError, JobReport};
+use crate::shard::{run_sharded, FleetTelemetry, Policy, ShardOptions, ShardRun};
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
 use crate::worker;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
-use sts_isolate::{IsolateConfig, WorkerSpec};
+use std::time::{Duration, Instant};
 use sts_obs::{trace, Telemetry};
 use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
 use sts_runtime::{
-    Budget, CellRecord, FsStorage, IsolateStats, JobState, JobStats, PairChunk, PairSpace,
+    Budget, CellRecord, FsStorage, JobState, JobStats, PairChunk, PairSpace, ShardStats,
     StopReason, Storage, TileData, TileError, TileStats, TileStore,
 };
 use sts_traj::Trajectory;
@@ -139,9 +140,9 @@ struct Scorer<'a> {
     space: PairSpace,
     prepared_q: Vec<Option<PreparedTrajectory>>,
     prepared_c: Vec<Option<PreparedTrajectory>>,
-    /// Supervisor template under [`ExecMode::Subprocess`]; `None`
-    /// scores on the thread pool.
-    spawn: Option<IsolateConfig>,
+    /// The fleet a tile's chunks are dealt to under
+    /// [`ExecMode::Subprocess`]; `None` scores on the thread pool.
+    fleet: Option<ShardOptions>,
     /// The job as worker preamble frames (empty in process).
     preamble: Vec<String>,
     /// Chunks in a full tile: tile `t` numbers its chunks from
@@ -156,8 +157,20 @@ struct Progress {
     stop: Option<StopReason>,
     /// Pairs given a terminal outcome this run — the budget's unit.
     new_pairs: usize,
-    /// Chunk, retry, timing and isolation accounting.
+    /// Chunk, retry, timing and fleet accounting.
     stats: JobStats,
+    /// Telemetry the fleet shipped, over every fleet run of the job.
+    fleet: FleetTelemetry,
+}
+
+impl Progress {
+    /// Folds one fleet run's accounting and shipped telemetry in.
+    fn absorb(&mut self, run: &ShardRun) {
+        if let Some(shard) = self.stats.shard.as_mut() {
+            shard.add(&run.stats);
+        }
+        self.fleet.add(&run.telemetry);
+    }
 }
 
 impl Sts {
@@ -317,6 +330,7 @@ impl Sts {
         let space = PairSpace::new(queries.len(), candidates.len());
         let mut batch = BatchReport::default();
         let mut tstats = TileStats::default();
+        let on_fleet = !matches!(cfg.exec, ExecMode::InProcess);
 
         // A job with no budget at all returns before preparing
         // anything: "0-pair budget" must mean *immediately*, not
@@ -326,6 +340,7 @@ impl Sts {
             stats.elapsed = started.elapsed();
             stats.pairs_skipped = space.len();
             stats.tiles = tiling.map(|_| tstats);
+            stats.shard = on_fleet.then(ShardStats::default);
             return Ok(JobReport {
                 batch,
                 stats,
@@ -355,20 +370,23 @@ impl Sts {
                 worker::encode_preamble(spec, grid, cfg, &space, queries, candidates, hb_every)
             }
         };
-        let spawn = match &cfg.exec {
-            ExecMode::Subprocess(opts) => Some(IsolateConfig {
-                worker: WorkerSpec {
-                    program: worker_program(&opts.worker)?,
-                    args: vec!["serve".to_string()],
-                    envs: Vec::new(),
+        let fleet = match &cfg.exec {
+            // The Subprocess policy's fleet: a worker per thread, the
+            // hard timeout as the lease and no heartbeats (a chunk must
+            // answer within one lease), and quick respawns.
+            ExecMode::Subprocess(opts) => Some(ShardOptions {
+                worker: Some(worker_program(&opts.worker)?),
+                workers: match cfg.threads {
+                    0 => sts_runtime::thread_count(usize::MAX),
+                    n => n,
                 },
-                workers: cfg.threads,
-                hard_timeout: opts.hard_timeout,
+                lease_timeout: opts.hard_timeout,
                 ready_timeout: opts.ready_timeout,
+                hb_every: 0,
                 restart_budget: opts.restart_budget,
-                poison_attempts: opts.poison_attempts,
-                cancel: cfg.cancel.clone(),
-                ..IsolateConfig::default()
+                backoff_base: Duration::from_millis(1),
+                backoff_cap: Duration::from_millis(100),
+                ..ShardOptions::default()
             }),
             // Custom launchers bring their own workers.
             ExecMode::Sharded(opts) if opts.launcher.is_none() => {
@@ -399,7 +417,7 @@ impl Sts {
             space,
             prepared_q,
             prepared_c,
-            spawn,
+            fleet,
             preamble,
             chunks_per_tile: tile_pairs.div_ceil(cfg.chunk_pairs.max(1)),
             cell_retries: AtomicU64::new(0),
@@ -408,8 +426,9 @@ impl Sts {
             stop: None,
             new_pairs: 0,
             stats: JobStats::new(JobState::Complete, space.len()),
+            fleet: FleetTelemetry::default(),
         };
-        progress.stats.isolate = scorer.spawn.as_ref().map(|_| IsolateStats::default());
+        progress.stats.shard = on_fleet.then(ShardStats::default);
 
         // ---- Resume: a verified tile on disk is free progress. -----
         let mut sources: Vec<TileSource> = tiles.iter().map(|_| TileSource::Skipped).collect();
@@ -441,33 +460,30 @@ impl Sts {
 
         // ---- Sharded: deal the rest to the fleet under leases,
         // spilling each commit as it lands. ----
-        let mut shard_stats = None;
-        let mut fleet_telemetry = None;
         if let (ExecMode::Sharded(sopts), Some(store)) = (&cfg.exec, &store) {
-            let run = crate::shard::run_sharded(
-                &tiles,
-                &todo,
+            let units: Vec<PairChunk> = todo.iter().map(|&idx| tiles[idx]).collect();
+            let run = run_sharded(
+                &units,
                 &scorer.preamble,
                 sopts,
+                Policy::Release,
                 &cfg.cancel,
                 cfg.budget,
-                &mut |idx, outs| {
-                    let tile = &tiles[idx];
+                &mut |tile, outs| {
                     tstats.max_resident_cells =
                         tstats.max_resident_cells.max(resident_fallback + tile.len);
                     tstats.tiles_computed += 1;
                     progress.new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
-                    sources[idx] =
+                    sources[tile.id] =
                         spill_tile(store, tile, outs, &mut tstats, &mut resident_fallback);
                 },
             );
             progress.stop = run.stop;
-            shard_stats = Some(run.stats);
-            fleet_telemetry = Some(run.telemetry);
+            progress.absorb(&run);
             // Whatever the fleet could not finish — it was exhausted,
             // rejected the handshake, or the run stopped — degrades to
             // the local executor below. A dead fleet never loses a job.
-            todo = run.leftover;
+            todo = run.leftover.iter().map(|tile| tile.id).collect();
         }
 
         // ---- Compute the remaining tiles locally, then spill. ----
@@ -478,8 +494,9 @@ impl Sts {
             };
             tstats.max_resident_cells = tstats.max_resident_cells.max(resident_fallback + tile.len);
             tstats.tiles_computed += 1;
-            if let Some(sstats) = shard_stats.as_mut() {
-                sstats.tiles_local_fallback += 1;
+            if let (ExecMode::Sharded(_), Some(shard)) = (&cfg.exec, progress.stats.shard.as_mut())
+            {
+                shard.tiles_local_fallback += 1;
                 sts_obs::static_counter!("shard.tiles.local_fallback").incr();
                 trace::event("shard.tile.fallback", tile.id as f64);
             }
@@ -577,10 +594,10 @@ impl Sts {
         stats.slow_chunks.sort_unstable();
         stats.slow_chunks.dedup();
         stats.tiles = tiling.map(|_| tstats);
-        stats.shard = shard_stats;
 
         let mut telemetry = job_telemetry(metrics_base.as_ref());
-        if let (Some(t), Some(fleet)) = (telemetry.as_mut(), fleet_telemetry.as_ref()) {
+        if let Some(t) = telemetry.as_mut() {
+            let fleet = &progress.fleet;
             // Fold the workers' shipped deltas into the coordinator's
             // own registry delta: unlabeled fleet sums (so
             // `core.pairs.scored` counts work performed anywhere in the
@@ -606,7 +623,7 @@ impl Sts {
 
 impl Scorer<'_> {
     /// Computes one tile on the local executor — the thread pool, or
-    /// the subprocess supervisor under [`ExecMode::Subprocess`] — with
+    /// the worker fleet under [`ExecMode::Subprocess`] — with
     /// whatever budget the run has left (the deadline is absolute, so
     /// it carries over unchanged). `None` when the run had already
     /// stopped: the tile is never attempted. Otherwise the tile's dense
@@ -628,46 +645,31 @@ impl Scorer<'_> {
         let stats = &mut p.stats;
         stats.chunks_total += chunks.len();
 
-        if let Some(iso) = &self.spawn {
-            let iso = IsolateConfig {
+        if let Some(fleet) = &self.fleet {
+            let started = Instant::now();
+            let run = run_sharded(
+                &chunks,
+                &self.preamble,
+                fleet,
+                Policy::Bisect,
+                &cfg.cancel,
                 budget,
-                ..iso.clone()
-            };
-            let run = sts_isolate::supervise(&chunks, &iso, &self.preamble, |_chunk, payload| {
-                // The supervisor validated the framing; a payload that
-                // is not a record set would be a worker bug — leave
-                // those cells skipped rather than guessing.
-                let Some(parsed) = worker::decode_result_payload(payload) else {
-                    return;
-                };
-                for (lin, outcome) in parsed {
-                    if tile.range().contains(&lin) {
-                        outs[lin - tile.start] = outcome;
-                    }
-                }
-            });
-            // Crash-attribution verdicts: quarantine each poison pair
-            // with its worker's exit.
-            for poison in &run.poisoned {
-                if tile.range().contains(&poison.lin) {
-                    outs[poison.lin - tile.start] = PairOutcome::Poisoned { exit: poison.exit };
-                }
-            }
+                &mut |unit, unit_outs| {
+                    let off = unit.start - tile.start;
+                    outs.splice(off..off + unit.len, unit_outs);
+                },
+            );
+            // Chunks count once fully resolved; bisection fragments
+            // are not chunks.
             let resolved = chunks
                 .iter()
                 .filter(|c| c.range().all(|lin| is_terminal(&outs[lin - tile.start])))
                 .count();
             stats.chunks_completed += resolved;
             stats.chunks_skipped += chunks.len() - resolved;
-            stats.chunk_run_total += run.elapsed;
-            let iso_stats = stats.isolate.get_or_insert_with(IsolateStats::default);
-            iso_stats.workers_spawned += run.workers_spawned;
-            iso_stats.worker_restarts += run.worker_restarts;
-            iso_stats.worker_kills += run.worker_kills;
-            iso_stats.protocol_errors += run.protocol_errors;
-            iso_stats.pairs_poisoned += run.poisoned.len();
-            iso_stats.max_bisect_depth = iso_stats.max_bisect_depth.max(run.max_bisect_depth);
+            stats.chunk_run_total += started.elapsed();
             p.stop = run.stop;
+            p.absorb(&run);
         } else {
             let pool_cfg = PoolConfig {
                 threads: cfg.threads,

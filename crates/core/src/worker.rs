@@ -1,21 +1,21 @@
-//! The STS worker subprocess: preamble codec and serve loop.
+//! The STS worker: preamble codec and serve loop.
 //!
-//! [`sts_isolate`] moves chunks and opaque payloads; this module gives
-//! those payloads their STS meaning. The supervisor side
-//! ([`crate::job`], `ExecMode::Subprocess`) encodes the whole job —
-//! measure config, grid, retry policy, fault plan, matrix dims and
-//! both trajectory sides — as *preamble* frames; the worker side
+//! [`sts_isolate`] moves frames; this module gives them their STS
+//! meaning. The coordinator side ([`crate::shard`], under
+//! `ExecMode::Subprocess` and `ExecMode::Sharded`) encodes the whole
+//! job — measure config, grid, retry policy, fault plan, matrix dims
+//! and both trajectory sides — as *preamble* frames; the worker side
 //! ([`serve`]) decodes them, rebuilds the identical [`Sts`], prepares
 //! every trajectory once, answers `ready`, and then scores chunks
 //! until `shutdown` or EOF.
 //!
-//! Wire vocabulary (one whitespace-separated record per frame, framed
-//! by [`sts_isolate::protocol`]):
+//! Wire vocabulary, protocol v4 (one whitespace-separated record per
+//! frame, framed by [`sts_isolate::protocol`]):
 //!
 //! ```text
-//! supervisor → worker (preamble, then `begin`):
+//! coordinator → worker (preamble, then `begin`):
 //!   hello <version> <fingerprint:016x> <hb_every>
-//!   trace <trace_id:016x> <parent_span> <span_base> <ship_spans>   (optional)
+//!   trace <trace_id:016x> <parent_span> <span_base> <ship_spans>
 //!   measure <full|no-noise> <sigma> <kernel> <trunc|none> <off|exact|lattice:<dt>>
 //!   grid <minx> <miny> <maxx> <maxy> <cell>
 //!   retry <max_retries> <base_ns> <cap_ns> <seed>
@@ -23,53 +23,54 @@
 //!   dims <rows> <cols>
 //!   traj <q|c> <index> <npoints> (<x> <y> <t>)*
 //!   begin
-//! worker → supervisor:
-//!   ready [<worker_now_ns>]          (clock origin echoed iff `trace` was sent)
+//! worker → coordinator:
+//!   ready <worker_now_ns>
 //!   | reject version <got> <want>
 //!   | reject fingerprint <computed:016x> <claimed:016x>
-//! supervisor → worker (per chunk):
+//! coordinator → worker (per chunk):
 //!   chunk <req_id> <start> <len>
-//! worker → supervisor (heartbeats only when hb_every > 0):
+//! worker → coordinator (heartbeats only when hb_every > 0):
 //!   hb <req_id> <pairs_done>
-//!   tstat <seq> (c <name> <v> | g <name> <v> | h <name> ...)*      (iff `trace` was sent)
+//!   tstat <seq> (c <name> <v> | g <name> <v> | h <name> ...)*
 //!   tspan <seq> <n> (<id> <parent> <name> <thread> <start> <dur>)* (iff ship_spans)
 //!   result <req_id> <n> (<lin> s <score> | <lin> f <attempts> | <lin> p | <lin> q)*
-//! supervisor → worker (end of run):
+//! coordinator → worker (end of run):
 //!   shutdown
-//! worker → supervisor (final telemetry flush, iff `trace` was sent):
+//! worker → coordinator (final telemetry flush):
 //!   tstat ... [tspan ...] bye <trace_id:016x>
 //! ```
 //!
-//! The optional `trace` preamble frame is the **fleet telemetry
-//! handshake** (protocol v3): it hands the worker the coordinator's
-//! trace id and parent span id, a `span_base` that namespaces this
-//! connection's span ids into a disjoint range, and whether to ship
-//! spans at all. A worker that received it echoes its monotonic trace
-//! clock in `ready <now_ns>` (each process counts from its own
-//! arbitrary epoch — the coordinator turns the echo into a
-//! per-connection [`sts_obs::ClockMap`]), attaches a cumulative
-//! registry snapshot (`tstat`, latest-seq-wins so chaos drops and
-//! duplicates self-heal) and a drained span buffer (`tspan`, span ids
-//! pre-shifted by `span_base`, roots re-parented under `parent_span`)
-//! to every result, and flushes both once more before `bye` on clean
-//! exit. Without the frame the worker behaves exactly as v2: the
-//! stdio subprocess path and hand-rolled drivers see no new frames.
+//! `hello` and `trace` are mandatory: a preamble missing either is
+//! refused with a typed [`ServeError::Spec`] before any `ready`.
+//! Worker and coordinator ship from the same build, so there is no
+//! older dialect to serve.
 //!
 //! The `hello` handshake makes version or corpus skew a *typed*
 //! rejection instead of undefined scoring: the worker recomputes the
 //! job fingerprint from its own decoded preamble (the same hash tile
 //! files are bound to) and answers `reject ...` instead of `ready`
-//! on any mismatch. Supervisors treat a rejection as permanent — the
-//! pairing of binaries is wrong, and restarting cannot fix it. A
-//! preamble without a `hello` frame is served without verification,
-//! for hand-rolled drivers.
+//! on any mismatch. The coordinator treats a rejection as permanent —
+//! the pairing of binaries is wrong, and restarting cannot fix it.
+//!
+//! The `trace` frame is the **fleet telemetry handshake**: it hands
+//! the worker the coordinator's trace id and parent span id, a
+//! `span_base` that namespaces this connection's span ids into a
+//! disjoint range, and whether to ship spans at all. The worker echoes
+//! its monotonic trace clock in `ready <now_ns>` (each process counts
+//! from its own arbitrary epoch — the coordinator turns the echo into
+//! a per-connection [`sts_obs::ClockMap`]), attaches a cumulative
+//! registry snapshot (`tstat`, latest-seq-wins so chaos drops and
+//! duplicates self-heal) and a drained span buffer (`tspan`, span ids
+//! pre-shifted by `span_base`, roots re-parented under `parent_span`)
+//! to every result, and flushes both once more before `bye` on clean
+//! exit.
 //!
 //! `f64`s travel as Rust's shortest round-trip decimal (the same
 //! encoding the tile format relies on), so a worker-scored cell
 //! is bit-identical to its in-process twin. Injected
 //! [`Fault::GarbageOutput`](sts_runtime::Fault) pairs make the worker
 //! replace the chunk's result frame with unframed noise — the
-//! supervisor's protocol validation, not this module, turns that into
+//! coordinator's protocol validation, not this module, turns that into
 //! a quarantine.
 
 use crate::job::JobConfig;
@@ -90,10 +91,9 @@ use sts_traj::Trajectory;
 
 /// The wire-protocol version spoken by this build's `hello` frame. A
 /// worker answering a different version's preamble replies
-/// `reject version <got> <want>` instead of `ready`. Version 3 added
-/// the fleet telemetry handshake (`trace` preamble frame, clocked
-/// `ready`, `tstat`/`tspan`/`bye` shipping).
-pub const PROTOCOL_VERSION: u64 = 3;
+/// `reject version <got> <want>` instead of `ready`. Version 4 made
+/// `hello` and `trace` mandatory and `ready <now_ns>` the only answer.
+pub const PROTOCOL_VERSION: u64 = 4;
 
 /// How many closed spans a worker buffers between shipping
 /// opportunities; the oldest are dropped past this (span shipping is
@@ -144,8 +144,9 @@ fn kernel_from_token(s: &str) -> Option<Kernel> {
 /// contributes the retry policy and fault plan the worker must apply
 /// so in-process and subprocess cells take identical code paths.
 /// `hb_every` asks the worker to emit `hb` heartbeat frames every that
-/// many scored pairs inside a chunk (0 disables them — the stdio
-/// supervisor path, whose per-chunk hard timeout covers liveness).
+/// many scored pairs inside a chunk (0 disables them — the subprocess
+/// path, whose per-chunk hard timeout covers liveness). The
+/// per-connection `trace` frame is the coordinator's to add.
 pub(crate) fn encode_preamble(
     spec: &MeasureSpec,
     grid: &Grid,
@@ -228,10 +229,11 @@ pub(crate) fn encode_preamble(
 /// Why a worker's serve loop gave up.
 #[derive(Debug)]
 pub enum ServeError {
-    /// The supervisor's bytes do not form valid frames (or the stream
+    /// The coordinator's bytes do not form valid frames (or the stream
     /// ended mid-preamble).
     Protocol(ProtocolError),
-    /// The preamble does not describe a runnable job.
+    /// The preamble does not describe a runnable job (including one
+    /// missing its mandatory `hello` or `trace` frame).
     Spec(String),
 }
 
@@ -284,7 +286,7 @@ struct JobSpec {
     candidates: Vec<Option<Trajectory>>,
     // Shapes are recorded from the *raw decoded points*, independently
     // of Trajectory construction, so the fingerprint check sees exactly
-    // what the supervisor hashed.
+    // what the coordinator hashed.
     q_shapes: Vec<Option<crate::job::TrajShape>>,
     c_shapes: Vec<Option<crate::job::TrajShape>>,
 }
@@ -457,10 +459,9 @@ impl JobSpec {
     }
 
     /// The typed rejection this preamble's handshake earns, if any.
-    /// `None` means serve the job — including preambles with no
-    /// `hello` frame at all (hand-rolled drivers skip verification)
-    /// and preambles too torn to even name a grid (those fail in
-    /// [`build`](Self::build) with the specific missing frame).
+    /// `None` means go on to [`build`](Self::build), which refuses a
+    /// preamble missing `hello` or too torn to name a grid with the
+    /// specific missing frame.
     fn handshake_rejection(&self) -> Option<String> {
         let (version, claimed, _) = self.hello?;
         if version != PROTOCOL_VERSION {
@@ -481,6 +482,8 @@ impl JobSpec {
     }
 
     fn build(self) -> Result<WorkerState, ServeError> {
+        let (_, _, hb_every) = self.hello.ok_or_else(|| spec_err("no hello frame"))?;
+        let trace = self.trace.ok_or_else(|| spec_err("no trace frame"))?;
         let (variant, config) = self.measure.ok_or_else(|| spec_err("no measure frame"))?;
         let grid = self.grid.ok_or_else(|| spec_err("no grid frame"))?;
         let (rows, cols) = self.dims.ok_or_else(|| spec_err("no dims frame"))?;
@@ -508,8 +511,6 @@ impl JobSpec {
                 })
                 .collect()
         };
-        let hb_every = self.hello.map_or(0, |(_, _, hb)| hb);
-        let trace = self.trace;
         let prepared_q = prepare_side(self.queries);
         let prepared_c = prepare_side(self.candidates);
         Ok(WorkerState {
@@ -532,16 +533,16 @@ struct WorkerState {
     prepared_q: Vec<Option<crate::PreparedTrajectory>>,
     prepared_c: Vec<Option<crate::PreparedTrajectory>>,
     hb_every: u64,
-    trace: Option<TraceCtx>,
+    trace: TraceCtx,
 }
 
 /// Runs the worker side of the protocol over the given streams until
-/// `shutdown` or clean EOF. This is what the `sts-worker` binary wraps
-/// around locked stdin/stdout; tests drive it over in-memory pipes.
+/// `shutdown` or clean EOF. This is what `sts-worker serve-tcp` wraps
+/// around its coordinator socket; tests drive it over in-memory pipes.
 ///
 /// Faults from the preamble's plan are *executed* here: aborts and
 /// wedges kill or hang this process (that is the point — the
-/// supervisor contains them), and a [`Fault::GarbageOutput`] pair
+/// coordinator contains them), and a [`Fault::GarbageOutput`] pair
 /// makes the worker emit unframed noise instead of its chunk's result
 /// frame.
 pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), ServeError> {
@@ -561,15 +562,11 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
         }
         spec.absorb(&frame)?;
     };
-    let mut shipper = state.trace.map(|ctx| Shipper::install(ctx, metrics_base));
-    // The clock-origin exchange: a trace-aware coordinator needs this
-    // worker's monotonic epoch to map shipped timestamps into its own
-    // clock domain.
-    let ready = match state.trace {
-        Some(_) => format!("ready {}", trace::now_ns()),
-        None => "ready".to_string(),
-    };
-    write_frame(output, &ready).map_err(ProtocolError::Io)?;
+    let mut shipper = Shipper::install(state.trace, metrics_base);
+    // The clock-origin exchange: the coordinator needs this worker's
+    // monotonic epoch to map shipped timestamps into its own clock
+    // domain.
+    write_frame(output, &format!("ready {}", trace::now_ns())).map_err(ProtocolError::Io)?;
     let serve_span = trace::span_with_parent("worker.serve", 0);
 
     let retries = AtomicU64::new(0);
@@ -580,12 +577,10 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
         let frame = match read_frame(input) {
             Ok(f) => f,
             Err(ProtocolError::Eof) => {
-                // The supervisor hung up; flush telemetry best-effort
+                // The coordinator hung up; flush telemetry best-effort
                 // (the write side may be gone too).
                 drop(serve_span);
-                if let Some(sh) = shipper.as_mut() {
-                    let _ = sh.flush(output);
-                }
+                let _ = shipper.flush(output);
                 return Ok(());
             }
             Err(e) => return Err(e.into()),
@@ -643,9 +638,7 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
                 // the result (or the garbage noise — the corruption is
                 // the result's problem, not the snapshot's).
                 drop(chunk_span);
-                if let Some(sh) = shipper.as_mut() {
-                    sh.ship(output).map_err(ProtocolError::Io)?;
-                }
+                shipper.ship(output).map_err(ProtocolError::Io)?;
                 if garbage {
                     // Deliberately NOT a frame: no length prefix, and
                     // bytes that cannot parse as one.
@@ -659,9 +652,7 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
             }
             "shutdown" => {
                 drop(serve_span);
-                if let Some(sh) = shipper.as_mut() {
-                    sh.flush(output).map_err(ProtocolError::Io)?;
-                }
+                shipper.flush(output).map_err(ProtocolError::Io)?;
                 return Ok(());
             }
             other => return Err(spec_err(format!("unknown request frame `{other}`"))),
@@ -828,6 +819,22 @@ mod tests {
         .unwrap()
     }
 
+    /// The preamble plus the per-connection `trace` frame a coordinator
+    /// adds (spans not shipped).
+    fn traced(mut preamble: Vec<String>) -> Vec<String> {
+        preamble.insert(1, format!("trace {:016x} 0 0 0", 0xabu64));
+        preamble
+    }
+
+    /// The payload of the `result <id>` frame among `frames`.
+    fn result_payload(frames: &[String], id: u64) -> &str {
+        let prefix = format!("result {id} ");
+        frames
+            .iter()
+            .find_map(|f| f.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no result {id} in {frames:?}"))
+    }
+
     /// Feeds a full preamble + chunks through `serve` over in-memory
     /// pipes and returns the worker's framed responses.
     fn drive_serve(preamble: &[String], requests: &[String]) -> Vec<String> {
@@ -857,7 +864,7 @@ mod tests {
         let candidates = vec![walker(25.0, 5.0, 6), walker(5.0, 5.0, 6)];
         let space = PairSpace::new(2, 2);
         let cfg = JobConfig::default();
-        let preamble = encode_preamble(
+        let preamble = traced(encode_preamble(
             &MeasureSpec::Full(StsConfig::default()),
             sts.grid(),
             &cfg,
@@ -865,11 +872,10 @@ mod tests {
             &queries,
             &candidates,
             0,
-        );
+        ));
         let frames = drive_serve(&preamble, &["chunk 7 0 4".into()]);
-        assert_eq!(frames[0], "ready");
-        let payload = frames[1].strip_prefix("result 7 ").unwrap();
-        let cells = decode_result_payload(payload).unwrap();
+        assert!(frames[0].starts_with("ready "), "{frames:?}");
+        let cells = decode_result_payload(result_payload(&frames, 7)).unwrap();
         assert_eq!(cells.len(), 4);
         let strict = sts.similarity_matrix(&queries, &candidates).unwrap();
         for (lin, outcome) in cells {
@@ -892,7 +898,7 @@ mod tests {
         ];
         let space = PairSpace::new(1, 2);
         let cfg = JobConfig::default();
-        let preamble = encode_preamble(
+        let preamble = traced(encode_preamble(
             &MeasureSpec::Full(StsConfig::default()),
             &grid(),
             &cfg,
@@ -900,9 +906,9 @@ mod tests {
             &queries,
             &candidates,
             0,
-        );
+        ));
         let frames = drive_serve(&preamble, &["chunk 0 0 2".into()]);
-        let cells = decode_result_payload(frames[1].strip_prefix("result 0 ").unwrap()).unwrap();
+        let cells = decode_result_payload(result_payload(&frames, 0)).unwrap();
         assert_eq!(cells[0], (0, PairOutcome::Quarantined));
         assert!(matches!(cells[1], (1, PairOutcome::Score(_))));
     }
@@ -919,7 +925,7 @@ mod tests {
             }),
             ..JobConfig::default()
         };
-        let preamble = encode_preamble(
+        let preamble = traced(encode_preamble(
             &MeasureSpec::Full(StsConfig::default()),
             &grid(),
             &cfg,
@@ -927,7 +933,7 @@ mod tests {
             &queries,
             &candidates,
             0,
-        );
+        ));
         let mut input = Vec::new();
         for frame in &preamble {
             write_frame(&mut input, frame).unwrap();
@@ -938,7 +944,9 @@ mod tests {
         // EOF after the chunk is a clean exit.
         serve(&mut input.as_slice(), &mut output).unwrap();
         let mut r = output.as_slice();
-        assert_eq!(read_frame(&mut r).unwrap(), "ready");
+        assert!(read_frame(&mut r).unwrap().starts_with("ready "));
+        // Telemetry rides ahead of the result, or of the noise here.
+        assert!(read_frame(&mut r).unwrap().starts_with("tstat 1 "));
         assert!(
             matches!(read_frame(&mut r), Err(ProtocolError::Garbage { .. })),
             "garbage pair must not produce a valid frame"
@@ -958,7 +966,7 @@ mod tests {
             &candidates,
             0,
         );
-        // A future supervisor speaking version 99.
+        // A future coordinator speaking version 99.
         preamble[0] = preamble[0].replacen(&format!("hello {PROTOCOL_VERSION} "), "hello 99 ", 1);
         let mut input = Vec::new();
         for frame in &preamble {
@@ -976,6 +984,38 @@ mod tests {
     }
 
     #[test]
+    fn preamble_without_hello_or_trace_is_refused_before_ready() {
+        let queries = vec![walker(25.0, 0.0, 4)];
+        let candidates = vec![walker(25.0, 5.0, 4)];
+        let preamble = traced(encode_preamble(
+            &MeasureSpec::Full(StsConfig::default()),
+            &grid(),
+            &JobConfig::default(),
+            &PairSpace::new(1, 1),
+            &queries,
+            &candidates,
+            0,
+        ));
+        for (dropped, why) in [("hello ", "no hello frame"), ("trace ", "no trace frame")] {
+            let mut input = Vec::new();
+            for frame in preamble.iter().filter(|f| !f.starts_with(dropped)) {
+                write_frame(&mut input, frame).unwrap();
+            }
+            write_frame(&mut input, "begin").unwrap();
+            write_frame(&mut input, "chunk 0 0 1").unwrap();
+            let mut output = Vec::new();
+            match serve(&mut input.as_slice(), &mut output) {
+                Err(ServeError::Spec(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("without {dropped:?}: {other:?}"),
+            }
+            assert!(
+                output.is_empty(),
+                "without {dropped:?}: wrote before refusing"
+            );
+        }
+    }
+
+    #[test]
     fn corpus_skew_is_a_fingerprint_rejection() {
         let queries = vec![walker(25.0, 0.0, 4)];
         let candidates = vec![walker(25.0, 5.0, 4)];
@@ -989,7 +1029,7 @@ mod tests {
             0,
         );
         // The corpus the worker decodes is not the corpus the
-        // supervisor hashed: nudge one endpoint coordinate.
+        // coordinator hashed: nudge one endpoint coordinate.
         let traj = preamble
             .iter_mut()
             .find(|f| f.starts_with("traj q 0 "))
@@ -1015,7 +1055,7 @@ mod tests {
         let queries = vec![walker(25.0, 0.0, 6), walker(5.0, 0.0, 6)];
         let candidates = vec![walker(25.0, 5.0, 6), walker(5.0, 5.0, 6)];
         let space = PairSpace::new(2, 2);
-        let preamble = encode_preamble(
+        let preamble = traced(encode_preamble(
             &MeasureSpec::Full(StsConfig::default()),
             &grid(),
             &JobConfig::default(),
@@ -1023,18 +1063,16 @@ mod tests {
             &queries,
             &candidates,
             2,
-        );
+        ));
         let frames = drive_serve(&preamble, &["chunk 9 0 4".into()]);
+        assert!(frames[0].starts_with("ready "), "{frames:?}");
         assert_eq!(
-            &frames[..3],
-            &[
-                "ready".to_string(),
-                "hb 9 2".to_string(),
-                "hb 9 4".to_string()
-            ],
+            &frames[1..3],
+            &["hb 9 2".to_string(), "hb 9 4".to_string()],
             "hb_every=2 over a 4-pair chunk beats twice"
         );
-        assert!(frames[3].starts_with("result 9 4 "));
+        assert!(frames[3].starts_with("tstat 1 "), "{frames:?}");
+        assert!(frames[4].starts_with("result 9 4 "), "{frames:?}");
     }
 
     #[test]

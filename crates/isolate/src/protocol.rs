@@ -1,4 +1,4 @@
-//! The length-prefixed line protocol between supervisor and worker.
+//! The length-prefixed line protocol between coordinator and worker.
 //!
 //! Same zero-dependency text style as the matrix tile and
 //! `sts-traj::io` formats, with one addition: every frame carries its
@@ -13,7 +13,7 @@
 //! separating space and the trailing newline). A frame whose length
 //! field is non-numeric, whose body is shorter or longer than
 //! declared, or whose terminator is missing is a [`ProtocolError`] —
-//! the signal the supervisor uses to classify a worker as emitting
+//! the signal the coordinator uses to classify a worker as emitting
 //! garbage and discard it.
 //!
 //! The body itself is a whitespace-separated record in the in-repo

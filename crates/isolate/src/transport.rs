@@ -1,10 +1,9 @@
 //! Framed socket transport with an injectable network-chaos seam.
 //!
-//! The sharded tile coordinator in `sts-core` talks to its worker
-//! fleet over TCP loopback using the exact [`protocol`](crate::protocol)
-//! frames the stdio supervisor uses. [`FrameConn`] wraps one such
-//! connection and adds the two things a socket needs that a pipe does
-//! not:
+//! The fleet coordinator in `sts-core` talks to its workers over TCP
+//! loopback in [`protocol`](crate::protocol) frames. [`FrameConn`]
+//! wraps one such connection and adds the two things a socket needs
+//! that a bare frame reader does not:
 //!
 //! * **read deadlines** — [`FrameConn::set_read_deadline`] arms the
 //!   socket's read timeout, so a silent peer surfaces as a typed

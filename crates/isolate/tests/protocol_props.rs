@@ -5,8 +5,8 @@
 //! 64 MiB cap is enforced exactly at the boundary, truncated wire
 //! bytes never parse as a frame, and a reader on a real loopback
 //! socket resynchronizes after garbage-prefix noise — the property the
-//! supervisor's garbage-worker containment and the sharded
-//! coordinator's corrupt-frame accounting both rest on.
+//! fleet coordinator's garbage-worker containment and corrupt-frame
+//! accounting both rest on.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};

@@ -14,9 +14,9 @@
 //!   surfaces as a counted garbage frame, delays below half the lease
 //!   timeout are harmless by construction, and the lease ledger
 //!   conserves (every granted lease is either committed or expired);
-//! * when chaos (or a fleet that cannot spawn at all) takes every
-//!   worker down, the job degrades to local compute instead of
-//!   failing.
+//! * when chaos (or a fleet that cannot spawn at all, or workers that
+//!   garble every result) takes every worker down, the job degrades to
+//!   local compute instead of failing.
 //!
 //! Every seeded assertion embeds its seed, so a CI failure (the
 //! `net_chaos` step of `scripts/ci.sh`) is replayable.
@@ -34,6 +34,7 @@ use sts_geo::{BoundingBox, Grid, Point};
 use sts_isolate::{NetDirection, NetFault};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_robust::{NetChaos, NetFaultPlan};
+use sts_runtime::{Budget, FaultPlan, JobState};
 use sts_traj::{TrajPoint, Trajectory};
 
 const N_TRAJECTORIES: usize = 16;
@@ -374,5 +375,58 @@ fn lossy_chaos_recovers_through_leases_and_restarts() {
     assert!(
         expired > 0,
         "lossy chaos never engaged lease expiry or worker restart"
+    );
+}
+
+/// Workers that garble every result frame (a worker-side fault plan,
+/// not the transport) cost a lease and a restart each time, so the
+/// fleet spends its restart budget and retires, and every tile falls
+/// back to local compute — where the garbage fault does nothing —
+/// well inside the deadline, instead of being re-leased forever.
+#[test]
+fn garbling_workers_spend_the_budget_and_fall_back_locally() {
+    const SIDE: usize = 4;
+    const PAIRS_PER_TILE: usize = 4;
+    let sts = Sts::new(StsConfig::default(), grid());
+    let queries = corpus(0x6A4B_0001, SIDE);
+    let candidates = corpus(0x6A4B_0002, SIDE);
+    let fault = Some(FaultPlan {
+        garbage_per_mille: 1000,
+        ..FaultPlan::default()
+    });
+    let in_process = JobConfig {
+        fault: fault.clone(),
+        ..JobConfig::default()
+    };
+    let (reference, _) = sts
+        .similarity_matrix_supervised(&queries, &candidates, &in_process)
+        .unwrap();
+
+    let tiles = TempTiles::new("garbage");
+    let tiling = TileConfig {
+        tile_pairs: PAIRS_PER_TILE,
+        ..TileConfig::new(&tiles.0)
+    };
+    let restart_budget = 4;
+    let cfg = JobConfig {
+        fault,
+        budget: Budget::with_deadline(Duration::from_secs(3)),
+        exec: ExecMode::Sharded(ShardOptions {
+            restart_budget,
+            ..shard_opts(&Arc::new(NetChaos::new(NetFaultPlan::none(0))))
+        }),
+        ..JobConfig::default()
+    };
+    let (sharded, report) = sts
+        .similarity_matrix_tiled(&queries, &candidates, &cfg, &tiling)
+        .unwrap();
+    assert_eq!(report.stats.state, JobState::Complete, "{report}");
+    assert_eq!(matrix_bits(&sharded), matrix_bits(&reference));
+    let shard = report.stats.shard.expect("sharded job reports ShardStats");
+    assert_eq!(shard.worker_restarts, restart_budget, "{shard:?}");
+    assert_eq!(
+        shard.tiles_local_fallback,
+        SIDE * SIDE / PAIRS_PER_TILE,
+        "{shard:?}"
     );
 }

@@ -42,9 +42,9 @@ pub enum StopReason {
     DeadlineExceeded,
     /// The max-pairs budget was spent.
     PairBudgetExhausted,
-    /// The subprocess supervisor spent its worker-restart budget:
-    /// workers kept dying faster than the job made progress, so the
-    /// supervisor stopped dealing work instead of crash-looping.
+    /// The subprocess fleet spent its worker-restart budget: workers
+    /// kept dying faster than the job made progress, so the
+    /// coordinator stopped dealing work instead of crash-looping.
     WorkerRestartsExhausted,
     /// A worker refused the job handshake (protocol version or job
     /// fingerprint mismatch). Unlike a crash, rejection is permanent

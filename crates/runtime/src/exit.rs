@@ -6,8 +6,8 @@
 //! whitespace-free token (`code:1`, `signal:6`, `hard-timeout`,
 //! `protocol`), which is what the tile `x` record and the job report
 //! print. It lives in `sts-runtime` — below both the record codec and
-//! the `sts-isolate` supervisor — so the two agree on one type without
-//! a dependency cycle.
+//! the `sts-core` fleet coordinator — so the two agree on one type
+//! without a dependency cycle.
 
 use std::fmt;
 use std::str::FromStr;
@@ -22,11 +22,11 @@ pub enum WorkerExit {
     /// `std::process::abort`, SIGSEGV from a stack overflow, SIGKILL
     /// from the OOM killer.
     Signal(i32),
-    /// The supervisor killed the process because a chunk exceeded the
+    /// The coordinator killed the process because a chunk exceeded the
     /// hard timeout (a wedged computation that never returned).
     HardTimeout,
-    /// The process broke the stdin/stdout protocol (garbage output,
-    /// torn frame, unexpected EOF) and was discarded.
+    /// The process broke the wire protocol (garbage output, torn or
+    /// malformed frame, unexpected EOF) and was discarded.
     Protocol,
     /// The worker refused the handshake — protocol version or job
     /// fingerprint mismatch. A rejection is permanent for the pair of

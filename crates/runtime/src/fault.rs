@@ -45,7 +45,7 @@ pub enum Fault {
     /// wedged computation only a hard-timeout kill can stop.
     Wedge,
     /// Scores normally, but a subprocess worker replaces the result
-    /// frame with garbage bytes — exercising the supervisor's protocol
+    /// frame with garbage bytes — exercising the coordinator's protocol
     /// validation. In-process execution has no protocol, so `apply`
     /// treats it as [`Fault::None`].
     GarbageOutput,

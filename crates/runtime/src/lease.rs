@@ -22,9 +22,9 @@
 //! exactly one spill per tile ever happens.
 //!
 //! The table is single-threaded on purpose (the coordinator owns it
-//! behind its own mutex); it tracks assignment, not I/O.
-
-use std::collections::HashMap;
+//! behind its own mutex); it tracks assignment, not I/O. Units are
+//! indexed densely; crash attribution adds the halves of a bisected
+//! unit as new units ([`LeaseTable::add`]).
 
 /// Lifecycle of one tile in the shard scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +56,6 @@ pub enum CommitOutcome {
 #[derive(Debug)]
 pub struct LeaseTable {
     states: Vec<TileState>,
-    /// Live epoch → tile, for reverse lookups on incoming results.
-    by_epoch: HashMap<u64, usize>,
     next_epoch: u64,
     granted: usize,
     expired: usize,
@@ -69,7 +67,6 @@ impl LeaseTable {
     pub fn new(tiles: usize) -> Self {
         LeaseTable {
             states: vec![TileState::Pending; tiles],
-            by_epoch: HashMap::new(),
             next_epoch: 1,
             granted: 0,
             expired: 0,
@@ -77,58 +74,41 @@ impl LeaseTable {
         }
     }
 
-    /// Number of tiles the table tracks.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// True when the table tracks no tiles.
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+    /// Adds one pending tile and returns its index.
+    pub fn add(&mut self) -> usize {
+        self.states.push(TileState::Pending);
+        self.states.len() - 1
     }
 
     /// Grants a lease on `tile`, superseding any live lease it had
     /// (the old epoch becomes stale immediately). Returns the new
     /// epoch, or `None` when the tile is already committed.
     pub fn lease(&mut self, tile: usize) -> Option<u64> {
-        match self.states[tile] {
-            TileState::Done => None,
-            prev => {
-                if let TileState::Leased { epoch } = prev {
-                    self.by_epoch.remove(&epoch);
-                }
-                let epoch = self.next_epoch;
-                // Epoch uniqueness is the whole at-most-once argument:
-                // a wrapped counter could resurrect a zombie's stale
-                // epoch as live. u64 exhaustion is unreachable in
-                // practice (5 GHz of grants for a century), so treat it
-                // as corruption, never wrap.
-                self.next_epoch = self
-                    .next_epoch
-                    .checked_add(1)
-                    .expect("lease epoch counter exhausted");
-                self.states[tile] = TileState::Leased { epoch };
-                self.by_epoch.insert(epoch, tile);
-                self.granted += 1;
-                Some(epoch)
-            }
+        if self.states[tile] == TileState::Done {
+            return None;
         }
+        let epoch = self.next_epoch;
+        // Epoch uniqueness is the whole at-most-once argument: a
+        // wrapped counter could resurrect a zombie's stale epoch as
+        // live. u64 exhaustion is unreachable in practice (5 GHz of
+        // grants for a century), so treat it as corruption, never wrap.
+        self.next_epoch = self
+            .next_epoch
+            .checked_add(1)
+            .expect("lease epoch counter exhausted");
+        self.states[tile] = TileState::Leased { epoch };
+        self.granted += 1;
+        Some(epoch)
     }
 
     /// Expires the live lease on `tile` (holder died or went silent):
     /// the tile returns to pending and its epoch becomes stale. No-op
     /// for tiles not currently leased.
     pub fn expire(&mut self, tile: usize) {
-        if let TileState::Leased { epoch } = self.states[tile] {
-            self.by_epoch.remove(&epoch);
+        if matches!(self.states[tile], TileState::Leased { .. }) {
             self.states[tile] = TileState::Pending;
             self.expired += 1;
         }
-    }
-
-    /// The tile currently leased under `epoch`, if that epoch is live.
-    pub fn tile_of(&self, epoch: u64) -> Option<usize> {
-        self.by_epoch.get(&epoch).copied()
     }
 
     /// Attempts to commit `tile` under `epoch`. Exactly one call per
@@ -140,7 +120,6 @@ impl LeaseTable {
                 CommitOutcome::Duplicate
             }
             TileState::Leased { epoch: live } if live == epoch => {
-                self.by_epoch.remove(&epoch);
                 self.states[tile] = TileState::Done;
                 CommitOutcome::Committed
             }
@@ -149,31 +128,6 @@ impl LeaseTable {
                 CommitOutcome::Stale
             }
         }
-    }
-
-    /// Marks a tile done outside the lease protocol (resumed from a
-    /// verified spill, or computed by the local fallback). Any live
-    /// lease it had becomes stale.
-    pub fn force_done(&mut self, tile: usize) {
-        if let TileState::Leased { epoch } = self.states[tile] {
-            self.by_epoch.remove(&epoch);
-        }
-        self.states[tile] = TileState::Done;
-    }
-
-    /// True once every tile is committed.
-    pub fn all_done(&self) -> bool {
-        self.states.iter().all(|s| *s == TileState::Done)
-    }
-
-    /// Tiles still pending (not leased, not committed), in index order.
-    pub fn pending(&self) -> Vec<usize> {
-        self.states
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| **s == TileState::Pending)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// Leases granted over the table's lifetime (re-leases count).
@@ -203,7 +157,6 @@ mod tests {
         let e1 = t.lease(1).unwrap();
         let e2 = t.lease(2).unwrap();
         assert!(e0 < e1 && e1 < e2, "epochs must increase");
-        assert_eq!(t.tile_of(e1), Some(1));
         assert_eq!(t.leases_granted(), 3);
     }
 
@@ -216,7 +169,6 @@ mod tests {
         assert_eq!(t.commit(0, e), CommitOutcome::Duplicate);
         // A fresh lease on a committed tile is refused outright.
         assert_eq!(t.lease(0), None);
-        assert!(t.all_done());
         assert_eq!(t.commits_refused(), 1);
     }
 
@@ -242,22 +194,8 @@ mod tests {
         // Re-lease without an explicit expire (lost worker detected at
         // grant time): the old epoch silently dies.
         let new = t.lease(0).unwrap();
-        assert_eq!(t.tile_of(old), None);
         assert_eq!(t.commit(0, old), CommitOutcome::Stale);
         assert_eq!(t.commit(0, new), CommitOutcome::Committed);
-    }
-
-    #[test]
-    fn force_done_invalidates_the_lease() {
-        let mut t = LeaseTable::new(2);
-        let e = t.lease(0).unwrap();
-        // Local fallback finished the tile while a zombie held it.
-        t.force_done(0);
-        assert_eq!(t.commit(0, e), CommitOutcome::Duplicate);
-        assert!(!t.all_done());
-        assert_eq!(t.pending(), vec![1]);
-        t.force_done(1);
-        assert!(t.all_done());
     }
 
     #[test]
@@ -273,9 +211,6 @@ mod tests {
         t.expire(0);
         let e3 = t.lease(0).unwrap();
         assert!(e1 < e2 && e2 < e3);
-        assert_eq!(t.tile_of(e1), None);
-        assert_eq!(t.tile_of(e2), None);
-        assert_eq!(t.tile_of(e3), Some(0));
         // Second zombie reports first, then the first.
         assert_eq!(t.commit(0, e2), CommitOutcome::Stale);
         assert_eq!(t.commit(0, e1), CommitOutcome::Stale);
@@ -285,7 +220,6 @@ mod tests {
         assert_eq!(t.leases_granted(), 3);
         assert_eq!(t.leases_expired(), 2);
         assert_eq!(t.commits_refused(), 3);
-        assert!(t.all_done());
     }
 
     #[test]
@@ -298,6 +232,21 @@ mod tests {
         let e = t.lease(0);
         // Unreachable: the grant at u64::MAX must panic, not succeed.
         assert_eq!(e, Some(u64::MAX));
+    }
+
+    #[test]
+    fn added_tiles_lease_and_commit_like_the_rest() {
+        let mut t = LeaseTable::new(1);
+        let e0 = t.lease(0).unwrap();
+        t.expire(0);
+        // The expired tile is bisected into two new ones.
+        assert_eq!((t.add(), t.add()), (1, 2));
+        let (e1, e2) = (t.lease(1).unwrap(), t.lease(2).unwrap());
+        assert!(e0 < e1 && e1 < e2);
+        assert_eq!(t.commit(2, e2), CommitOutcome::Committed);
+        assert_eq!(t.commit(1, e2), CommitOutcome::Stale);
+        assert_eq!(t.commit(1, e1), CommitOutcome::Committed);
+        assert_eq!(t.leases_granted(), 3);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use fault::{Fault, FaultPlan};
 pub use lease::{CommitOutcome, LeaseTable};
 pub use pool::{ChunkStatus, PoolConfig, PoolRun, RetryPolicy};
 pub use record::{CellRecord, Fnv1a};
-pub use stats::{IsolateStats, JobState, JobStats, ShardStats, TileStats};
+pub use stats::{JobState, JobStats, ShardStats, TileStats};
 pub use store::{sweep_stale_tmp, FsStorage, Storage};
 pub use tile::{sweep_quarantine, TileData, TileError, TileStore, TileSweep};
 

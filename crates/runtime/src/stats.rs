@@ -23,8 +23,8 @@ pub enum JobState {
     DeadlineExceeded,
     /// Stopped by the max-pairs budget.
     BudgetExhausted,
-    /// Stopped because the subprocess supervisor's worker-restart
-    /// budget ran out (workers were dying faster than work completed).
+    /// Stopped because the subprocess fleet's worker-restart budget
+    /// ran out (workers were dying faster than work completed).
     WorkersExhausted,
     /// Stopped because a worker refused the job handshake (protocol
     /// version or job fingerprint mismatch) — a permanent condition
@@ -65,42 +65,6 @@ impl fmt::Display for JobState {
             JobState::WorkerRejected => "worker-rejected",
         };
         write!(f, "{s}")
-    }
-}
-
-/// Subprocess-supervision accounting, present only when a job ran in
-/// subprocess (`ExecMode::Subprocess`) execution mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IsolateStats {
-    /// Worker processes spawned over the whole run (initial fleet plus
-    /// restarts).
-    pub workers_spawned: usize,
-    /// Workers respawned after a death (crash, kill, protocol error).
-    pub worker_restarts: usize,
-    /// Workers killed by the supervisor for exceeding the hard timeout.
-    pub worker_kills: usize,
-    /// Protocol violations observed (garbage output, torn frames,
-    /// unexpected EOF).
-    pub protocol_errors: usize,
-    /// Pairs quarantined as poison after crash attribution.
-    pub pairs_poisoned: usize,
-    /// Deepest chunk bisection performed while attributing a crash.
-    pub max_bisect_depth: usize,
-}
-
-impl fmt::Display for IsolateStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} worker(s) spawned ({} restart(s), {} kill(s)), \
-             {} protocol error(s), {} poisoned pair(s), bisect depth {}",
-            self.workers_spawned,
-            self.worker_restarts,
-            self.worker_kills,
-            self.protocol_errors,
-            self.pairs_poisoned,
-            self.max_bisect_depth,
-        )
     }
 }
 
@@ -158,9 +122,10 @@ impl fmt::Display for TileStats {
     }
 }
 
-/// Sharded-execution accounting, present only when a job dealt its
-/// tiles to a socket-connected worker fleet (`ExecMode::Sharded` in
-/// `sts-core`).
+/// Worker-fleet accounting, present when a job ran on the lease
+/// coordinator (`ExecMode::Subprocess` or `ExecMode::Sharded` in
+/// `sts-core`). Under `Subprocess` the leased units are scheduling
+/// chunks and their bisected halves; under `Sharded`, whole tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
     /// Workers the coordinator spawned over the whole run (initial
@@ -171,26 +136,50 @@ pub struct ShardStats {
     /// Workers that refused the handshake (version or fingerprint
     /// mismatch) and were rejected with a typed error.
     pub workers_rejected: usize,
-    /// Tile leases granted (re-leases of the same tile count again).
+    /// Leases granted (re-leases of the same unit count again).
     pub tiles_leased: usize,
-    /// Leases that expired — the holder died, wedged, or missed its
-    /// heartbeat deadline — and whose tile was re-dealt.
+    /// Leases that expired — the holder died, wedged, broke the
+    /// protocol or missed its deadline — and whose unit was re-dealt
+    /// (or, under `Subprocess`, bisected or quarantined).
     pub leases_expired: usize,
     /// Results refused by the at-most-once commit gate: duplicates of
-    /// an already-committed tile or stale epochs from a superseded
+    /// an already-committed unit or stale epochs from a superseded
     /// lease. Refused results are discarded, never merged.
     pub commits_refused: usize,
     /// Garbage frames observed on worker connections (corrupt bytes
     /// on the wire); each costs the offending worker its lease.
     pub frames_corrupt: usize,
     /// Tiles computed locally after the fleet was exhausted — the
-    /// graceful-degradation path (the job completes in-process instead
-    /// of failing).
+    /// graceful-degradation path of `Sharded` (the job completes
+    /// in-process instead of failing).
     pub tiles_local_fallback: usize,
     /// Clean final telemetry flushes received from shutting-down
     /// workers (`bye` frames): `== workers alive at shutdown` on a
     /// healthy run, fewer under chaos.
     pub telemetry_flushes: usize,
+    /// Pairs quarantined as poison after crash attribution
+    /// (`Subprocess` only).
+    pub pairs_poisoned: usize,
+    /// Deepest bisection performed while attributing a crash.
+    pub max_bisect_depth: usize,
+}
+
+impl ShardStats {
+    /// Adds another fleet run's accounting to this one (the deepest
+    /// bisection of either wins).
+    pub fn add(&mut self, o: &ShardStats) {
+        self.workers_spawned += o.workers_spawned;
+        self.worker_restarts += o.worker_restarts;
+        self.workers_rejected += o.workers_rejected;
+        self.tiles_leased += o.tiles_leased;
+        self.leases_expired += o.leases_expired;
+        self.commits_refused += o.commits_refused;
+        self.frames_corrupt += o.frames_corrupt;
+        self.tiles_local_fallback += o.tiles_local_fallback;
+        self.telemetry_flushes += o.telemetry_flushes;
+        self.pairs_poisoned += o.pairs_poisoned;
+        self.max_bisect_depth = self.max_bisect_depth.max(o.max_bisect_depth);
+    }
 }
 
 impl fmt::Display for ShardStats {
@@ -200,7 +189,7 @@ impl fmt::Display for ShardStats {
             "{} worker(s) spawned ({} restart(s), {} rejected), \
              {} lease(s) ({} expired, {} commit(s) refused), \
              {} corrupt frame(s), {} local-fallback tile(s), \
-             {} telemetry flush(es)",
+             {} telemetry flush(es), {} poisoned pair(s), bisect depth {}",
             self.workers_spawned,
             self.worker_restarts,
             self.workers_rejected,
@@ -210,6 +199,8 @@ impl fmt::Display for ShardStats {
             self.frames_corrupt,
             self.tiles_local_fallback,
             self.telemetry_flushes,
+            self.pairs_poisoned,
+            self.max_bisect_depth,
         )
     }
 }
@@ -236,7 +227,7 @@ pub struct JobStats {
     /// Pairs restored from verified tiles instead of recomputed.
     pub pairs_resumed: usize,
     /// Pair chunks dealt to the local executor (the thread pool or the
-    /// subprocess supervisor). Resumed tiles and tiles a worker fleet
+    /// subprocess fleet). Resumed tiles and tiles a sharded fleet
     /// computed deal none; tiles themselves are counted in
     /// [`TileStats`].
     pub chunks_total: usize,
@@ -259,12 +250,9 @@ pub struct JobStats {
     /// Total time workers spent inside chunk work functions, summed
     /// over all attempts.
     pub chunk_run_total: Duration,
-    /// Subprocess-supervision accounting; `None` for in-process runs.
-    pub isolate: Option<IsolateStats>,
     /// Out-of-core tiling accounting; `None` for in-memory runs.
     pub tiles: Option<TileStats>,
-    /// Sharded-execution accounting; `None` unless the job dealt tiles
-    /// to a socket worker fleet.
+    /// Worker-fleet accounting; `None` for in-process jobs.
     pub shard: Option<ShardStats>,
 }
 
@@ -288,7 +276,6 @@ impl JobStats {
             slow_chunks: Vec::new(),
             chunk_wait_total: Duration::ZERO,
             chunk_run_total: Duration::ZERO,
-            isolate: None,
             tiles: None,
             shard: None,
         }
@@ -352,9 +339,6 @@ impl fmt::Display for JobStats {
                 self.chunk_wait_total.as_secs_f64(),
                 self.chunk_run_total.as_secs_f64(),
             )?;
-        }
-        if let Some(iso) = &self.isolate {
-            write!(f, "; isolate: {iso}")?;
         }
         if let Some(tiles) = &self.tiles {
             write!(f, "; tiles: {tiles}")?;
@@ -462,10 +446,16 @@ mod tests {
             frames_corrupt: 3,
             tiles_local_fallback: 0,
             telemetry_flushes: 2,
+            pairs_poisoned: 1,
+            max_bisect_depth: 3,
         });
         let text = s.to_string();
         assert!(text.contains("shard: 4 worker(s) spawned"), "{text}");
         assert!(text.contains("9 lease(s) (2 expired"), "{text}");
         assert!(text.contains("3 corrupt frame(s)"), "{text}");
+        assert!(
+            text.contains("1 poisoned pair(s), bisect depth 3"),
+            "{text}"
+        );
     }
 }

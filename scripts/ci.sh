@@ -58,12 +58,15 @@ run_seeded "runtime unit tests" cargo test -p sts-runtime -q --offline
 run_seeded "job lifecycle suite" cargo test -p sts-core -q --offline --test job_lifecycle
 run_seeded "supervised chaos suite" cargo test -p sts-robust -q --offline --test supervised_chaos
 
-# Process-isolation gate: the sts-isolate supervisor units, the worker
-# wire-protocol suite, and the crash suite — real worker processes
-# aborted, wedged, SIGKILLed and garbled, with poison-pair attribution
-# compared against the fault plan's prediction, across fixed seeds.
-echo "== isolation (worker supervision + crash suite; fixed seeds) =="
-run_seeded "isolate unit tests" cargo test -p sts-isolate -q --offline
+# Process-isolation gate: the worker-fleet coordinator's units (lease
+# policy and the Subprocess bisection policy against scripted workers
+# that die, hang and garble), the sts-isolate frame codec and
+# transport, and the crash suite — real worker processes aborted,
+# wedged, SIGKILLed and garbled, with poison-pair attribution compared
+# against the fault plan's prediction, across fixed seeds.
+echo "== isolation (fleet coordinator + frame codec + crash suite; fixed seeds) =="
+run_seeded "fleet coordinator unit tests" cargo test -p sts-core -q --offline --lib shard
+run_seeded "frame codec and transport tests" cargo test -p sts-isolate -q --offline
 run_seeded "isolation crash suite" cargo test -p sts-repro -q --offline --test isolation
 
 # Out-of-core tiling gate: the disk-chaos suite (seeded torn writes,
@@ -138,69 +141,18 @@ else
     echo "bench snapshot failed (non-gating); continuing"
 fi
 
-# Non-gating cache-speedup snapshot: the stp_cache suite alone, written
-# as BENCH_stp_cache.json — per-pair timings for uncached/exact/lattice
-# matrices plus stp_evals_per_pair and speedup extras from registry
-# deltas. Same noisy-hardware caveat as above: never fails the gate.
-echo "== stp cache bench snapshot (non-gating) =="
-if cargo run -p sts-bench --release --offline --bin perf -- --quick --json BENCH_stp_cache.json stp_cache; then
-    echo "stp cache bench snapshot written to BENCH_stp_cache.json"
-else
-    echo "stp cache bench snapshot failed (non-gating); continuing"
-fi
-
-# Non-gating out-of-core snapshot: the tiles suite alone, written as
-# BENCH_tiles.json — in-memory vs tiled vs tiled-top-k timings plus
-# pairs_per_sec, tiles_spilled, max_resident_cells and peak_rss_bytes
-# extras. Same noisy-hardware caveat: never fails the gate.
-echo "== tiles bench snapshot (non-gating) =="
-if cargo run -p sts-bench --release --offline --bin perf -- --quick --json BENCH_tiles.json tiles; then
-    echo "tiles bench snapshot written to BENCH_tiles.json"
-else
-    echo "tiles bench snapshot failed (non-gating); continuing"
-fi
-
-# Non-gating sharded-execution snapshot: the shard suite alone, written
-# as BENCH_shard.json — in-process tiled vs 1-worker vs 4-worker fleet
-# timings plus pairs_per_sec and the coordinator's lease ledger
-# (tiles_leased, leases_expired, tiles_local_fallback). Same
-# noisy-hardware caveat: never fails the gate.
-echo "== shard bench snapshot (non-gating) =="
-if cargo run -p sts-bench --release --offline --bin perf -- --quick --json BENCH_shard.json shard; then
-    echo "shard bench snapshot written to BENCH_shard.json"
-else
-    echo "shard bench snapshot failed (non-gating); continuing"
-fi
-
-# Non-gating streaming-service snapshot: the serve suite alone, written
-# as BENCH_serve.json — ack'd-ingest / windowed-query / hello
-# round-trip timings against a live server on loopback, plus
-# ingest_records_per_sec, client-observed query_p50_ns / query_p99_ns,
-# and the WAL recovery-replay time. Same noisy-hardware caveat: never
-# fails the gate.
-echo "== serve bench snapshot (non-gating) =="
-if cargo run -p sts-bench --release --offline --bin perf -- --quick --json BENCH_serve.json serve; then
-    echo "serve bench snapshot written to BENCH_serve.json"
-else
-    echo "serve bench snapshot failed (non-gating); continuing"
-fi
-
 # Non-gating bench regression: every `*pairs_per_sec` extra in the
-# fresh BENCH_tier1.json / BENCH_shard.json snapshots is compared
-# against the committed baselines (`git show HEAD:<snap>`), as a delta
+# fresh BENCH_tier1.json snapshot (which holds every suite) is compared
+# against the committed baseline (`git show HEAD:<snap>`), as a delta
 # table. Throughput on shared CI hardware is noisy, so a regression
 # beyond 25% only warns — this step never fails the gate.
-echo "== bench regression vs committed baselines (non-gating) =="
-for snap in BENCH_tier1.json BENCH_shard.json; do
-    if ! baseline="$(git show "HEAD:${snap}" 2>/dev/null)"; then
-        echo "no committed baseline for ${snap}; skipping"
-        continue
-    fi
-    if [ ! -f "${snap}" ]; then
-        echo "no fresh ${snap} (snapshot step above failed); skipping"
-        continue
-    fi
-    echo "-- ${snap} --"
+echo "== bench regression vs committed baseline (non-gating) =="
+snap=BENCH_tier1.json
+if ! baseline="$(git show "HEAD:${snap}" 2>/dev/null)"; then
+    echo "no committed baseline for ${snap}; skipping"
+elif [ ! -f "${snap}" ]; then
+    echo "no fresh ${snap} (snapshot step above failed); skipping"
+else
     printf '  %-40s %14s %14s %9s\n' metric baseline fresh delta
     join <(bench_rates <(printf '%s\n' "$baseline") | sort) \
         <(bench_rates "${snap}" | sort) |
@@ -210,7 +162,7 @@ for snap in BENCH_tier1.json BENCH_shard.json; do
             flag = (delta < -25) ? "  <-- WARNING: >25% regression" : ""
             printf "  %-40s %14.1f %14.1f %+8.1f%%%s\n", $1, base, fresh, delta, flag
         }'
-done
+fi
 
 echo "== format =="
 if cargo fmt --version >/dev/null 2>&1; then

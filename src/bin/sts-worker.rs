@@ -1,14 +1,13 @@
-//! `sts-worker` — the subprocess scoring worker, plus the crash-suite
-//! drivers the isolation tests exercise it with.
+//! `sts-worker` — the scoring worker, plus the crash-suite workloads
+//! the isolation tests exercise it with.
 //!
 //! Subcommands:
 //!
-//! - `serve` (or no argument): speak the `sts-isolate` wire protocol on
-//!   stdin/stdout and score chunks until EOF or `shutdown`. This is the
-//!   binary [`sts_core::ExecMode::Subprocess`] jobs spawn.
-//! - `serve-tcp <addr>`: connect to the sharded coordinator at `addr`
-//!   (loopback TCP) and speak the same wire protocol over the socket.
-//!   This is the binary [`sts_core::ExecMode::Sharded`] fleets spawn.
+//! - `serve-tcp <addr>`: connect to the fleet coordinator at `addr`
+//!   (loopback TCP), speak the worker wire protocol over the socket and
+//!   score chunks until EOF or `shutdown`. This is what both
+//!   [`sts_core::ExecMode::Subprocess`] and
+//!   [`sts_core::ExecMode::Sharded`] jobs spawn.
 //! - `chaos <in-process|subprocess> <seed>`: run the 8×8 crash-suite
 //!   workload whose fault plan aborts, wedges and garbles workers.
 //!   Subprocess mode finishes with only the poison pairs quarantined;
@@ -36,46 +35,30 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
     match argv.as_slice() {
-        [] | ["serve"] => run_serve(),
         ["serve-tcp", addr] => run_serve_tcp(addr),
         ["chaos", mode, seed] => run_chaos(mode, seed),
         ["tile-drive", dir, seed, out] => run_tile_drive(dir, seed, out, false),
         ["tile-drive", dir, seed, out, "subprocess"] => run_tile_drive(dir, seed, out, true),
         _ => {
             eprintln!(
-                "usage: sts-worker [serve | serve-tcp <addr> | chaos <mode> <seed> | \
-                 tile-drive <dir> <seed> <out> [subprocess]]"
+                "usage: sts-worker serve-tcp <addr> | chaos <in-process|subprocess> <seed> | \
+                 tile-drive <dir> <seed> <out> [subprocess]"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Serve the wire protocol until the supervisor hangs up. A protocol
-/// error (torn frame, dead pipe) is a nonzero exit the supervisor will
-/// see and attribute; it must not look like success.
+/// Connect out to the fleet coordinator and serve the wire protocol
+/// over the socket until it hangs up. A protocol error (torn frame,
+/// dead socket) is a nonzero exit the coordinator will see and
+/// attribute; it must not look like success.
 ///
 /// `STS_TRACE`/`STS_METRICS` work here exactly as in the coordinator,
 /// with one twist: a file-path `STS_TRACE` gets `.<pid>` appended, so
 /// a worker inheriting its coordinator's environment streams its own
 /// trace JSONL to its own file (on top of whatever telemetry it ships
 /// over the wire) instead of truncating the coordinator's.
-fn run_serve() -> ExitCode {
-    sts_obs::init_from_env_suffixed(Some(&std::process::id().to_string()));
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match sts_core::serve(&mut stdin.lock(), &mut stdout.lock()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("sts-worker: {e}");
-            ExitCode::from(3)
-        }
-    }
-}
-
-/// Connect out to the sharded coordinator and serve the wire protocol
-/// over the socket until it hangs up. Same error contract as stdio
-/// serving: a protocol failure is a nonzero exit, never a fake success.
 fn run_serve_tcp(addr: &str) -> ExitCode {
     sts_obs::init_from_env_suffixed(Some(&std::process::id().to_string()));
     let stream = match std::net::TcpStream::connect(addr) {
@@ -299,15 +282,8 @@ fn run_chaos(mode: &str, seed: &str) -> ExitCode {
     for &(i, j, exit) in &report.batch.poisoned_pairs {
         out.push_str(&format!("poisoned {} {exit}\n", i * cols + j));
     }
-    if let Some(iso) = &report.stats.isolate {
-        out.push_str(&format!(
-            "isolate spawned {} restarts {} kills {} protocol {} bisect {}\n",
-            iso.workers_spawned,
-            iso.worker_restarts,
-            iso.worker_kills,
-            iso.protocol_errors,
-            iso.max_bisect_depth,
-        ));
+    if let Some(shard) = &report.stats.shard {
+        out.push_str(&format!("shard {shard}\n"));
     }
     out.push_str(&format!("digest {:016x}\n", matrix_digest(&matrix)));
     let stdout = std::io::stdout();

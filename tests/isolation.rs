@@ -203,12 +203,12 @@ fn subprocess_chaos_quarantines_exactly_the_poison_pairs() {
             }
         }
 
-        let iso = report
+        let shard = report
             .stats
-            .isolate
-            .expect("subprocess job reports isolate stats");
-        assert!(iso.workers_spawned > 0);
-        assert_eq!(iso.pairs_poisoned as usize, expected_poison.len());
+            .shard
+            .expect("subprocess job reports fleet stats");
+        assert!(shard.workers_spawned > 0);
+        assert_eq!(shard.pairs_poisoned, expected_poison.len());
 
         // Rerun: byte-identical outcome.
         let (again, report2) = sts
@@ -278,8 +278,8 @@ fn subprocess_matches_in_process_bit_for_bit_on_a_clean_run() {
     assert_eq!(r1.stats.state, JobState::Complete);
     assert_eq!(r2.stats.state, JobState::Complete);
     assert_eq!(matrix_bits(&inproc), matrix_bits(&subproc));
-    assert!(r2.stats.isolate.is_some());
-    assert!(r1.stats.isolate.is_none());
+    assert!(r2.stats.shard.is_some());
+    assert!(r1.stats.shard.is_none());
 }
 
 /// A completed (degraded) subprocess job spills its poison cells into
@@ -306,7 +306,7 @@ fn subprocess_resume_replays_poison_without_respawning() {
         .similarity_matrix_tiled(queries, candidates, &cfg, &tiling)
         .unwrap();
     assert_eq!(r1.stats.state, JobState::Degraded);
-    assert!(r1.stats.isolate.unwrap().workers_spawned > 0);
+    assert!(r1.stats.shard.unwrap().workers_spawned > 0);
     assert!(
         !r1.batch.poisoned_pairs.is_empty(),
         "the plan kills workers"
@@ -319,9 +319,17 @@ fn subprocess_resume_replays_poison_without_respawning() {
         r2.stats.pairs_resumed, 64,
         "everything comes from the tiles"
     );
-    let iso = r2.stats.isolate.expect("still a subprocess job");
-    assert_eq!(iso.workers_spawned, 0, "no work left, no workers");
-    assert_eq!(iso.worker_kills, 0, "poison must not be rediscovered");
+    let shard = r2.stats.shard.expect("still a subprocess job");
+    assert_eq!(shard.workers_spawned, 0, "no work left, no workers");
+    assert_eq!(
+        (
+            shard.tiles_leased,
+            shard.leases_expired,
+            shard.pairs_poisoned
+        ),
+        (0, 0, 0),
+        "poison must not be rediscovered"
+    );
     for (matrix, report) in [(&first, &r1), (&second, &r2)] {
         assert_eq!(matrix_bits(matrix), matrix_bits(&untiled));
         assert_eq!(report.batch.poisoned_pairs, r0.batch.poisoned_pairs);
