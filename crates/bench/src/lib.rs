@@ -15,8 +15,9 @@
 //!   matching task (`matching`), the dense-vs-sparse STP ablation
 //!   (`stp`), the per-trajectory STP cache against the uncached oracle
 //!   (`stp_cache`), the substrate primitives (`substrates`) and the
-//!   dirty-data path — repair, lenient parsing, degraded batch —
-//!   (`chaos`) and the supervision overhead (`runtime`). A smoke run of
+//!   dirty-data path — repair and lenient parsing — (`chaos`) and
+//!   the supervised matrix in process and in worker subprocesses
+//!   (`runtime`). A smoke run of
 //!   every suite hides behind `cargo test -p sts-bench -- --ignored`.
 //!   `--json <path>` additionally writes the machine-readable
 //!   [`report`] document (`BENCH_<name>.json` by convention).

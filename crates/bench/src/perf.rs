@@ -271,10 +271,10 @@ pub fn stp_cache(config: &TimingConfig) -> PerfReport {
     }
 }
 
-/// The dirty-data path: repairing injector-corrupted streams, lenient
-/// parsing of a byte-mangled file, and the degraded batch API versus
-/// the strict matrix on the same clean batch (the `catch_unwind`
-/// overhead a well-behaved workload pays for panic containment).
+/// The dirty-data path: repairing injector-corrupted streams and
+/// lenient parsing of a byte-mangled file. (Every matrix entry point is
+/// a view of one engine, so containment costs the same everywhere; the
+/// `runtime` suite times it.)
 pub fn chaos(config: &TimingConfig) -> PerfReport {
     let scenario = bench_mall(5);
     let clean: Vec<Trajectory> = scenario.pairs.d1.clone();
@@ -294,18 +294,6 @@ pub fn chaos(config: &TimingConfig) -> PerfReport {
     ByteMangler::default().mangle(&mut mangled, &mut rng);
 
     let repair_cfg = RepairConfig::default();
-    let survivors: Vec<Trajectory> = corrupted
-        .iter()
-        .flat_map(|pts| repair(pts, &repair_cfg).unwrap().trajectories)
-        .collect();
-    let sts = Sts::new(
-        StsConfig {
-            noise_sigma: scenario.scale.noise_sigma,
-            ..StsConfig::default()
-        },
-        scenario.default_grid(),
-    );
-
     let entries = vec![
         (
             "repair_corrupted_batch".to_string(),
@@ -324,20 +312,6 @@ pub fn chaos(config: &TimingConfig) -> PerfReport {
                     .records
             }),
         ),
-        (
-            "strict_matrix_clean".to_string(),
-            time(config, || sts.similarity_matrix(&clean, &clean).unwrap()),
-        ),
-        (
-            "degraded_matrix_clean".to_string(),
-            time(config, || sts.similarity_matrix_degraded(&clean, &clean)),
-        ),
-        (
-            "degraded_matrix_survivors".to_string(),
-            time(config, || {
-                sts.similarity_matrix_degraded(&survivors, &survivors)
-            }),
-        ),
     ];
     PerfReport {
         suite: "chaos",
@@ -346,11 +320,11 @@ pub fn chaos(config: &TimingConfig) -> PerfReport {
     }
 }
 
-/// Supervision overhead on a clean batch: the strict matrix versus a
-/// fully supervised job (pair-chunk queue, budget/cancel checks,
-/// per-cell retry containment) — what a service pays for deadlines and
-/// retries when nothing actually goes wrong. The `tiles` suite times
-/// the durable (spilling, resumable) path.
+/// A supervised job on a clean batch (pair-chunk queue, budget/cancel
+/// checks, per-cell retry containment) — what every matrix entry point
+/// pays, since each is a view of the same engine — next to the same
+/// matrix in worker subprocesses. The `tiles` suite times the durable
+/// (spilling, resumable) path.
 pub fn runtime(config: &TimingConfig) -> PerfReport {
     let scenario = bench_mall(5);
     let clean: Vec<Trajectory> = scenario.pairs.d1.clone();
@@ -362,25 +336,18 @@ pub fn runtime(config: &TimingConfig) -> PerfReport {
         scenario.default_grid(),
     );
 
-    let entries = vec![
-        (
-            "strict_matrix".to_string(),
-            time(config, || sts.similarity_matrix(&clean, &clean).unwrap()),
-        ),
-        (
-            "supervised_matrix".to_string(),
-            time(config, || {
-                sts.similarity_matrix_supervised(&clean, &clean, &JobConfig::default())
-                    .unwrap()
-            }),
-        ),
-    ];
+    let mut entries = vec![(
+        "supervised_matrix".to_string(),
+        time(config, || {
+            sts.similarity_matrix_supervised(&clean, &clean, &JobConfig::default())
+                .unwrap()
+        }),
+    )];
 
     // Subprocess execution of the same matrix, to keep the isolation
     // tax (spawn + preamble + frame codec) visible next to the
-    // in-process timings. Skipped when the worker binary isn't built
+    // in-process timing. Skipped when the worker binary isn't built
     // alongside this bench (e.g. a bare `cargo run -p sts-bench`).
-    let mut entries = entries;
     let worker = default_worker_path();
     if worker.is_file() {
         entries.push((

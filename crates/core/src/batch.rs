@@ -1,32 +1,31 @@
-//! Degraded-mode batch similarity: per-cell outcomes instead of
-//! whole-batch errors.
+//! The data-quality half of a matrix job: quarantine, per-cell
+//! containment and the batch report.
 //!
-//! [`Sts::similarity_matrix`] is all-or-nothing: one unpreparable
-//! trajectory fails the entire batch, and a panic anywhere in the
-//! pipeline kills a whole stripe of scoped worker threads. That is the
-//! wrong failure mode for a service ingesting real-world feeds, where a
-//! batch of thousands of trajectories routinely contains a few broken
-//! ones. The degraded APIs here:
+//! A batch of thousands of real-world trajectories routinely contains
+//! a few broken ones, so the matrix engine ([`crate::tiled`]) never
+//! lets one of them cost more than its own cells:
 //!
-//! * **quarantine** unpreparable trajectories up front — every pair
-//!   touching one gets [`PairOutcome::Quarantined`], every other pair is
-//!   still scored;
-//! * **isolate panics** — each pair's similarity runs under
-//!   [`std::panic::catch_unwind`], so one poisoned pair yields
-//!   [`PairOutcome::Panicked`] for that cell only, never a dead thread
-//!   or a propagated abort;
-//! * **report** everything in a [`BatchReport`] naming each quarantined
-//!   index (with its reason) and each panicked pair.
+//! * **quarantine** — unpreparable trajectories are set aside up front
+//!   ([`prepare_all`]); every pair touching one gets
+//!   [`PairOutcome::Quarantined`], every other pair is still scored;
+//! * **containment** — each pair's similarity runs under
+//!   [`std::panic::catch_unwind`], so a pair that panics on every
+//!   attempt is [`PairOutcome::Failed`] for that cell only, never a
+//!   dead thread or a propagated abort;
+//! * **report** — a [`BatchReport`] names each quarantined index (with
+//!   its reason) and each failed or poisoned pair.
 //!
-//! The degraded guarantee: for any input accepted by the type system,
-//! these APIs return — no panic, no `Err`, no partial loss of the good
-//! pairs.
+//! The supervised entry points return all of this as data.
+//! [`Sts::similarity_matrix`] and [`Sts::top_k`] run the same engine
+//! but hold it to the strict contract: the first unpreparable
+//! trajectory comes back as its `StsError`, and a panic panics the
+//! call.
 //!
 //! Caching: every [`PreparedTrajectory`] produced by [`prepare_all`]
 //! carries its own STP cache (see [`crate::StpCacheMode`]), so within
-//! one batch call a trajectory's distributions are evaluated once and
-//! shared by every pair — across the diagonal, across mirror cells,
-//! and across worker threads. The cache lives exactly as long as the
+//! one job a trajectory's distributions are evaluated once and shared
+//! by every pair — across the diagonal, across mirror cells, and
+//! across worker threads. The cache lives exactly as long as the
 //! prepared set: separate calls never share cached state. Worker
 //! threads score through a per-worker [`crate::StpScratch`] arena
 //! (threaded by the pool's `run_supervised_with`), so the hot path
@@ -36,62 +35,9 @@ use crate::sts::{PreparedTrajectory, Sts};
 use crate::StsError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+pub use sts_runtime::PairOutcome;
 use sts_runtime::WorkerExit;
 use sts_traj::Trajectory;
-
-/// The outcome of scoring one (query, candidate) cell.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PairOutcome {
-    /// The pair was scored. The value is passed through as computed;
-    /// use [`PairOutcome::score_or`] to fold non-finite values away.
-    Score(f64),
-    /// The query or the candidate was quarantined during preparation;
-    /// the pair was never attempted.
-    Quarantined,
-    /// Scoring this pair panicked; the panic was contained to the cell.
-    /// Produced when retries are disabled (the legacy degraded-mode
-    /// contract, [`sts_runtime::RetryPolicy::none`]).
-    Panicked,
-    /// Scoring this pair panicked on every attempt of a supervised
-    /// job's retry loop (`attempts` made, with backoff between them).
-    Failed {
-        /// Total attempts consumed before giving up.
-        attempts: u32,
-    },
-    /// The pair was never attempted: the supervised job stopped first
-    /// (deadline, pair budget or cancellation). A resumed job will
-    /// compute it.
-    Skipped,
-    /// Scoring this pair killed its worker subprocess (abort, OOM
-    /// kill, hard-timeout kill, garbage output); crash attribution
-    /// isolated the pair and quarantined it with the worker's exit.
-    /// Only produced by [`crate::job::ExecMode::Subprocess`] jobs —
-    /// in-process execution does not survive these faults at all.
-    Poisoned {
-        /// How the worker holding the isolated pair died.
-        exit: WorkerExit,
-    },
-}
-
-impl PairOutcome {
-    /// The score, if the pair produced one.
-    pub fn score(&self) -> Option<f64> {
-        match self {
-            PairOutcome::Score(s) => Some(*s),
-            _ => None,
-        }
-    }
-
-    /// The score, with quarantined/panicked/non-finite cells folded to
-    /// `default` — the "an unmeasurable pair is maximally dissimilar"
-    /// convention of the matching harness.
-    pub fn score_or(&self, default: f64) -> f64 {
-        match self {
-            PairOutcome::Score(s) if s.is_finite() => *s,
-            _ => default,
-        }
-    }
-}
 
 /// Why a trajectory was quarantined.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,7 +57,7 @@ impl fmt::Display for QuarantineReason {
     }
 }
 
-/// Everything a degraded batch call quarantined or contained.
+/// Everything a matrix job quarantined or contained.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchReport {
     /// Quarantined query indices with their reasons.
@@ -119,10 +65,7 @@ pub struct BatchReport {
     /// Quarantined candidate indices with their reasons.
     pub quarantined_candidates: Vec<(usize, QuarantineReason)>,
     /// `(query index, candidate index)` pairs whose scoring panicked
-    /// with retries disabled.
-    pub panicked_pairs: Vec<(usize, usize)>,
-    /// `(query index, candidate index)` pairs whose scoring panicked
-    /// through every retry of a supervised job.
+    /// on every attempt.
     pub failed_pairs: Vec<(usize, usize)>,
     /// `(query index, candidate index, worker exit)` pairs whose
     /// scoring killed a worker subprocess; crash attribution isolated
@@ -136,11 +79,6 @@ impl BatchReport {
         self.quarantined_queries.len() + self.quarantined_candidates.len()
     }
 
-    /// Number of pairs whose scoring panicked.
-    pub fn panic_count(&self) -> usize {
-        self.panicked_pairs.len()
-    }
-
     /// Number of pairs that failed through every retry.
     pub fn failed_count(&self) -> usize {
         self.failed_pairs.len()
@@ -151,15 +89,12 @@ impl BatchReport {
         self.poisoned_pairs.len()
     }
 
-    /// `true` when nothing was quarantined and nothing panicked,
-    /// failed or poisoned — the batch degraded not at all. (Pairs
+    /// `true` when nothing was quarantined, failed or poisoned — the
+    /// batch degraded not at all. (Pairs
     /// *skipped* by a deadline or cancellation are a lifecycle
     /// property, reported in the job stats, not a data-quality defect.)
     pub fn is_clean(&self) -> bool {
-        self.quarantine_count() == 0
-            && self.panic_count() == 0
-            && self.failed_count() == 0
-            && self.poisoned_count() == 0
+        self.quarantine_count() == 0 && self.failed_count() == 0 && self.poisoned_count() == 0
     }
 }
 
@@ -167,12 +102,11 @@ impl fmt::Display for BatchReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} quarantined ({} queries, {} candidates), {} panicked pair(s), \
-             {} failed pair(s), {} poisoned pair(s)",
+            "{} quarantined ({} queries, {} candidates), {} failed pair(s), \
+             {} poisoned pair(s)",
             self.quarantine_count(),
             self.quarantined_queries.len(),
             self.quarantined_candidates.len(),
-            self.panic_count(),
             self.failed_count(),
             self.poisoned_count(),
         )
@@ -208,35 +142,6 @@ pub(crate) fn prepare_all(
         .collect()
 }
 
-impl Sts {
-    /// The degraded-mode `queries × candidates` similarity matrix.
-    ///
-    /// Unlike [`Sts::similarity_matrix`], this never fails: trajectories
-    /// that cannot be prepared are quarantined (their rows/columns get
-    /// [`PairOutcome::Quarantined`]) while every remaining pair is still
-    /// scored, and a panic while scoring one pair is contained to that
-    /// cell as [`PairOutcome::Panicked`]. The [`BatchReport`] names
-    /// every quarantined index and panicked pair.
-    pub fn similarity_matrix_degraded(
-        &self,
-        queries: &[Trajectory],
-        candidates: &[Trajectory],
-    ) -> (Vec<Vec<PairOutcome>>, BatchReport) {
-        // The degraded API is the supervised job under the legacy
-        // contract: unlimited budget, no retries (a panicked cell is
-        // terminal and reported as `Panicked`). An in-process job with
-        // no tile store cannot fail to start.
-        let (matrix, report) = self
-            .similarity_matrix_supervised(
-                queries,
-                candidates,
-                &crate::job::JobConfig::legacy_degraded(),
-            )
-            .expect("an untiled in-process job always starts");
-        (matrix, report.batch)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,6 +149,7 @@ mod tests {
     use crate::transition::TransitionModel;
     use crate::StsConfig;
     use sts_geo::{BoundingBox, Grid, Point};
+    use sts_runtime::RetryPolicy;
 
     fn grid() -> Grid {
         Grid::new(
@@ -269,17 +175,43 @@ mod tests {
         Trajectory::from_xyt(&[(10.0, 25.0, 0.0)]).unwrap()
     }
 
+    /// An unlimited job with retries disabled: the first panic of a
+    /// cell is terminal.
+    fn no_retries() -> JobConfig {
+        JobConfig {
+            retry: RetryPolicy::none(),
+            ..JobConfig::default()
+        }
+    }
+
+    /// The supervised matrix under [`no_retries`], with its batch report.
+    fn contained(
+        sts: &Sts,
+        queries: &[Trajectory],
+        candidates: &[Trajectory],
+    ) -> (Vec<Vec<PairOutcome>>, BatchReport) {
+        let (matrix, report) = sts
+            .similarity_matrix_supervised(queries, candidates, &no_retries())
+            .unwrap();
+        (matrix, report.batch)
+    }
+
     #[test]
     fn clean_batch_matches_strict_matrix() {
         let sts = Sts::new(StsConfig::default(), grid());
         let queries = vec![walker(25.0, 0.0, 6), walker(5.0, 0.0, 6)];
         let candidates = vec![walker(25.0, 5.0, 6), walker(5.0, 5.0, 6)];
-        let strict = sts.similarity_matrix(&queries, &candidates).unwrap();
-        let (degraded, report) = sts.similarity_matrix_degraded(&queries, &candidates);
+        let (matrix, report) = contained(&sts, &queries, &candidates);
         assert!(report.is_clean(), "{report}");
-        for (i, row) in strict.iter().enumerate() {
-            for (j, &s) in row.iter().enumerate() {
-                assert_eq!(degraded[i][j], PairOutcome::Score(s), "({i},{j})");
+        let strict = sts.similarity_matrix(&queries, &candidates).unwrap();
+        // The oracle is the pairwise scoring loop, not another view of
+        // the engine.
+        for (i, q) in queries.iter().enumerate() {
+            let q = sts.prepare(q).unwrap();
+            for (j, c) in candidates.iter().enumerate() {
+                let s = sts.similarity_prepared(&q, &sts.prepare(c).unwrap());
+                assert_eq!(matrix[i][j], PairOutcome::Score(s), "({i},{j})");
+                assert_eq!(strict[i][j].to_bits(), s.to_bits(), "({i},{j})");
             }
         }
     }
@@ -289,7 +221,7 @@ mod tests {
         let sts = Sts::new(StsConfig::default(), grid());
         let queries = vec![walker(25.0, 0.0, 6), single_point(), walker(5.0, 0.0, 6)];
         let candidates = vec![single_point(), walker(25.0, 5.0, 6)];
-        let (m, report) = sts.similarity_matrix_degraded(&queries, &candidates);
+        let (m, report) = contained(&sts, &queries, &candidates);
 
         // The report names exactly the bad indices.
         assert_eq!(report.quarantined_queries.len(), 1);
@@ -300,7 +232,7 @@ mod tests {
         ));
         assert_eq!(report.quarantined_candidates.len(), 1);
         assert_eq!(report.quarantined_candidates[0].0, 0);
-        assert_eq!(report.panic_count(), 0);
+        assert_eq!(report.failed_count(), 0);
 
         // Every good pair scored; every touched-by-bad cell quarantined.
         for (i, row) in m.iter().enumerate() {
@@ -328,6 +260,14 @@ mod tests {
         }
     }
 
+    fn poisoned_sts() -> Sts {
+        Sts::with_shared_transition(
+            StsConfig::default(),
+            grid(),
+            std::sync::Arc::new(PoisonTransition),
+        )
+    }
+
     /// Runs `f` with panic output silenced (the poison tests panic on
     /// purpose; their backtraces would drown the test output).
     fn quietly<T>(f: impl FnOnce() -> T) -> T {
@@ -340,28 +280,77 @@ mod tests {
 
     #[test]
     fn scoring_panic_is_contained_to_the_cell() {
-        let sts = Sts::with_shared_transition(
-            StsConfig::default(),
-            grid(),
-            std::sync::Arc::new(PoisonTransition),
-        );
+        let sts = poisoned_sts();
         // Phase-shifted walkers force bridge evaluations → the poison
         // transition panics for every pair.
         let queries = vec![walker(25.0, 0.0, 4), walker(5.0, 0.0, 4)];
         let candidates = vec![walker(25.0, 5.0, 4)];
-        let (m, report) = quietly(|| sts.similarity_matrix_degraded(&queries, &candidates));
-        assert_eq!(report.panic_count(), 2, "{report}");
+        let (m, report) = quietly(|| contained(&sts, &queries, &candidates));
+        assert_eq!(report.failed_count(), 2, "{report}");
         assert_eq!(report.quarantine_count(), 0);
-        assert_eq!(m[0][0], PairOutcome::Panicked);
-        assert_eq!(m[1][0], PairOutcome::Panicked);
-        assert_eq!(report.panicked_pairs, vec![(0, 0), (1, 0)]);
+        assert_eq!(m[0][0], PairOutcome::Failed { attempts: 1 });
+        assert_eq!(m[1][0], PairOutcome::Failed { attempts: 1 });
+        assert_eq!(report.failed_pairs, vec![(0, 0), (1, 0)]);
     }
 
-    /// Top-k under the legacy no-retry contract: a quarantined *query*
-    /// yields an empty ranking (the report says why); quarantined and
-    /// panicked candidates are excluded from the ranking rather than
-    /// scored 0, so the caller can tell "dissimilar" from
-    /// "unmeasurable".
+    #[test]
+    fn strict_calls_return_the_first_unpreparable_trajectory_error() {
+        let sts = Sts::new(StsConfig::default(), grid());
+        let good = walker(25.0, 0.0, 6);
+        let too_short = single_point();
+        let short_err = StsError::TrajectoryTooShort { len: 1 };
+        // An infinite speed sample: the speed KDE refuses it.
+        let teleport = Trajectory::from_xyt(&[(0.0, 25.0, 0.0), (1e300, 25.0, 1e-10)]).unwrap();
+        let is_kde = |r: Result<Vec<Vec<f64>>, StsError>| matches!(r, Err(StsError::Kde(_)));
+        // A query's error comes back before any candidate's...
+        assert!(is_kde(sts.similarity_matrix(
+            &[good.clone(), teleport.clone()],
+            &[too_short.clone(), good.clone()],
+        )));
+        // ...lower indices first within a side...
+        assert_eq!(
+            sts.similarity_matrix(
+                &[too_short.clone(), teleport.clone()],
+                std::slice::from_ref(&good)
+            ),
+            Err(short_err.clone())
+        );
+        // ...and candidates in order once every query prepares.
+        assert!(is_kde(sts.similarity_matrix(
+            std::slice::from_ref(&good),
+            &[good.clone(), teleport.clone(), too_short.clone()],
+        )));
+        // The strict top-k keeps the same contract.
+        assert_eq!(
+            sts.top_k(&too_short, std::slice::from_ref(&teleport), 1),
+            Err(short_err.clone())
+        );
+        assert_eq!(
+            sts.top_k(&good, &[good.clone(), too_short, teleport], 1),
+            Err(short_err)
+        );
+    }
+
+    #[test]
+    fn strict_matrix_panics_when_a_cell_panics() {
+        let sts = poisoned_sts();
+        let queries = vec![walker(25.0, 0.0, 4)];
+        let candidates = vec![walker(25.0, 5.0, 4)];
+        let matrix = quietly(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                sts.similarity_matrix(&queries, &candidates)
+            }))
+        });
+        assert!(matrix.is_err(), "a failed cell must panic the strict call");
+        let top =
+            quietly(|| catch_unwind(AssertUnwindSafe(|| sts.top_k(&queries[0], &candidates, 1))));
+        assert!(top.is_err(), "and so must the strict top-k");
+    }
+
+    /// Top-k with retries disabled: a quarantined *query* yields an
+    /// empty ranking (the report says why); quarantined and failed
+    /// candidates are excluded from the ranking rather than scored 0,
+    /// so the caller can tell "dissimilar" from "unmeasurable".
     #[test]
     fn top_k_without_retries_ranks_good_candidates_and_reports_bad() {
         let sts = Sts::new(StsConfig::default(), grid());
@@ -373,7 +362,7 @@ mod tests {
             walker(5.0, 5.0, 6),
         ];
         let (top, report) = sts
-            .top_k_supervised(&q, &candidates, 2, &JobConfig::legacy_degraded())
+            .top_k_supervised(&q, &candidates, 2, &no_retries())
             .unwrap();
         let report = report.batch;
         assert_eq!(top.len(), 2);
@@ -389,12 +378,7 @@ mod tests {
         let sts = Sts::new(StsConfig::default(), grid());
         let candidates = vec![walker(25.0, 5.0, 6)];
         let (top, report) = sts
-            .top_k_supervised(
-                &single_point(),
-                &candidates,
-                3,
-                &JobConfig::legacy_degraded(),
-            )
+            .top_k_supervised(&single_point(), &candidates, 3, &no_retries())
             .unwrap();
         let report = report.batch;
         assert!(top.is_empty());
@@ -405,10 +389,9 @@ mod tests {
     #[test]
     fn batch_report_display_is_informative() {
         let sts = Sts::new(StsConfig::default(), grid());
-        let (_, report) =
-            sts.similarity_matrix_degraded(&[single_point()], &[walker(25.0, 0.0, 4)]);
+        let (_, report) = contained(&sts, &[single_point()], &[walker(25.0, 0.0, 4)]);
         let text = report.to_string();
         assert!(text.contains("1 queries"), "{text}");
-        assert!(text.contains("0 panicked"), "{text}");
+        assert!(text.contains("0 failed"), "{text}");
     }
 }

@@ -99,11 +99,14 @@ impl ColocationIndex {
         out
     }
 
-    /// Filter-and-refine top-k: prune with the index, then compute exact
-    /// STS only on the `refine_limit` strongest candidates (at least
-    /// `k`). Returns `(corpus index, similarity)`, best first. Candidates
-    /// never touched by the filter are never scored (their STS would be
-    /// ~0 — no shared spatio-temporal region).
+    /// Filter-and-refine top-k: prune with the index, then rank the
+    /// `refine_limit` strongest candidates (at least `k`) with
+    /// [`Sts::top_k`](crate::Sts::top_k) — the exact ranking's scoring
+    /// path and error contract, so an unpreparable survivor is an
+    /// error. Returns `(corpus index, similarity)`, best first, ties
+    /// broken by corpus index. Candidates never touched by the filter
+    /// are never scored (their STS would be ~0 — no shared
+    /// spatio-temporal region).
     pub fn top_k(
         &self,
         sts: &crate::Sts,
@@ -117,22 +120,16 @@ impl ColocationIndex {
             self.n_indexed,
             "corpus must be the one the index was built over"
         );
-        let limit = refine_limit.max(k);
-        let q = sts.prepare(query)?;
-        let mut scored = Vec::new();
-        for (id, _) in self.candidates(query).into_iter().take(limit) {
-            let c = &corpus[id as usize];
-            // Unpreparable candidates (too short) score 0 like in the
-            // matching harness.
-            let s = sts
-                .prepare(c)
-                .map(|p| sts.similarity_prepared(&q, &p))
-                .unwrap_or(0.0);
-            scored.push((id as usize, s));
-        }
-        crate::sts::sort_scores_descending(&mut scored);
-        scored.truncate(k);
-        Ok(scored)
+        let mut survivors: Vec<usize> = self
+            .candidates(query)
+            .into_iter()
+            .take(refine_limit.max(k))
+            .map(|(id, _)| id as usize)
+            .collect();
+        survivors.sort_unstable();
+        let refine: Vec<Trajectory> = survivors.iter().map(|&id| corpus[id].clone()).collect();
+        let ranked = sts.top_k(query, &refine, k)?;
+        Ok(ranked.into_iter().map(|(j, s)| (survivors[j], s)).collect())
     }
 }
 
@@ -210,6 +207,22 @@ mod tests {
         let exact = sts.top_k(&query, &corpus, 1).unwrap();
         assert_eq!(pruned[0].0, exact[0].0, "pruned and exact disagree");
         assert!((pruned[0].1 - exact[0].1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unpreparable_survivor_is_an_error_not_a_zero() {
+        let mut corpus = corpus();
+        // A one-point trajectory right on the query's route.
+        corpus[2] = Trajectory::new(vec![TrajPoint::from_xy(20.0, 65.0, 15.0)]).unwrap();
+        let g = grid();
+        let idx = ColocationIndex::build(g.clone(), 30.0, &corpus);
+        let sts = Sts::new(StsConfig::default(), g);
+        let query = walker(65.0, 5.0, 10);
+        assert!(idx.candidates(&query).iter().any(|&(id, _)| id == 2));
+        assert_eq!(
+            idx.top_k(&sts, &query, &corpus, 1, 4),
+            Err(StsError::TrajectoryTooShort { len: 1 })
+        );
     }
 
     #[test]

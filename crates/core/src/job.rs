@@ -1,12 +1,10 @@
 //! Supervised similarity-matrix jobs: the configuration, the report,
 //! the input fingerprint and per-cell scoring.
 //!
-//! [`Sts::similarity_matrix_degraded`] contains faults but still runs
-//! open-loop: no way to stop it, no way to resume it, and a panicked
-//! cell is never retried. At production scale the dominant failure
-//! mode is operational — a job killed at 90%, a stripe wedged on a
+//! At production scale the dominant failure mode of a matrix job is
+//! operational — a job killed at 90%, a stripe wedged on a
 //! pathological pair, a host with fewer cores than assumed — so every
-//! long-running matrix job here is *supervised*:
+//! matrix job here is *supervised*:
 //!
 //! * **deadline-aware** — a [`Budget`] (wall-clock and/or max-pairs)
 //!   is checked at every pair-chunk boundary; a stopped job returns
@@ -15,19 +13,20 @@
 //!   deadline watchers a clean way in;
 //! * **self-healing** — a panicked cell is retried with
 //!   decorrelated-jitter backoff up to [`RetryPolicy::max_retries`]
-//!   times before becoming [`PairOutcome::Failed`]; the pool
-//!   additionally retries whole chunks as a backstop and a watchdog
-//!   marks chunks exceeding the soft timeout;
+//!   times before becoming [`PairOutcome::Failed`] (retries are the
+//!   cell's alone: the pool only contains a panicking chunk), and a
+//!   watchdog marks chunks exceeding the soft timeout;
 //! * **resumable** — given a [`TileConfig`](crate::TileConfig), every
 //!   completed tile is spilled to disk and a rerun resumes from the
 //!   verified tiles (see [`crate::tiled`]), so a crash loses at most
 //!   the tiles in flight.
 //!
-//! Every job — tiled or not — runs on the one engine in
-//! [`crate::tiled`]; this module holds what the engine is configured
-//! with and what it reports. The [`JobReport`] extends the
-//! degraded-mode [`BatchReport`] with the runtime half: timing, retry
-//! counts, chunk accounting and percent-complete ([`JobStats`]).
+//! Every matrix and top-k entry point — strict, supervised or tiled —
+//! is a view of the one engine in [`crate::tiled`]; this module holds
+//! what the engine is configured with and what it reports. The
+//! [`JobReport`] pairs the data-quality [`BatchReport`] with the
+//! runtime half: timing, retry counts, chunk accounting and
+//! percent-complete ([`JobStats`]).
 
 use crate::batch::{BatchReport, PairOutcome};
 use crate::sts::{PreparedTrajectory, Sts};
@@ -119,13 +118,13 @@ pub struct JobConfig {
     /// Cooperative cancellation (default: a fresh, never-cancelled
     /// token — keep a clone to cancel from outside).
     pub cancel: CancelToken,
-    /// Per-cell and chunk-backstop retry policy.
+    /// Per-cell retry policy.
     pub retry: RetryPolicy,
     /// Worker threads; `0` = automatic ([`sts_runtime::thread_count`],
     /// which honors the `STS_THREADS` env override).
     pub threads: usize,
     /// Pairs per scheduling chunk — the granularity of cancellation
-    /// checks and retries.
+    /// checks and budget accounting.
     pub chunk_pairs: usize,
     /// Per-chunk soft timeout for the watchdog (default: none).
     pub soft_timeout: Option<Duration>,
@@ -156,17 +155,6 @@ impl Default for JobConfig {
             fault: None,
             telemetry: false,
             exec: ExecMode::InProcess,
-        }
-    }
-}
-
-impl JobConfig {
-    /// The legacy degraded-mode contract: unlimited, no retries (first
-    /// panic is terminal and reported as [`PairOutcome::Panicked`]).
-    pub(crate) fn legacy_degraded() -> Self {
-        JobConfig {
-            retry: RetryPolicy::none(),
-            ..JobConfig::default()
         }
     }
 }
@@ -228,7 +216,7 @@ impl std::error::Error for JobError {}
 /// half ([`JobStats`]: state, timing, retries, completion).
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Quarantined trajectories and failed/panicked pairs.
+    /// Quarantined trajectories and failed or poisoned pairs.
     pub batch: BatchReport,
     /// Lifecycle accounting.
     pub stats: JobStats,
@@ -371,11 +359,7 @@ impl Sts {
                 Err(_) => {
                     attempts += 1;
                     if attempts > retry.max_retries {
-                        return if retry.max_retries == 0 {
-                            PairOutcome::Panicked
-                        } else {
-                            PairOutcome::Failed { attempts }
-                        };
+                        return PairOutcome::Failed { attempts };
                     }
                     retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(jitter.next_delay());

@@ -960,7 +960,9 @@ fn deal(
                     let payload = frame
                         .strip_prefix(&format!("result {epoch} "))
                         .unwrap_or_default();
-                    return decode_tile(payload, unit).ok_or(Loss::Protocol);
+                    // The unit was dealt whole, so anything but its
+                    // exact cell count is a protocol violation.
+                    return worker::decode_result_payload(payload, unit.len).ok_or(Loss::Protocol);
                 }
                 // A duplicated frame or a superseded deal's late
                 // result: refuse it, keep listening for ours.
@@ -973,34 +975,6 @@ fn deal(
             return Err(Loss::Protocol);
         }
     }
-}
-
-/// Decodes one result payload into the tile's dense outcome slab.
-/// `None` on any malformed, out-of-range, duplicated or missing record
-/// — the chunk was for this exact tile, so anything but a perfect
-/// cover is a protocol violation.
-fn decode_tile(payload: &str, tile: &PairChunk) -> Option<Vec<PairOutcome>> {
-    let cells = worker::decode_result_payload(payload)?;
-    if cells.len() != tile.len {
-        return None;
-    }
-    let mut dense = vec![PairOutcome::Skipped; tile.len];
-    for (lin, outcome) in cells {
-        if lin < tile.start || lin >= tile.start + tile.len {
-            return None;
-        }
-        let slot = &mut dense[lin - tile.start];
-        // The wire never carries `Skipped`, so it doubles as the
-        // unfilled marker.
-        if !matches!(slot, PairOutcome::Skipped) {
-            return None;
-        }
-        *slot = outcome;
-    }
-    dense
-        .iter()
-        .all(|o| !matches!(o, PairOutcome::Skipped))
-        .then_some(dense)
 }
 
 /// Launches one worker and walks it to `ready`: bind an ephemeral
@@ -1238,20 +1212,17 @@ mod tests {
         let opts = shard_opts(Arc::new(ThreadLauncher));
         let (committed, run, queries, candidates) = run(&opts, |_| {});
         let sts = Sts::new(StsConfig::default(), grid());
-        let strict = sts.similarity_matrix(&queries, &candidates).unwrap();
+        let prepare =
+            |ts: &[Trajectory]| -> Vec<_> { ts.iter().map(|t| sts.prepare(t).unwrap()).collect() };
+        let (pq, pc) = (prepare(&queries), prepare(&candidates));
         let cols = candidates.len();
         for (idx, outs) in committed.iter().enumerate() {
             let outs = outs.as_ref().expect("every tile commits");
             for (off, outcome) in outs.iter().enumerate() {
                 let lin = idx * 4 + off;
+                let want = sts.similarity_prepared(&pq[lin / cols], &pc[lin % cols]);
                 match outcome {
-                    PairOutcome::Score(s) => {
-                        assert_eq!(
-                            s.to_bits(),
-                            strict[lin / cols][lin % cols].to_bits(),
-                            "cell {lin}"
-                        );
-                    }
+                    PairOutcome::Score(s) => assert_eq!(s.to_bits(), want.to_bits(), "cell {lin}"),
                     other => panic!("cell {lin}: {other:?}"),
                 }
             }
@@ -1336,20 +1307,17 @@ mod tests {
 
     #[test]
     fn zero_pair_result_payloads_are_protocol_violations() {
-        let tile = PairChunk {
-            id: 0,
-            start: 4,
-            len: 3,
-        };
-        // Perfect cover commits.
-        assert!(decode_tile("3 4 s 0.5 5 q 6 s 0.25", &tile).is_some());
+        // A 3-pair unit: its exact cover commits.
+        let decode = |payload| worker::decode_result_payload(payload, 3);
+        assert!(decode("3 s 0.5 q s 0.25").is_some());
         for bad in [
-            "2 4 s 0.5 5 q",          // short
-            "3 4 s 0.5 5 q 9 s 0.25", // out of range
-            "3 4 s 0.5 4 s 0.5 6 q",  // duplicate lin
-            "3 4 s 0.5 5 zz 6 q",     // malformed record
+            "0",                  // zero pairs
+            "2 s 0.5 q",          // short
+            "4 s 0.5 q s 0.25 q", // long
+            "3 s 0.5 q",          // count says 3, two cells follow
+            "3 s 0.5 zz s 0.25",  // malformed cell
         ] {
-            assert!(decode_tile(bad, &tile).is_none(), "{bad:?}");
+            assert!(decode(bad).is_none(), "{bad:?}");
         }
     }
 
@@ -1358,8 +1326,10 @@ mod tests {
     /// What a scripted worker does with one chunk.
     #[derive(Clone, Copy)]
     enum Act {
-        /// Answer `result` with `<lin> s <lin*2>` for every pair.
+        /// Answer `result` with `s <lin*2>` for every pair.
         Score,
+        /// Answer `result` claiming 10^17 cells.
+        Overclaim,
         /// Exit with this code without answering.
         Die(i32),
         /// Never answer (until killed).
@@ -1418,8 +1388,12 @@ mod tests {
                                 Act::Score => {
                                     let mut out = format!("result {id} {len}");
                                     for lin in start..start + len {
-                                        out.push_str(&format!(" {lin} s {}", lin * 2));
+                                        out.push_str(&format!(" s {}", lin * 2));
                                     }
+                                    let _ = write_frame(&mut w, &out);
+                                }
+                                Act::Overclaim => {
+                                    let out = format!("result {id} 100000000000000000 s 0.5");
                                     let _ = write_frame(&mut w, &out);
                                 }
                                 Act::Die(code) => {
@@ -1589,6 +1563,22 @@ mod tests {
         assert_eq!(poisoned(&cells), vec![(5, WorkerExit::Protocol)]);
         assert!(run.stats.frames_corrupt > 0);
         assert_eq!(scored(&cells), 8);
+    }
+
+    #[test]
+    fn overclaiming_result_loses_the_worker_not_the_coordinator() {
+        // A result claiming 10^17 cells must not size an allocation in
+        // the coordinator: the unit is a protocol loss, bisected down
+        // to the pair, and every other pair completes.
+        let opts = scripted(|start, len| match holds(start, len, 4) {
+            true => Act::Overclaim,
+            false => Act::Score,
+        });
+        let (cells, run) = run_matrix(3, 3, 4, &opts, &CancelToken::new());
+        assert_eq!(run.stop, None, "{:?}", run.stats);
+        assert_eq!(poisoned(&cells), vec![(4, WorkerExit::Protocol)]);
+        assert_eq!(scored(&cells), 8);
+        assert!(run.stats.worker_restarts > 0);
     }
 
     #[test]

@@ -15,10 +15,9 @@ use crate::transition::{
 };
 use crate::StsError;
 use crate::{StpCacheMode, StpScratch};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use sts_geo::Grid;
 use sts_obs::{static_counter, trace};
-use sts_runtime::PairSpace;
 use sts_stats::Kernel;
 use sts_traj::Trajectory;
 
@@ -323,7 +322,7 @@ impl Sts {
     /// over the merged timestamps of the two prepared trajectories.
     ///
     /// Ad-hoc entry point: allocates a fresh [`StpScratch`] per call.
-    /// Matrix paths thread one scratch per worker through
+    /// The matrix engine threads one scratch per worker through
     /// [`Sts::similarity_prepared_with`] instead.
     pub fn similarity_prepared(&self, a: &PreparedTrajectory, b: &PreparedTrajectory) -> f64 {
         let mut scratch = StpScratch::new();
@@ -509,97 +508,6 @@ impl Sts {
         let pa = self.prepare(a)?;
         let pb = self.prepare(b)?;
         Ok(self.similarity_prepared(&pa, &pb))
-    }
-
-    /// The full `queries × candidates` similarity matrix. Row `i`,
-    /// column `j` holds `STS(queries[i], candidates[j])`.
-    ///
-    /// Pairs are dealt to workers in chunks from a shared queue (the
-    /// same [`sts_runtime::PairSpace`] chunking as the degraded and
-    /// supervised paths), with the worker count from
-    /// [`sts_runtime::thread_count`] — `STS_THREADS` overrides,
-    /// otherwise the host's available parallelism. This is the
-    /// *strict* path: one unpreparable trajectory fails the whole
-    /// batch and panics propagate; services want
-    /// [`Sts::similarity_matrix_supervised`].
-    pub fn similarity_matrix(
-        &self,
-        queries: &[Trajectory],
-        candidates: &[Trajectory],
-    ) -> Result<Vec<Vec<f64>>, StsError> {
-        let _span = trace::span("sts.matrix");
-        let prepared_q: Vec<PreparedTrajectory> = queries
-            .iter()
-            .map(|t| self.prepare(t))
-            .collect::<Result<_, _>>()?;
-        let prepared_c: Vec<PreparedTrajectory> = candidates
-            .iter()
-            .map(|t| self.prepare(t))
-            .collect::<Result<_, _>>()?;
-        let space = PairSpace::new(prepared_q.len(), prepared_c.len());
-        const CHUNK_PAIRS: usize = 64;
-        let mut flat = vec![0.0f64; space.len()];
-        {
-            // Chunk boundaries align with `chunks_mut`, so each queue
-            // entry owns a disjoint output slice.
-            let queue: Mutex<Vec<(sts_runtime::PairChunk, &mut [f64])>> = Mutex::new(
-                space
-                    .chunks(CHUNK_PAIRS)
-                    .zip(flat.chunks_mut(CHUNK_PAIRS))
-                    .collect(),
-            );
-            let n_threads = sts_runtime::thread_count(space.len().div_ceil(CHUNK_PAIRS));
-            std::thread::scope(|scope| {
-                for _ in 0..n_threads {
-                    let queue = &queue;
-                    let prepared_q = &prepared_q;
-                    let prepared_c = &prepared_c;
-                    scope.spawn(move || {
-                        // One scratch arena per worker thread, reused
-                        // across every chunk it scores.
-                        let mut scratch = StpScratch::new();
-                        loop {
-                            let Some((chunk, out)) = queue.lock().unwrap().pop() else {
-                                break;
-                            };
-                            for (slot, lin) in chunk.range().enumerate() {
-                                let (i, j) = space.pair(lin);
-                                out[slot] = self.similarity_prepared_with(
-                                    &prepared_q[i],
-                                    &prepared_c[j],
-                                    &mut scratch,
-                                );
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        let mut rows = Vec::with_capacity(space.rows());
-        let mut it = flat.into_iter();
-        for _ in 0..space.rows() {
-            rows.push(it.by_ref().take(space.cols()).collect());
-        }
-        Ok(rows)
-    }
-
-    /// The `k` most similar candidates to `query`, best first, as
-    /// `(candidate index, similarity)`.
-    pub fn top_k(
-        &self,
-        query: &Trajectory,
-        candidates: &[Trajectory],
-        k: usize,
-    ) -> Result<Vec<(usize, f64)>, StsError> {
-        let q = self.prepare(query)?;
-        let mut scored: Vec<(usize, f64)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| Ok((i, self.similarity_prepared(&q, &self.prepare(c)?))))
-            .collect::<Result<_, StsError>>()?;
-        sort_scores_descending(&mut scored);
-        scored.truncate(k);
-        Ok(scored)
     }
 }
 

@@ -1,12 +1,29 @@
-//! The matrix engine: every supervised similarity matrix — in memory,
-//! out of core, on a thread pool, in worker subprocesses or on a
-//! socket fleet — runs through one engine, `Sts::tiled_engine`.
+//! The matrix engine: every similarity matrix and top-k ranking — in
+//! memory, out of core, on a thread pool, in worker subprocesses or on
+//! a socket fleet — runs through one engine, `Sts::tiled_engine`.
 //!
-//! The pair space is dealt into **tiles**. An untiled job
-//! ([`Sts::similarity_matrix_supervised`]) is one in-memory tile
-//! spanning the whole space: the pool schedules every chunk in one run
-//! and nothing is written anywhere. Given a [`TileConfig`], the engine
-//! goes out of core without weakening a single supervised guarantee:
+//! The public entry points are views of it that differ only in the job
+//! they configure and what their sink keeps of each cell:
+//!
+//! | entry point | job | sink keeps |
+//! |---|---|---|
+//! | [`Sts::similarity_matrix`] | strict: untiled, in process, no retries | every score |
+//! | [`Sts::top_k`] | strict | the row's best `k` |
+//! | [`Sts::similarity_matrix_supervised`] | the caller's, untiled | every outcome |
+//! | [`Sts::top_k_supervised`] | the caller's, untiled | the row's best `k` |
+//! | [`Sts::similarity_matrix_tiled`] | the caller's, tiled | every outcome |
+//! | [`Sts::top_k_matrix_tiled`] | the caller's, tiled | each row's best `k` |
+//!
+//! The strict views report an unpreparable trajectory as its
+//! `StsError` and panic on a panic; the others report both as data.
+//! Top-k views rank through one bounded per-row accumulator, so the
+//! full matrix is never materialized for them.
+//!
+//! The pair space is dealt into **tiles**. An untiled job is one
+//! in-memory tile spanning the whole space: the pool schedules every
+//! chunk in one run and nothing is written anywhere. Given a
+//! [`TileConfig`], the engine goes out of core without weakening a
+//! single supervised guarantee:
 //!
 //! * tiles are [`TileConfig::tile_pairs`] pairs each, derivable from a
 //!   byte budget via [`TileConfig::with_memory_budget`];
@@ -42,11 +59,11 @@
 //! implementation and asserts bit-identical results with every
 //! corruption detected.
 
-use crate::batch::{prepare_all, BatchReport, PairOutcome};
+use crate::batch::{prepare_all, BatchReport, PairOutcome, QuarantineReason};
 use crate::job::{job_fingerprint, ExecMode, JobConfig, JobError, JobReport};
 use crate::shard::{run_sharded, FleetTelemetry, Policy, ShardOptions, ShardRun};
 use crate::sts::{sort_scores_descending, PreparedTrajectory, Sts};
-use crate::worker;
+use crate::{worker, StsError};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
@@ -55,14 +72,14 @@ use std::time::{Duration, Instant};
 use sts_obs::{trace, Telemetry};
 use sts_runtime::pool::{run_supervised_with, ChunkStatus, PoolConfig};
 use sts_runtime::{
-    Budget, CellRecord, FsStorage, JobState, JobStats, PairChunk, PairSpace, ShardStats,
+    Budget, FsStorage, JobState, JobStats, PairChunk, PairSpace, RetryPolicy, ShardStats,
     StopReason, Storage, TileData, TileError, TileStats, TileStore,
 };
 use sts_traj::Trajectory;
 
-/// Rough in-memory footprint of one resident cell record (outcome enum
-/// plus `Vec` slack), used by [`TileConfig::with_memory_budget`] to
-/// turn a byte budget into a tile size. Deliberately conservative.
+/// Rough in-memory footprint of one resident cell (outcome enum plus
+/// `Vec` slack), used by [`TileConfig::with_memory_budget`] to turn a
+/// byte budget into a tile size. Deliberately conservative.
 pub const TILE_CELL_BYTES: usize = 64;
 
 /// How a tiled job spills and resumes: the tile directory, the tile
@@ -121,6 +138,9 @@ impl TileConfig {
     }
 }
 
+/// One query's `(candidate index, similarity)` ranking, best first.
+type Ranking = Vec<(usize, f64)>;
+
 /// Where a tile's cells live between computing and merging.
 enum TileSource {
     /// Durably on disk, verified; reloaded one at a time at merge.
@@ -174,13 +194,73 @@ impl Progress {
 }
 
 impl Sts {
-    /// The supervised `queries × candidates` similarity matrix: the
-    /// degraded-mode guarantees of
-    /// [`similarity_matrix_degraded`](Sts::similarity_matrix_degraded)
-    /// plus deadlines, cancellation and retries — see the
-    /// [`crate::job`] docs. The matrix is computed as one in-memory
-    /// tile; [`similarity_matrix_tiled`](Sts::similarity_matrix_tiled)
-    /// adds spilling and resume.
+    /// The full `queries × candidates` similarity matrix. Row `i`,
+    /// column `j` holds `STS(queries[i], candidates[j])`.
+    ///
+    /// The *strict* view of the engine: an untiled in-process job with
+    /// retries off, on [`sts_runtime::thread_count`] workers
+    /// (`STS_THREADS` overrides, otherwise the host's available
+    /// parallelism). The first trajectory that cannot be prepared —
+    /// queries before candidates — comes back as its error, and a
+    /// panic while preparing or scoring panics the call. Services want
+    /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised),
+    /// which reports both as data.
+    pub fn similarity_matrix(
+        &self,
+        queries: &[Trajectory],
+        candidates: &[Trajectory],
+    ) -> Result<Vec<Vec<f64>>, StsError> {
+        let _span = trace::span("sts.matrix");
+        let cols = candidates.len();
+        let mut rows = vec![vec![0.0; cols]; queries.len()];
+        let report = self
+            .tiled_engine(
+                queries,
+                candidates,
+                &strict_job(),
+                None,
+                &mut |lin, cell| {
+                    // The strict contract below admits no other outcome.
+                    if let PairOutcome::Score(s) = cell {
+                        rows[lin / cols][lin % cols] = s;
+                    }
+                },
+            )
+            .expect(STRICT_STARTS);
+        strict(report.batch)?;
+        Ok(rows)
+    }
+
+    /// The `k` most similar candidates to `query`, best first, as
+    /// `(candidate index, similarity)` — the strict contract of
+    /// [`similarity_matrix`](Sts::similarity_matrix), ranked like
+    /// [`top_k_supervised`](Sts::top_k_supervised).
+    pub fn top_k(
+        &self,
+        query: &Trajectory,
+        candidates: &[Trajectory],
+        k: usize,
+    ) -> Result<Vec<(usize, f64)>, StsError> {
+        let (mut rows, report) = self
+            .top_k_job(
+                std::slice::from_ref(query),
+                candidates,
+                k,
+                &strict_job(),
+                None,
+            )
+            .expect(STRICT_STARTS);
+        strict(report.batch)?;
+        Ok(rows.remove(0))
+    }
+
+    /// The supervised `queries × candidates` similarity matrix: never
+    /// fails a batch for a bad trajectory or a panicking pair (see
+    /// [`crate::batch`]), plus deadlines, cancellation and retries —
+    /// see the [`crate::job`] docs. The matrix is computed as one
+    /// in-memory tile;
+    /// [`similarity_matrix_tiled`](Sts::similarity_matrix_tiled) adds
+    /// spilling and resume.
     ///
     /// Never panics and never loses completed work: whatever stops the
     /// job (deadline, budget, cancel, per-cell failures), every
@@ -196,8 +276,7 @@ impl Sts {
         self.matrix_job(queries, candidates, cfg, None)
     }
 
-    /// Supervised top-k: ranks every scorable candidate of a fully
-    /// built `1 × candidates` row under the same
+    /// Supervised top-k: ranks every scorable candidate under the same
     /// budget/cancellation/retry regime as
     /// [`similarity_matrix_supervised`](Sts::similarity_matrix_supervised).
     /// Skipped, quarantined and failed candidates are excluded from the
@@ -209,16 +288,9 @@ impl Sts {
         k: usize,
         cfg: &JobConfig,
     ) -> Result<(Vec<(usize, f64)>, JobReport), JobError> {
-        let (matrix, report) =
-            self.similarity_matrix_supervised(std::slice::from_ref(query), candidates, cfg)?;
-        let mut scored: Vec<(usize, f64)> = matrix[0]
-            .iter()
-            .enumerate()
-            .filter_map(|(j, cell)| cell.score().map(|s| (j, s)))
-            .collect();
-        sort_scores_descending(&mut scored);
-        scored.truncate(k);
-        Ok((scored, report))
+        let (mut rows, report) =
+            self.top_k_job(std::slice::from_ref(query), candidates, k, cfg, None)?;
+        Ok((rows.remove(0), report))
     }
 
     /// The supervised similarity matrix computed **out of core**: same
@@ -245,9 +317,7 @@ impl Sts {
     }
 
     /// Top-k nearest candidates for **every** query row, out of core:
-    /// the full `N × M` matrix is never materialized — each row keeps
-    /// a bounded accumulator (at most `max(2k, 16)` entries) that is
-    /// pruned as tiles stream through the merge. Ranking semantics
+    /// the full `N × M` matrix is never materialized. Ranking semantics
     /// match [`top_k_supervised`](Sts::top_k_supervised): only scored
     /// cells rank; skipped, quarantined and failed pairs are excluded
     /// (the report says which and why).
@@ -259,30 +329,7 @@ impl Sts {
         cfg: &JobConfig,
         tiling: &TileConfig,
     ) -> Result<(Vec<Vec<(usize, f64)>>, JobReport), JobError> {
-        let cols = candidates.len();
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); queries.len()];
-        let prune_at = k.saturating_mul(2).max(16);
-        let report = self.tiled_engine(
-            queries,
-            candidates,
-            cfg,
-            Some(tiling),
-            &mut |lin, outcome| {
-                if let Some(s) = outcome.score() {
-                    let row = &mut rows[lin / cols];
-                    row.push((lin % cols, s));
-                    if row.len() >= prune_at {
-                        sort_scores_descending(row);
-                        row.truncate(k);
-                    }
-                }
-            },
-        )?;
-        for row in &mut rows {
-            sort_scores_descending(row);
-            row.truncate(k);
-        }
-        Ok((rows, report))
+        self.top_k_job(queries, candidates, k, cfg, Some(tiling))
     }
 
     /// The full matrix out of the engine: cells it never reached stay
@@ -302,8 +349,40 @@ impl Sts {
         Ok((rows, report))
     }
 
-    /// The one matrix engine every entry point shares. Without `tiling`
-    /// the job is a single in-memory tile. `sink` receives every
+    /// Each row's best `k` scored cells out of the engine, best first.
+    /// A row keeps a bounded accumulator — at most `max(2k, 16)`
+    /// entries, pruned back to `k` as cells stream in — so memory is
+    /// `O(rows · k)` whatever the candidate count.
+    fn top_k_job(
+        &self,
+        queries: &[Trajectory],
+        candidates: &[Trajectory],
+        k: usize,
+        cfg: &JobConfig,
+        tiling: Option<&TileConfig>,
+    ) -> Result<(Vec<Ranking>, JobReport), JobError> {
+        let cols = candidates.len();
+        let mut rows: Vec<Ranking> = vec![Vec::new(); queries.len()];
+        let prune_at = k.saturating_mul(2).max(16);
+        let report = self.tiled_engine(queries, candidates, cfg, tiling, &mut |lin, outcome| {
+            if let Some(s) = outcome.score() {
+                let row = &mut rows[lin / cols];
+                row.push((lin % cols, s));
+                if row.len() >= prune_at {
+                    sort_scores_descending(row);
+                    row.truncate(k);
+                }
+            }
+        })?;
+        for row in &mut rows {
+            sort_scores_descending(row);
+            row.truncate(k);
+        }
+        Ok((rows, report))
+    }
+
+    /// The one matrix engine every entry point is a view of. Without
+    /// `tiling` the job is a single in-memory tile. `sink` receives every
     /// non-skipped cell exactly once, in ascending linear-index order;
     /// cells the run never reached are simply not emitted.
     fn tiled_engine(
@@ -520,10 +599,6 @@ impl Sts {
         let mut emit = |lin: usize, outcome: PairOutcome, batch: &mut BatchReport| {
             match &outcome {
                 PairOutcome::Skipped => return,
-                PairOutcome::Panicked => {
-                    pairs_failed += 1;
-                    batch.panicked_pairs.push(space.pair(lin));
-                }
                 PairOutcome::Failed { .. } => {
                     pairs_failed += 1;
                     batch.failed_pairs.push(space.pair(lin));
@@ -550,7 +625,7 @@ impl Sts {
                         tstats.max_resident_cells.max(resident_fallback + tile.len);
                     let store = store.as_ref().expect("disk tiles come from a store");
                     match store.load(tile.id, tile.start, tile.len) {
-                        Ok(Some(data)) => dense_outcomes(tile, data.cells),
+                        Ok(Some(data)) => data.cells,
                         // Verified minutes ago and unreadable now —
                         // disk decay mid-job. Detect, quarantine,
                         // recompute inline: a corrupt tile is never
@@ -673,7 +748,6 @@ impl Scorer<'_> {
         } else {
             let pool_cfg = PoolConfig {
                 threads: cfg.threads,
-                retry: cfg.retry,
                 soft_timeout: cfg.soft_timeout,
                 budget,
                 cancel: cfg.cancel.clone(),
@@ -705,31 +779,23 @@ impl Scorer<'_> {
                     }
                 },
             );
-            // Pool-level backstop: cells of a terminally failed chunk
-            // become Failed (or Panicked under the legacy no-retry
-            // contract).
+            // Pool-level backstop: a chunk whose work panicked outside
+            // the per-cell containment fails its unresolved cells.
             for (chunk, status) in chunks.iter().zip(&run.statuses) {
                 match status {
                     ChunkStatus::Completed => stats.chunks_completed += 1,
                     ChunkStatus::Skipped(_) => stats.chunks_skipped += 1,
-                    ChunkStatus::Failed { attempts } => {
+                    ChunkStatus::Failed => {
                         stats.chunks_failed += 1;
                         for out in &mut outs[chunk.start - tile.start..][..chunk.len] {
                             if !is_terminal(out) {
-                                *out = if cfg.retry.max_retries == 0 {
-                                    PairOutcome::Panicked
-                                } else {
-                                    PairOutcome::Failed {
-                                        attempts: *attempts,
-                                    }
-                                };
+                                *out = PairOutcome::Failed { attempts: 1 };
                             }
                         }
                     }
                 }
             }
             stats.slow_chunks.extend(run.slow_chunks);
-            stats.retries += run.retries;
             stats.chunk_wait_total += run.chunk_wait;
             stats.chunk_run_total += run.chunk_run;
             p.stop = run.stop;
@@ -737,6 +803,36 @@ impl Scorer<'_> {
         p.new_pairs += outs.iter().filter(|o| is_terminal(o)).count();
         Some(outs)
     }
+}
+
+/// Why the strict views may `expect` their job: an untiled in-process
+/// job has no executor or tile directory that could fail to start.
+const STRICT_STARTS: &str = "an untiled in-process job always starts";
+
+/// The strict views' job: untiled, in process, unlimited, no retries.
+fn strict_job() -> JobConfig {
+    JobConfig {
+        retry: RetryPolicy::none(),
+        ..JobConfig::default()
+    }
+}
+
+/// Holds a finished strict job to the strict contract: the first
+/// quarantined trajectory — queries before candidates — is its error,
+/// or a panic if preparing it panicked; a failed cell is a panic.
+fn strict(batch: BatchReport) -> Result<(), StsError> {
+    let quarantined = batch.quarantined_queries.into_iter();
+    match quarantined.chain(batch.quarantined_candidates).next() {
+        Some((_, QuarantineReason::Unpreparable(e))) => return Err(e),
+        Some((_, QuarantineReason::PreparePanicked)) => panic!("preparing a trajectory panicked"),
+        None => {}
+    }
+    assert!(
+        batch.failed_pairs.is_empty(),
+        "scoring panicked for pair(s) {:?}",
+        batch.failed_pairs
+    );
+    Ok(())
 }
 
 /// The worker executable `worker` names (default: `sts-worker` next to
@@ -776,39 +872,6 @@ fn is_terminal(cell: &PairOutcome) -> bool {
     !matches!(cell, PairOutcome::Skipped)
 }
 
-/// The durable record of a terminal, computed outcome.
-fn to_record(cell: &PairOutcome) -> Option<CellRecord> {
-    match cell {
-        PairOutcome::Score(s) => Some(CellRecord::Score(*s)),
-        PairOutcome::Failed { attempts } => Some(CellRecord::Failed {
-            attempts: *attempts,
-        }),
-        PairOutcome::Panicked => Some(CellRecord::Panicked),
-        // Poison is persisted: a resumed job must NOT rediscover a
-        // poison pair by feeding it to (and losing) another worker.
-        PairOutcome::Poisoned { exit } => Some(CellRecord::Poisoned { exit: *exit }),
-        // Quarantine is re-derived from preparation on resume; Skipped
-        // is by definition not terminal.
-        PairOutcome::Quarantined | PairOutcome::Skipped => None,
-    }
-}
-
-/// A spilled tile's records as dense outcomes: pairs without a record
-/// are the quarantined ones (verified against preparation on resume).
-fn dense_outcomes(tile: &PairChunk, mut cells: Vec<(usize, CellRecord)>) -> Vec<PairOutcome> {
-    cells.sort_unstable_by_key(|(lin, _)| *lin);
-    let mut recs = cells.into_iter().peekable();
-    tile.range()
-        .map(|lin| match recs.next_if(|(l, _)| *l == lin) {
-            Some((_, CellRecord::Score(s))) => PairOutcome::Score(s),
-            Some((_, CellRecord::Failed { attempts })) => PairOutcome::Failed { attempts },
-            Some((_, CellRecord::Panicked)) => PairOutcome::Panicked,
-            Some((_, CellRecord::Poisoned { exit })) => PairOutcome::Poisoned { exit },
-            None => PairOutcome::Quarantined,
-        })
-        .collect()
-}
-
 /// What probing the store for an existing tile concluded.
 enum Loaded {
     /// Present, verified, and consistent with this job's preparation.
@@ -821,24 +884,21 @@ enum Loaded {
     Absent,
 }
 
-/// Probes the store for tile `tile.id` and cross-checks its record
-/// coverage against preparation: every pair in the slab must have a
-/// record XOR be quarantined (fingerprint-matched inputs prepare
+/// Probes the store for tile `tile.id` and cross-checks its cells
+/// against preparation: a cell is quarantined exactly when its query
+/// or candidate is (fingerprint-matched inputs prepare
 /// deterministically, so any disagreement means the file does not
 /// describe this job and is treated as corrupt).
 fn load_verified(store: &TileStore<'_>, tile: &PairChunk, scorer: &Scorer<'_>) -> Loaded {
-    let mut data = match store.load(tile.id, tile.start, tile.len) {
+    let data = match store.load(tile.id, tile.start, tile.len) {
         Ok(Some(data)) => data,
         Ok(None) | Err(TileError::Io(_)) => return Loaded::Absent,
         Err(TileError::Corrupt { .. }) => return Loaded::Corrupt,
     };
-    data.cells.sort_unstable_by_key(|(lin, _)| *lin);
-    let mut recs = data.cells.iter().peekable();
-    for lin in tile.range() {
-        let has_record = recs.next_if(|(l, _)| *l == lin).is_some();
+    for (lin, cell) in tile.range().zip(&data.cells) {
         let (i, j) = scorer.space.pair(lin);
         let quarantined = scorer.prepared_q[i].is_none() || scorer.prepared_c[j].is_none();
-        if has_record == quarantined {
+        if matches!(cell, PairOutcome::Quarantined) != quarantined {
             return Loaded::Corrupt;
         }
     }
@@ -859,12 +919,7 @@ fn spill_tile(
     let data = TileData {
         id: tile.id,
         start: tile.start,
-        len: tile.len,
-        cells: outs
-            .iter()
-            .enumerate()
-            .filter_map(|(off, o)| to_record(o).map(|rec| (tile.start + off, rec)))
-            .collect(),
+        cells: outs,
     };
     let durable = match store.save(&data) {
         Ok(()) => true,
@@ -882,7 +937,7 @@ fn spill_tile(
     } else {
         tstats.spill_errors += 1;
         *resident_fallback += tile.len;
-        TileSource::Memory(outs)
+        TileSource::Memory(data.cells)
     }
 }
 
@@ -927,31 +982,5 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), chunks.len(), "ids collide: {ids:?}");
         assert!(ids.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn dense_outcomes_fill_quarantine_gaps_between_records() {
-        let tile = PairChunk {
-            id: 1,
-            start: 4,
-            len: 4,
-        };
-        let cells = vec![
-            (7, CellRecord::Panicked),
-            (4, CellRecord::Score(0.25)),
-            (6, CellRecord::Failed { attempts: 3 }),
-        ];
-        assert_eq!(
-            dense_outcomes(&tile, cells),
-            vec![
-                PairOutcome::Score(0.25),
-                PairOutcome::Quarantined,
-                PairOutcome::Failed { attempts: 3 },
-                PairOutcome::Panicked,
-            ]
-        );
-        // And back: only computed outcomes are persisted.
-        assert_eq!(to_record(&PairOutcome::Quarantined), None);
-        assert_eq!(to_record(&PairOutcome::Skipped), None);
     }
 }

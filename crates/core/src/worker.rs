@@ -9,7 +9,7 @@
 //! every trajectory once, answers `ready`, and then scores chunks
 //! until `shutdown` or EOF.
 //!
-//! Wire vocabulary, protocol v4 (one whitespace-separated record per
+//! Wire vocabulary, protocol v5 (one whitespace-separated record per
 //! frame, framed by [`sts_isolate::protocol`]):
 //!
 //! ```text
@@ -33,7 +33,7 @@
 //!   hb <req_id> <pairs_done>
 //!   tstat <seq> (c <name> <v> | g <name> <v> | h <name> ...)*
 //!   tspan <seq> <n> (<id> <parent> <name> <thread> <start> <dur>)* (iff ship_spans)
-//!   result <req_id> <n> (<lin> s <score> | <lin> f <attempts> | <lin> p | <lin> q)*
+//!   result <req_id> <n> (s <score> | f <attempts> | q)*   (one cell per pair, in order)
 //! coordinator → worker (end of run):
 //!   shutdown
 //! worker → coordinator (final telemetry flush):
@@ -44,6 +44,11 @@
 //! refused with a typed [`ServeError::Spec`] before any `ready`.
 //! Worker and coordinator ship from the same build, so there is no
 //! older dialect to serve.
+//!
+//! A `result` holds the chunk's `n` cells in pair order, each in the
+//! one cell text form tile files use too
+//! ([`sts_runtime::encode_cell`]); the coordinator accepts it only when
+//! `n` is the length of the unit it dealt.
 //!
 //! The `hello` handshake makes version or corpus skew a *typed*
 //! rejection instead of undefined scoring: the worker recomputes the
@@ -65,9 +70,9 @@
 //! to every result, and flushes both once more before `bye` on clean
 //! exit.
 //!
-//! `f64`s travel as Rust's shortest round-trip decimal (the same
-//! encoding the tile format relies on), so a worker-scored cell
-//! is bit-identical to its in-process twin. Injected
+//! `f64`s travel as Rust's shortest round-trip decimal (the cell
+//! codec's encoding), so a worker-scored cell is bit-identical to its
+//! in-process twin. Injected
 //! [`Fault::GarbageOutput`](sts_runtime::Fault) pairs make the worker
 //! replace the chunk's result frame with unframed noise — the
 //! coordinator's protocol validation, not this module, turns that into
@@ -76,6 +81,7 @@
 use crate::job::JobConfig;
 use crate::sts::MeasureSpec;
 use crate::{StpCacheMode, Sts, StsConfig, StsVariant};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -85,15 +91,18 @@ use std::time::Duration;
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_isolate::protocol::{read_frame, write_frame, ProtocolError};
 use sts_obs::{trace, FanoutSubscriber, RingRecorder, Snapshot, Subscriber};
-use sts_runtime::{Fault, FaultPlan, PairSpace, RetryPolicy};
+use sts_runtime::{
+    decode_cell, encode_cell, Fault, FaultPlan, PairOutcome, PairSpace, RetryPolicy,
+};
 use sts_stats::Kernel;
 use sts_traj::Trajectory;
 
 /// The wire-protocol version spoken by this build's `hello` frame. A
 /// worker answering a different version's preamble replies
 /// `reject version <got> <want>` instead of `ready`. Version 4 made
-/// `hello` and `trace` mandatory and `ready <now_ns>` the only answer.
-pub const PROTOCOL_VERSION: u64 = 4;
+/// `hello` and `trace` mandatory and `ready <now_ns>` the only answer;
+/// version 5 made `result` cells dense, in the cell codec's text form.
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// How many closed spans a worker buffers between shipping
 /// opportunities; the oldest are dropped past this (span shipping is
@@ -282,14 +291,17 @@ struct JobSpec {
     retry: Option<RetryPolicy>,
     fault: Option<FaultPlan>,
     dims: Option<(usize, usize)>,
-    queries: Vec<Option<Trajectory>>,
-    candidates: Vec<Option<Trajectory>>,
-    // Shapes are recorded from the *raw decoded points*, independently
-    // of Trajectory construction, so the fingerprint check sees exactly
-    // what the coordinator hashed.
-    q_shapes: Vec<Option<crate::job::TrajShape>>,
-    c_shapes: Vec<Option<crate::job::TrajShape>>,
+    queries: Side,
+    candidates: Side,
 }
+
+/// One side's decoded `traj` frames by index: the trajectory (`None`
+/// when unconstructible) and its shape. Shapes are recorded from the
+/// *raw decoded points*, independently of Trajectory construction, so
+/// the fingerprint check sees exactly what the coordinator hashed. A
+/// map rather than a `dims`-sized vector: the frames say how many
+/// trajectories there are, not a count read off the wire.
+type Side = BTreeMap<usize, (Option<Trajectory>, Option<crate::job::TrajShape>)>;
 
 fn spec_err(msg: impl Into<String>) -> ServeError {
     ServeError::Spec(msg.into())
@@ -416,16 +428,13 @@ impl JobSpec {
                 let rows: usize = parse(&mut fields, "rows")?;
                 let cols: usize = parse(&mut fields, "cols")?;
                 self.dims = Some((rows, cols));
-                self.queries = (0..rows).map(|_| None).collect();
-                self.candidates = (0..cols).map(|_| None).collect();
-                self.q_shapes = (0..rows).map(|_| None).collect();
-                self.c_shapes = (0..cols).map(|_| None).collect();
             }
             "traj" => {
                 let side = fields.next().unwrap_or("");
                 let idx: usize = parse(&mut fields, "trajectory index")?;
                 let n: usize = parse(&mut fields, "point count")?;
-                let mut points = Vec::with_capacity(n);
+                // `n` comes off the wire: grow as points arrive.
+                let mut points = Vec::new();
                 for _ in 0..n {
                     let x: f64 = parse(&mut fields, "point x")?;
                     let y: f64 = parse(&mut fields, "point y")?;
@@ -443,15 +452,16 @@ impl JobSpec {
                         last: [lx, ly, lt],
                     }
                 });
-                let (slot, shape_slot) = match side {
-                    "q" => (self.queries.get_mut(idx), self.q_shapes.get_mut(idx)),
-                    "c" => (self.candidates.get_mut(idx), self.c_shapes.get_mut(idx)),
+                let (rows, cols) = self.dims.unwrap_or_default();
+                let (decoded, dim) = match side {
+                    "q" => (&mut self.queries, rows),
+                    "c" => (&mut self.candidates, cols),
                     other => return Err(spec_err(format!("unknown trajectory side `{other}`"))),
                 };
-                *slot.ok_or_else(|| spec_err("trajectory index out of dims"))? = traj;
-                if let Some(s) = shape_slot {
-                    *s = shape;
+                if idx >= dim {
+                    return Err(spec_err("trajectory index out of dims"));
                 }
+                decoded.insert(idx, (traj, shape));
             }
             other => return Err(spec_err(format!("unknown preamble frame `{other}`"))),
         }
@@ -468,11 +478,19 @@ impl JobSpec {
             return Some(format!("reject version {version} {PROTOCOL_VERSION}"));
         }
         let grid = self.grid.as_ref()?;
-        self.dims?;
-        let collect = |side: &[Option<crate::job::TrajShape>]| {
-            side.iter().copied().collect::<Option<Vec<_>>>()
+        let (rows, cols) = self.dims?;
+        // Indices are distinct and below `dims`, so a full side holds
+        // exactly `dims` of them, in order.
+        let shapes = |side: &Side, dim: usize| {
+            (side.len() == dim)
+                .then(|| {
+                    side.values()
+                        .map(|&(_, shape)| shape)
+                        .collect::<Option<Vec<_>>>()
+                })
+                .flatten()
         };
-        let computed = match (collect(&self.q_shapes), collect(&self.c_shapes)) {
+        let computed = match (shapes(&self.queries, rows), shapes(&self.candidates, cols)) {
             (Some(qs), Some(cs)) => crate::job::fingerprint_shapes(grid, &qs, &cs),
             // A missing trajectory frame can never hash to an honest
             // claim; any value other than the claim rejects.
@@ -486,7 +504,7 @@ impl JobSpec {
         let trace = self.trace.ok_or_else(|| spec_err("no trace frame"))?;
         let (variant, config) = self.measure.ok_or_else(|| spec_err("no measure frame"))?;
         let grid = self.grid.ok_or_else(|| spec_err("no grid frame"))?;
-        let (rows, cols) = self.dims.ok_or_else(|| spec_err("no dims frame"))?;
+        self.dims.ok_or_else(|| spec_err("no dims frame"))?;
         let sts = match variant {
             StsVariant::Full => Sts::new(config, grid),
             StsVariant::NoNoise => Sts::variant(config, grid, StsVariant::NoNoise, &[])
@@ -498,9 +516,9 @@ impl JobSpec {
             fault: self.fault,
             ..JobConfig::default()
         };
-        let prepare_side = |side: Vec<Option<Trajectory>>| {
-            side.into_iter()
-                .map(|t| {
+        let prepare_side = |side: Side| {
+            side.into_values()
+                .map(|(t, _)| {
                     t.and_then(|t| {
                         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                             sts.prepare(&t).ok()
@@ -511,12 +529,14 @@ impl JobSpec {
                 })
                 .collect()
         };
-        let prepared_q = prepare_side(self.queries);
-        let prepared_c = prepare_side(self.candidates);
+        let prepared_q: Vec<_> = prepare_side(self.queries);
+        let prepared_c: Vec<_> = prepare_side(self.candidates);
         Ok(WorkerState {
             sts,
             cfg,
-            space: PairSpace::new(rows, cols),
+            // The handshake matched the fingerprint, so the sides hold
+            // exactly `dims` trajectories each.
+            space: PairSpace::new(prepared_q.len(), prepared_c.len()),
             prepared_q,
             prepared_c,
             hb_every,
@@ -623,7 +643,7 @@ pub fn serve<R: BufRead, W: Write>(input: &mut R, output: &mut W) -> Result<(), 
                         &mut scratch,
                     );
                     body.push(' ');
-                    body.push_str(&encode_record(lin, &outcome));
+                    encode_cell(&outcome, &mut body);
                     pairs_done += 1;
                     // Progress heartbeats keep a long chunk's lease
                     // alive without the coordinator guessing at
@@ -755,42 +775,20 @@ impl Drop for Shipper {
     }
 }
 
-/// One cell's wire record (see the module docs for the vocabulary).
-fn encode_record(lin: usize, outcome: &crate::PairOutcome) -> String {
-    use crate::PairOutcome;
-    match outcome {
-        PairOutcome::Score(s) => format!("{lin} s {s}"),
-        PairOutcome::Failed { attempts } => format!("{lin} f {attempts}"),
-        PairOutcome::Panicked => format!("{lin} p"),
-        PairOutcome::Quarantined => format!("{lin} q"),
-        // score_cell_retrying never produces these; encode defensively
-        // as quarantined rather than poisoning the protocol.
-        PairOutcome::Skipped | PairOutcome::Poisoned { .. } => format!("{lin} q"),
-    }
-}
-
-/// Parses one result payload (`<n> (<record>)*`, the body after
-/// `result <req_id> `) into `(lin, outcome)` cells. Returns `None` on
-/// any malformed record — the caller treats the chunk as undelivered.
-pub(crate) fn decode_result_payload(payload: &str) -> Option<Vec<(usize, crate::PairOutcome)>> {
-    use crate::PairOutcome;
+/// Parses one result payload (`<n> <cell>*`, the body after
+/// `result <req_id> `) for a unit of `len` pairs into its cells, in
+/// pair order. `None` unless `n == len` and exactly `len` well-formed
+/// cells follow — the caller treats the unit as undelivered. `n` comes
+/// off the wire, so it is checked before anything is sized by it.
+pub(crate) fn decode_result_payload(payload: &str, len: usize) -> Option<Vec<PairOutcome>> {
     let mut fields = payload.split_whitespace();
-    let n: usize = fields.next()?.parse().ok()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let lin: usize = fields.next()?.parse().ok()?;
-        let outcome = match fields.next()? {
-            "s" => PairOutcome::Score(fields.next()?.parse().ok()?),
-            "f" => PairOutcome::Failed {
-                attempts: fields.next()?.parse().ok()?,
-            },
-            "p" => PairOutcome::Panicked,
-            "q" => PairOutcome::Quarantined,
-            _ => return None,
-        };
-        out.push((lin, outcome));
+    if fields.next()?.parse::<usize>().ok()? != len {
+        return None;
     }
-    fields.next().is_none().then_some(out)
+    let cells = (0..len)
+        .map(|_| decode_cell(&mut fields).ok())
+        .collect::<Option<Vec<_>>>()?;
+    fields.next().is_none().then_some(cells)
 }
 
 #[cfg(test)]
@@ -875,15 +873,15 @@ mod tests {
         ));
         let frames = drive_serve(&preamble, &["chunk 7 0 4".into()]);
         assert!(frames[0].starts_with("ready "), "{frames:?}");
-        let cells = decode_result_payload(result_payload(&frames, 7)).unwrap();
-        assert_eq!(cells.len(), 4);
-        let strict = sts.similarity_matrix(&queries, &candidates).unwrap();
-        for (lin, outcome) in cells {
+        let cells = decode_result_payload(result_payload(&frames, 7), 4).unwrap();
+        for (lin, outcome) in cells.into_iter().enumerate() {
             let (i, j) = space.pair(lin);
+            let want = sts.similarity_prepared(
+                &sts.prepare(&queries[i]).unwrap(),
+                &sts.prepare(&candidates[j]).unwrap(),
+            );
             match outcome {
-                PairOutcome::Score(s) => {
-                    assert_eq!(s.to_bits(), strict[i][j].to_bits(), "({i},{j})")
-                }
+                PairOutcome::Score(s) => assert_eq!(s.to_bits(), want.to_bits(), "({i},{j})"),
                 other => panic!("({i},{j}): {other:?}"),
             }
         }
@@ -908,9 +906,9 @@ mod tests {
             0,
         ));
         let frames = drive_serve(&preamble, &["chunk 0 0 2".into()]);
-        let cells = decode_result_payload(result_payload(&frames, 0)).unwrap();
-        assert_eq!(cells[0], (0, PairOutcome::Quarantined));
-        assert!(matches!(cells[1], (1, PairOutcome::Score(_))));
+        let cells = decode_result_payload(result_payload(&frames, 0), 2).unwrap();
+        assert_eq!(cells[0], PairOutcome::Quarantined);
+        assert!(matches!(cells[1], PairOutcome::Score(_)));
     }
 
     #[test]
@@ -1155,7 +1153,7 @@ mod tests {
         spec.absorb("dims 1 1").unwrap();
         spec.absorb("traj q 0 1 0.1000000000000000055511151231257827 -0 1e-308")
             .unwrap();
-        let t = spec.queries[0].clone().unwrap();
+        let t = spec.queries[&0].0.clone().unwrap();
         assert_eq!(t.get(0).loc.x.to_bits(), 0.1f64.to_bits());
         assert_eq!(t.get(0).loc.y.to_bits(), (-0.0f64).to_bits());
     }
@@ -1182,17 +1180,38 @@ mod tests {
 
     #[test]
     fn result_payload_decoder_rejects_torn_records() {
-        assert!(decode_result_payload("1 0 s 0.5").is_some());
+        assert_eq!(
+            decode_result_payload("2 s 0.5 q", 2),
+            Some(vec![PairOutcome::Score(0.5), PairOutcome::Quarantined])
+        );
         for bad in [
             "",
-            "1",
-            "1 0",
-            "1 0 s",
-            "1 0 z 1",
-            "2 0 s 0.5",
-            "1 0 s 0.5 extra",
+            "2",
+            "2 s 0.5",
+            "2 s 0.5 s",
+            "2 s 0.5 z 1",
+            "1 s 0.5",
+            "2 s 0.5 q extra",
+            "2 0 s 0.5 1 q",
         ] {
-            assert!(decode_result_payload(bad).is_none(), "{bad:?}");
+            assert!(decode_result_payload(bad, 2).is_none(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn counts_off_the_wire_never_size_an_allocation() {
+        // A claimed count of 1e17 cells would ask for exabytes if it
+        // sized the result vector; it is a protocol violation instead.
+        assert!(decode_result_payload("100000000000000000 0 s 0.5", 1).is_none());
+        assert!(decode_result_payload("100000000000000000 s 0.5", 1).is_none());
+        // Likewise the preamble's dimension and point counts.
+        let mut spec = JobSpec::default();
+        spec.absorb("dims 100000000000000000 100000000000000000")
+            .unwrap();
+        assert!(matches!(
+            spec.absorb("traj q 7 100000000000000000 1 2"),
+            Err(ServeError::Spec(_))
+        ));
+        assert!(spec.handshake_rejection().is_none(), "no hello yet");
     }
 }

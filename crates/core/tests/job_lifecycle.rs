@@ -120,8 +120,14 @@ fn already_cancelled_token_skips_everything() {
     assert!(matrix.iter().flatten().all(|c| *c == PairOutcome::Skipped));
 }
 
+/// Cells that panicked on their only attempt.
+fn failed_on_first_attempt(matrix: &[Vec<PairOutcome>]) -> usize {
+    let first = PairOutcome::Failed { attempts: 1 };
+    matrix.iter().flatten().filter(|c| **c == first).count()
+}
+
 /// Mid-job pair budget: exactly the completed cells are scored, the
-/// rest are Skipped, and nothing is Panicked or Failed.
+/// rest are Skipped, and nothing failed.
 #[test]
 fn mid_job_pair_budget_yields_exactly_the_completed_cells() {
     let sts = Sts::new(StsConfig::default(), grid());
@@ -145,7 +151,7 @@ fn mid_job_pair_budget_yields_exactly_the_completed_cells() {
         report.stats.pairs_completed + report.stats.pairs_skipped,
         100
     );
-    assert_eq!(report.batch.panic_count(), 0);
+    assert_eq!(failed_on_first_attempt(&matrix), 0);
     assert_eq!(report.batch.failed_count(), 0);
     // Every completed cell is bit-identical to the uninterrupted run.
     for (i, row) in matrix.iter().enumerate() {
@@ -164,7 +170,7 @@ fn mid_job_pair_budget_yields_exactly_the_completed_cells() {
 
 /// Mid-job wall-clock deadline: when the clock stops the job partway,
 /// the result holds exactly the completed cells (bit-identical to an
-/// uninterrupted run) and no Panicked/Failed entries. The *where* it
+/// uninterrupted run) and no Failed entries. The *where* it
 /// stops is timing-dependent; the invariants are not.
 #[test]
 fn mid_job_deadline_yields_completed_cells_and_no_panics() {
@@ -181,7 +187,7 @@ fn mid_job_deadline_yields_completed_cells_and_no_panics() {
     };
     let (matrix, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
     assert_eq!(report.state(), JobState::DeadlineExceeded, "{report}");
-    assert_eq!(report.batch.panic_count(), 0);
+    assert_eq!(failed_on_first_attempt(&matrix), 0);
     assert_eq!(report.batch.failed_count(), 0);
     for (i, row) in matrix.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
@@ -325,6 +331,49 @@ fn rerun_after_complete_tiled_run_restores_everything() {
     assert_eq!(score_bits(&second), score_bits(&reference));
 }
 
+/// A tile's cells are checked against preparation on resume, quarantined
+/// cells included: an input edited between unchanged endpoints — which
+/// the job fingerprint does not see — that changes which trajectories
+/// prepare makes every tile that disagrees corrupt, in both directions,
+/// and it is recomputed.
+#[test]
+fn resumed_tiles_must_agree_with_preparation_cell_for_cell() {
+    let sts = Sts::new(StsConfig::default(), grid());
+    let good = corpus(95, 4);
+    // Trajectory 3 with its second point 1e300 m away a hair after the
+    // first: same length and endpoints (same fingerprint), but an
+    // infinite speed sample no KDE accepts.
+    let mut bad = good.clone();
+    let mut pts = bad[3].points().to_vec();
+    let t1 = f64::from_bits(pts[0].t.to_bits() + 1);
+    pts[1] = TrajPoint::from_xy(1e300, pts[0].loc.y, t1);
+    bad[3] = Trajectory::new(pts).unwrap();
+    assert!(sts.prepare(&bad[3]).is_err());
+    let cfg = JobConfig::default();
+    for (first, second) in [(&good, &bad), (&bad, &good)] {
+        let tiles = TempTiles::new("prep-check");
+        let tiling = TileConfig {
+            keep_tiles: true,
+            ..tiles.tiling(2)
+        };
+        sts.similarity_matrix_tiled(first, first, &cfg, &tiling)
+            .unwrap();
+        let (resumed, report) = sts
+            .similarity_matrix_tiled(second, second, &cfg, &tiling)
+            .unwrap();
+        // 16 pairs in 2-pair tiles: both tiles of row 3 and the
+        // column-3 tile of every other row disagree.
+        let t = report.stats.tiles.unwrap();
+        assert_eq!((t.tiles_corrupt, t.tiles_resumed), (5, 3), "{report}");
+        let (reference, ref_report) = sts
+            .similarity_matrix_supervised(second, second, &cfg)
+            .unwrap();
+        assert_eq!(resumed, reference);
+        assert_eq!(score_bits(&resumed), score_bits(&reference));
+        assert_eq!(report.batch, ref_report.batch);
+    }
+}
+
 /// An untiled job is one in-memory tile: no tile accounting, and the
 /// chunk counters count every pool chunk of the pair space.
 #[test]
@@ -365,15 +414,27 @@ fn top_k_supervised_matches_strict_top_k_and_respects_budget() {
     let sts = Sts::new(StsConfig::default(), grid());
     let q = corpus(70, 1).pop().unwrap();
     let candidates = corpus(71, 8);
+    // The oracle: a pairwise scoring loop, sorted best first (ties by
+    // index), not another view of the engine.
+    let pq = sts.prepare(&q).unwrap();
+    let mut pairwise: Vec<(usize, f64)> = candidates
+        .iter()
+        .enumerate()
+        .map(|(j, c)| (j, sts.similarity_prepared(&pq, &sts.prepare(c).unwrap())))
+        .collect();
+    pairwise.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    pairwise.truncate(3);
     let strict = sts.top_k(&q, &candidates, 3).unwrap();
     let (supervised, report) = sts
         .top_k_supervised(&q, &candidates, 3, &JobConfig::default())
         .unwrap();
     assert_eq!(report.state(), JobState::Complete);
-    assert_eq!(strict.len(), supervised.len());
-    for ((si, ss), (ui, us)) in strict.iter().zip(&supervised) {
-        assert_eq!(si, ui);
-        assert_eq!(ss.to_bits(), us.to_bits());
+    for ranked in [&strict, &supervised] {
+        assert_eq!(ranked.len(), pairwise.len());
+        for ((si, ss), (ui, us)) in pairwise.iter().zip(ranked) {
+            assert_eq!(si, ui);
+            assert_eq!(ss.to_bits(), us.to_bits());
+        }
     }
     // A zero budget yields an empty ranking, not an error.
     let cfg = JobConfig {
@@ -386,7 +447,7 @@ fn top_k_supervised_matches_strict_top_k_and_respects_budget() {
 }
 
 /// Quarantined trajectories flow through the supervised path exactly
-/// as in the degraded path.
+/// as the batch contract says.
 #[test]
 fn supervised_quarantines_like_degraded() {
     let sts = Sts::new(StsConfig::default(), grid());

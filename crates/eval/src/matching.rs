@@ -7,7 +7,8 @@
 
 use crate::metrics::ranks_of_true_matches;
 use sts_baselines::SimilarityMeasure;
-use sts_core::{JobConfig, JobError, JobReport, Sts};
+use sts_core::{JobConfig, JobError, JobReport, PairOutcome, Sts};
+use sts_runtime::RetryPolicy;
 use sts_traj::{MatchingPairs, Trajectory};
 
 /// Anything that can produce a full query × candidate similarity matrix.
@@ -65,14 +66,20 @@ impl MatrixMeasure for StsMatrix {
     }
 
     fn matrix(&self, queries: &[Trajectory], candidates: &[Trajectory]) -> Vec<Vec<f64>> {
-        // The degraded batch path quarantines unpreparable trajectories
+        // The supervised matrix quarantines unpreparable trajectories
         // and contains per-pair panics, so one broken trajectory costs
         // only its own cells — the rest of the experiment is unaffected.
-        let (outcomes, _report) = self.0.similarity_matrix_degraded(queries, candidates);
-        outcomes
-            .into_iter()
-            .map(|row| row.into_iter().map(|cell| cell.score_or(0.0)).collect())
-            .collect()
+        // Retries are off: a measure that panics on a pair panics on
+        // every attempt.
+        let cfg = JobConfig {
+            retry: RetryPolicy::none(),
+            ..JobConfig::default()
+        };
+        let (outcomes, _report) = self
+            .0
+            .similarity_matrix_supervised(queries, candidates, &cfg)
+            .expect("an untiled in-process job always starts");
+        scores(outcomes)
     }
 
     fn pair(&self, a: &Trajectory, b: &Trajectory) -> f64 {
@@ -101,11 +108,15 @@ pub fn matching_ranks_supervised(
     cfg: &JobConfig,
 ) -> Result<(Vec<usize>, JobReport), JobError> {
     let (outcomes, report) = sts.similarity_matrix_supervised(&pairs.d1, &pairs.d2, cfg)?;
-    let matrix: Vec<Vec<f64>> = outcomes
+    Ok((ranks_of_true_matches(&scores(outcomes)), report))
+}
+
+/// Folds a matrix of outcomes to similarities: an unscored cell is 0.
+fn scores(outcomes: Vec<Vec<PairOutcome>>) -> Vec<Vec<f64>> {
+    outcomes
         .into_iter()
         .map(|row| row.into_iter().map(|cell| cell.score_or(0.0)).collect())
-        .collect();
-    Ok((ranks_of_true_matches(&matrix), report))
+        .collect()
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! The *defense side* lives across the workspace: `sts_traj::repair`
 //! turns corrupted streams back into valid trajectories,
 //! `sts_traj::io::read_trajectories_lenient` survives mangled files,
-//! and `sts_core`'s degraded batch APIs quarantine whatever remains
+//! and `sts_core`'s matrix engine quarantines whatever remains
 //! unusable. The chaos suite in `tests/chaos.rs` drives every injector
 //! through that whole pipeline and asserts the invariant that matters:
 //! **never a panic — always a typed error or a repaired result.**

@@ -7,14 +7,15 @@
 //!
 //! The byte-level half fuzzes the `io` text format through
 //! [`sts_traj::io::read_trajectories_lenient`], and the acceptance test
-//! checks the degraded batch API quarantines known-bad trajectories
-//! while scoring every good pair.
+//! checks that a supervised batch with retries off quarantines
+//! known-bad trajectories while scoring every good pair.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use sts_core::{PairOutcome, QuarantineReason, Sts, StsConfig, StsError};
+use sts_core::{BatchReport, JobConfig, PairOutcome, QuarantineReason, Sts, StsConfig, StsError};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_robust::{standard_injectors, ByteMangler};
+use sts_runtime::RetryPolicy;
 use sts_traj::repair::{repair, RepairConfig, RepairPolicy};
 use sts_traj::{io, TrajPoint, Trajectory};
 
@@ -209,6 +210,29 @@ fn lenient_reader_round_trips_clean_output() {
     }
 }
 
+/// The supervised matrix with retries off (the first panic of a cell
+/// is terminal), with its batch report.
+fn without_retries(
+    sts: &Sts,
+    queries: &[Trajectory],
+    candidates: &[Trajectory],
+) -> (Vec<Vec<PairOutcome>>, BatchReport) {
+    let cfg = JobConfig {
+        retry: RetryPolicy::none(),
+        ..JobConfig::default()
+    };
+    let (matrix, report) = sts
+        .similarity_matrix_supervised(queries, candidates, &cfg)
+        .unwrap();
+    (matrix, report.batch)
+}
+
+/// Cells that panicked on their only attempt.
+fn failed_on_first_attempt(matrix: &[Vec<PairOutcome>]) -> usize {
+    let first = PairOutcome::Failed { attempts: 1 };
+    matrix.iter().flatten().filter(|c| **c == first).count()
+}
+
 /// Acceptance: a batch containing known-bad trajectories yields a score
 /// for every good pair and a report naming each quarantined index.
 #[test]
@@ -229,7 +253,7 @@ fn degraded_matrix_scores_good_pairs_and_names_the_quarantined() {
 
     let queries = vec![good(0.0), bad.clone(), good(3.0)];
     let candidates = vec![good(6.0), bad, good(9.0)];
-    let (matrix, report) = sts.similarity_matrix_degraded(&queries, &candidates);
+    let (matrix, report) = without_retries(&sts, &queries, &candidates);
 
     assert_eq!(
         report.quarantined_queries,
@@ -245,7 +269,7 @@ fn degraded_matrix_scores_good_pairs_and_names_the_quarantined() {
             QuarantineReason::Unpreparable(StsError::TrajectoryTooShort { len: 1 })
         )]
     );
-    assert_eq!(report.panic_count(), 0);
+    assert_eq!(failed_on_first_attempt(&matrix), 0);
     assert!(!report.is_clean());
 
     for (i, row) in matrix.iter().enumerate() {
@@ -262,7 +286,8 @@ fn degraded_matrix_scores_good_pairs_and_names_the_quarantined() {
     }
 }
 
-/// End to end on a corrupted corpus: inject → repair → degraded batch.
+/// End to end on a corrupted corpus: inject → repair → supervised
+/// batch without retries.
 /// Whatever survives repair is either scored or named in the report.
 #[test]
 fn corrupted_corpus_survives_repair_into_degraded_batch() {
@@ -277,10 +302,10 @@ fn corrupted_corpus_survives_repair_into_degraded_batch() {
     }
     // Repair guarantees invariants but not preparability (a 2-point
     // trajectory with one surviving speed sample can still fail KDE);
-    // the degraded API absorbs whatever is left.
+    // the supervised matrix absorbs whatever is left.
     let sts = Sts::new(StsConfig::default(), grid());
-    let (matrix, report) = sts.similarity_matrix_degraded(&survivors, &survivors);
-    assert_eq!(report.panic_count(), 0);
+    let (matrix, report) = without_retries(&sts, &survivors, &survivors);
+    assert_eq!(failed_on_first_attempt(&matrix), 0);
     let quarantined: Vec<usize> = report.quarantined_queries.iter().map(|&(i, _)| i).collect();
     for (i, row) in matrix.iter().enumerate() {
         for (j, cell) in row.iter().enumerate() {
@@ -289,13 +314,11 @@ fn corrupted_corpus_survives_repair_into_degraded_batch() {
                 PairOutcome::Quarantined => {
                     assert!(quarantined.contains(&i) || quarantined.contains(&j))
                 }
-                PairOutcome::Panicked
-                | PairOutcome::Failed { .. }
-                | PairOutcome::Poisoned { .. } => {
+                PairOutcome::Failed { .. } | PairOutcome::Poisoned { .. } => {
                     panic!("({i},{j}) panicked: {cell:?}")
                 }
                 PairOutcome::Skipped => {
-                    panic!("({i},{j}) skipped: degraded batches run unbudgeted")
+                    panic!("({i},{j}) skipped: this batch runs unbudgeted")
                 }
             }
         }

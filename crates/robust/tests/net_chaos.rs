@@ -122,7 +122,6 @@ fn outcome_bits(cell: &PairOutcome) -> (u8, u64) {
     match cell {
         PairOutcome::Score(s) => (0, s.to_bits()),
         PairOutcome::Quarantined => (1, 0),
-        PairOutcome::Panicked => (2, 0),
         PairOutcome::Failed { attempts } => (3, *attempts as u64),
         PairOutcome::Skipped => (4, 0),
         PairOutcome::Poisoned { .. } => (5, 0),

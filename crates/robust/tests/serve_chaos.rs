@@ -420,6 +420,9 @@ fn mangled_frames_never_kill_the_server() {
             y: 50.0,
         };
         c.ingest_until_acked(&p).unwrap();
+        // `ok <seq>` means queued, not applied: flush before reading a
+        // counter, as every other serve test does.
+        c.flush().unwrap();
         assert!(
             c.stats_get("ingest_applied").unwrap() >= seed + 1,
             "seed {seed}: server lost pings after fuzz"

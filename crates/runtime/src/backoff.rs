@@ -3,6 +3,42 @@
 use std::time::Duration;
 use sts_rng::{Rng, Xoshiro256pp};
 
+/// Per-cell retry behaviour for panicked scoring: how many extra
+/// attempts, and the decorrelated-jitter backoff between them.
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Extra attempts after the first failure. `0` disables retries:
+    /// the first panic is terminal.
+    pub max_retries: u32,
+    /// First/minimum backoff delay.
+    pub backoff_base: Duration,
+    /// Backoff cap.
+    pub backoff_cap: Duration,
+    /// Seed for the deterministic jitter stream.
+    pub seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            max_retries: 2,
+            backoff_base: Duration::from_micros(200),
+            backoff_cap: Duration::from_millis(20),
+            seed: 0x5753_5254, // "STSR"
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// No retries: first panic is terminal.
+    pub fn none() -> Self {
+        RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        }
+    }
+}
+
 /// The decorrelated-jitter backoff policy: each delay is drawn
 /// uniformly from `[base, prev * 3]` and capped, so retries spread out
 /// quickly without synchronizing (the classic thundering-herd fix —

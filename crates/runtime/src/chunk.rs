@@ -1,12 +1,11 @@
-//! The shared pair-chunking iterator.
+//! The pair-chunking iterator.
 //!
-//! Every matrix path (strict, degraded, supervised) iterates the same
-//! `rows × cols` pair space. Before this crate existed each path
-//! row-striped it independently — duplicated logic that had already
-//! started to drift. [`PairSpace`] linearizes the space row-major and
-//! [`PairSpace::chunks`] deals it out in fixed-size [`PairChunk`]s,
-//! the unit of scheduling, cancellation checks and retry throughout
-//! the runtime (tiles are chunks too, one level up).
+//! Every matrix entry point is a view of one engine that iterates a
+//! `rows × cols` pair space. [`PairSpace`] linearizes the space
+//! row-major and [`PairSpace::chunks`] deals it out in fixed-size
+//! [`PairChunk`]s, the unit of scheduling, cancellation checks and
+//! panic containment throughout the runtime (tiles are chunks too, one
+//! level up).
 
 /// A `rows × cols` pair space, linearized row-major: linear index
 /// `lin` names the cell `(lin / cols, lin % cols)`.

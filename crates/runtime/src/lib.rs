@@ -13,18 +13,22 @@
 //!   checked by workers at every pair-chunk boundary;
 //! * [`Budget`] / [`Deadline`] — wall-clock and max-pairs limits that
 //!   stop a job cleanly with every completed cell intact;
-//! * [`PairSpace`] / [`PairChunk`] — the shared pair-chunking iterator
-//!   used by every matrix path (strict, degraded, supervised), so pair
-//!   iteration logic exists exactly once;
+//! * [`PairSpace`] / [`PairChunk`] — the pair-chunking iterator of
+//!   the one matrix engine, so pair iteration logic exists exactly
+//!   once;
 //! * [`thread_count`] — worker-count selection from
 //!   `std::thread::available_parallelism` with an `STS_THREADS`
 //!   override (see the function docs for the fallback rules);
 //! * [`pool::run_supervised`] — a std-only worker pool that deals
-//!   chunks from a shared queue, retries panicked chunks with
-//!   decorrelated-jitter backoff ([`DecorrelatedJitter`]), and runs a
-//!   watchdog that marks chunks exceeding a per-chunk soft timeout;
-//! * [`CellRecord`] / [`Fnv1a`] — the bit-exact cell record codec and
-//!   the fingerprint hash shared by tiles, the serve WAL and snapshots;
+//!   chunks from a shared queue, contains a panicking chunk to that
+//!   chunk, and runs a watchdog that marks chunks exceeding a
+//!   per-chunk soft timeout;
+//! * [`RetryPolicy`] / [`DecorrelatedJitter`] — per-cell retries with
+//!   seeded decorrelated-jitter backoff;
+//! * [`PairOutcome`] with [`encode_cell`] / [`decode_cell`] — the one
+//!   cell vocabulary and its bit-exact text form, shared by tile files
+//!   and the worker wire; [`Fnv1a`] — the fingerprint hash shared by
+//!   tiles, the serve WAL and snapshots;
 //! * [`store`] — the injectable [`Storage`] trait behind every durable
 //!   artifact (tiles, WAL segments, snapshots), with [`FsStorage`]
 //!   owning the tmp-write → fsync → rename discipline; the disk-chaos
@@ -63,15 +67,15 @@ mod stats;
 pub mod store;
 pub mod tile;
 
-pub use backoff::DecorrelatedJitter;
+pub use backoff::{DecorrelatedJitter, RetryPolicy};
 pub use budget::{Budget, Deadline, StopReason};
 pub use cancel::CancelToken;
 pub use chunk::{PairChunk, PairSpace};
 pub use exit::{ParseWorkerExitError, WorkerExit};
 pub use fault::{Fault, FaultPlan};
 pub use lease::{CommitOutcome, LeaseTable};
-pub use pool::{ChunkStatus, PoolConfig, PoolRun, RetryPolicy};
-pub use record::{CellRecord, Fnv1a};
+pub use pool::{ChunkStatus, PoolConfig, PoolRun};
+pub use record::{decode_cell, encode_cell, Fnv1a, PairOutcome};
 pub use stats::{JobState, JobStats, ShardStats, TileStats};
 pub use store::{sweep_stale_tmp, FsStorage, Storage};
 pub use tile::{sweep_quarantine, TileData, TileError, TileStore, TileSweep};

@@ -1,20 +1,21 @@
-//! The supervised worker pool.
+//! The supervised worker pool — the in-process executor of every
+//! matrix job.
 //!
-//! Replaces the raw `std::thread::scope` row stripes of the original
-//! matrix paths. Work arrives as [`PairChunk`]s in a shared queue;
-//! workers deal themselves chunks, checking the [`CancelToken`] and
-//! [`Budget`] at every chunk boundary. A chunk whose work function
-//! panics is retried up to [`RetryPolicy::max_retries`] times with
-//! [`DecorrelatedJitter`] backoff before being recorded as
-//! [`ChunkStatus::Failed`]; a watchdog thread marks chunks that exceed
-//! the per-chunk soft timeout (it cannot preempt them — Rust threads
-//! are not killable — but a marked chunk tells the operator *which*
-//! pairs wedged). Completed chunk results are streamed back to the
-//! caller's thread through [`run_supervised`]'s `on_complete` sink, so
-//! the caller can fold cells into its matrix without any shared
-//! mutable state.
+//! Work arrives as [`PairChunk`]s in a shared queue; workers deal
+//! themselves chunks, checking the [`CancelToken`] and [`Budget`] at
+//! every chunk boundary. A chunk whose work function panics is
+//! contained and recorded as [`ChunkStatus::Failed`] while the other
+//! chunks run on. The pool does not retry: callers retry inside their
+//! work function, per cell, where a retry costs one cell rather than a
+//! chunk. A watchdog thread marks chunks that exceed the per-chunk
+//! soft timeout (it cannot preempt them — Rust threads are not
+//! killable — but a marked chunk tells the operator *which* pairs
+//! wedged). Completed chunk results are streamed back to the caller's
+//! thread through [`run_supervised`]'s `on_complete` sink, so the
+//! caller can fold cells into its matrix without any shared mutable
+//! state.
 
-use crate::{Budget, CancelToken, DecorrelatedJitter, PairChunk, StopReason};
+use crate::{Budget, CancelToken, PairChunk, StopReason};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -36,50 +37,12 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Retry behaviour for panicked work.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first failure. `0` disables retries:
-    /// the first panic is terminal (the legacy degraded-mode
-    /// contract, where a panicked cell is reported as `Panicked`).
-    pub max_retries: u32,
-    /// First/minimum backoff delay.
-    pub backoff_base: Duration,
-    /// Backoff cap.
-    pub backoff_cap: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_micros(200),
-            backoff_cap: Duration::from_millis(20),
-            seed: 0x5753_5254, // "STSR"
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: first panic is terminal.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
 /// Pool-level configuration.
 #[derive(Debug, Clone, Default)]
 pub struct PoolConfig {
     /// Worker threads; `0` selects automatically via
     /// [`thread_count`](crate::thread_count) capped at the chunk count.
     pub threads: usize,
-    /// Retry behaviour for panicked chunks.
-    pub retry: RetryPolicy,
     /// Per-chunk soft timeout: chunks running (or having run) longer
     /// are marked slow in [`PoolRun::slow_chunks`]. `None` disables
     /// the watchdog.
@@ -96,11 +59,9 @@ pub enum ChunkStatus {
     /// The chunk's work function returned; its cells were delivered to
     /// the sink.
     Completed,
-    /// The work function panicked on every attempt.
-    Failed {
-        /// Total attempts made (1 + retries).
-        attempts: u32,
-    },
+    /// The work function panicked; the panic was contained to the
+    /// chunk.
+    Failed,
     /// The chunk was never run: the job stopped first.
     Skipped(StopReason),
 }
@@ -112,8 +73,6 @@ pub struct PoolRun {
     pub statuses: Vec<ChunkStatus>,
     /// Pairs covered by completed chunks.
     pub pairs_completed: usize,
-    /// Chunk retry attempts performed.
-    pub retries: u64,
     /// [`PairChunk::id`]s of chunks that exceeded the soft timeout,
     /// ascending.
     pub slow_chunks: Vec<usize>,
@@ -121,22 +80,17 @@ pub struct PoolRun {
     pub stop: Option<StopReason>,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
-    /// Total time chunks spent queued before a worker picked them up,
-    /// summed over all attempts.
+    /// Total time chunks spent queued before a worker picked them up.
     pub chunk_wait: Duration,
-    /// Total time workers spent inside the work function, summed over
-    /// all attempts (including ones that panicked).
+    /// Total time workers spent inside the work function (including
+    /// calls that panicked).
     pub chunk_run: Duration,
 }
 
-/// One queue entry: the chunk, its position in the status vector, how
-/// many attempts it has already consumed and when it entered the queue
-/// (for wait-time accounting).
+/// One queue entry: the chunk and its position in the status vector.
 struct WorkItem {
     idx: usize,
     chunk: PairChunk,
-    attempt: u32,
-    enqueued: Instant,
 }
 
 /// Shared supervisor state.
@@ -144,9 +98,10 @@ struct Shared {
     queue: Mutex<VecDeque<WorkItem>>,
     statuses: Mutex<Vec<Option<ChunkStatus>>>,
     pairs_done: AtomicUsize,
-    retries: AtomicU64,
     stop: Mutex<Option<StopReason>>,
     slow: Mutex<Vec<usize>>,
+    /// When every chunk entered the queue.
+    started: Instant,
     wait_ns: AtomicU64,
     run_ns: AtomicU64,
     /// The `pool.run` span id — workers parent their `pool.chunk`
@@ -179,9 +134,8 @@ impl Shared {
 /// `work(chunk)` returns the computed cells as `(linear index, value)`
 /// pairs; they are handed — in completion order, on the calling
 /// thread — to `on_complete(chunk, cells)`, which is where the caller
-/// folds them into its result. Panics inside `work` are caught and
-/// retried per
-/// [`RetryPolicy`]; `on_complete` must not panic.
+/// folds them into its result. A panic inside `work` is caught and
+/// fails that chunk alone; `on_complete` must not panic.
 ///
 /// The call returns when every chunk is completed, terminally failed,
 /// or skipped because the budget/cancel stopped the run.
@@ -205,10 +159,10 @@ where
 /// scoring paths thread a reusable scratch arena (`sts-core`'s
 /// `StpScratch`) through the pool without sharing it across threads.
 ///
-/// A panic inside `work` is caught and the chunk retried per
-/// [`RetryPolicy`] — on the same worker, with the same state — so the
-/// state must stay usable after an unwound call (buffers that are
-/// cleared at the start of each use satisfy this).
+/// A panic inside `work` is caught and the worker goes on to its next
+/// chunk with the same state, so the state must stay usable after an
+/// unwound call (buffers that are cleared at the start of each use
+/// satisfy this).
 pub fn run_supervised_with<W, T, I, F, S>(
     chunks: &[PairChunk],
     cfg: &PoolConfig,
@@ -234,19 +188,14 @@ where
             chunks
                 .iter()
                 .enumerate()
-                .map(|(idx, &chunk)| WorkItem {
-                    idx,
-                    chunk,
-                    attempt: 0,
-                    enqueued: started,
-                })
+                .map(|(idx, &chunk)| WorkItem { idx, chunk })
                 .collect(),
         ),
         statuses: Mutex::new(vec![None; chunks.len()]),
         pairs_done: AtomicUsize::new(0),
-        retries: AtomicU64::new(0),
         stop: Mutex::new(None),
         slow: Mutex::new(Vec::new()),
+        started,
         wait_ns: AtomicU64::new(0),
         run_ns: AtomicU64::new(0),
         span: run_span.id(),
@@ -295,7 +244,6 @@ where
     PoolRun {
         statuses,
         pairs_completed: shared.pairs_done.into_inner(),
-        retries: shared.retries.into_inner(),
         slow_chunks,
         stop,
         elapsed: started.elapsed(),
@@ -316,14 +264,9 @@ fn worker_loop<W, T, I, F>(
     I: Fn(usize) -> W + Sync,
     F: Fn(&mut W, &PairChunk) -> Vec<(usize, T)> + Sync,
 {
-    let mut backoff = DecorrelatedJitter::new(
-        cfg.retry.backoff_base,
-        cfg.retry.backoff_cap,
-        cfg.retry.seed ^ (slot as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
     // Per-worker state (e.g. a scoring scratch arena), created once and
-    // reused for every chunk — including retries after a caught panic,
-    // so `work` must leave it reusable (clear-on-entry buffers do).
+    // reused for every chunk — including after a caught panic, so
+    // `work` must leave it reusable (clear-on-entry buffers do).
     let mut state = init(slot);
     loop {
         // Cooperative stop check, once per chunk boundary.
@@ -349,7 +292,7 @@ fn worker_loop<W, T, I, F>(
         shared.report_depth(queue.len());
         drop(queue);
 
-        let waited = item.enqueued.elapsed();
+        let waited = shared.started.elapsed();
         shared.wait_ns.fetch_add(as_ns(waited), Ordering::Relaxed);
         static_histogram!("runtime.pool.chunk_wait_ns").record_duration(waited);
 
@@ -367,35 +310,20 @@ fn worker_loop<W, T, I, F>(
             shared.mark_slow(item.chunk.id);
         }
 
-        match result {
+        let status = match result {
             Ok(cells) => {
                 shared
                     .pairs_done
                     .fetch_add(item.chunk.len, Ordering::Relaxed);
-                lock_unpoisoned(&shared.statuses)[item.idx] = Some(ChunkStatus::Completed);
                 // The collector holds the receiver for the whole
                 // scope; a send failure means the caller's scope is
                 // unwinding already, so dropping the cells is fine.
                 let _ = tx.send((item.chunk, cells));
+                ChunkStatus::Completed
             }
-            Err(_) if item.attempt < cfg.retry.max_retries => {
-                shared.retries.fetch_add(1, Ordering::Relaxed);
-                static_counter!("runtime.pool.retries").incr();
-                std::thread::sleep(backoff.next_delay());
-                let mut queue = lock_unpoisoned(&shared.queue);
-                queue.push_back(WorkItem {
-                    attempt: item.attempt + 1,
-                    enqueued: Instant::now(),
-                    ..item
-                });
-                shared.report_depth(queue.len());
-            }
-            Err(_) => {
-                lock_unpoisoned(&shared.statuses)[item.idx] = Some(ChunkStatus::Failed {
-                    attempts: item.attempt + 1,
-                });
-            }
-        }
+            Err(_) => ChunkStatus::Failed,
+        };
+        lock_unpoisoned(&shared.statuses)[item.idx] = Some(status);
     }
 }
 
@@ -425,8 +353,8 @@ mod tests {
         PairSpace::new(rows, cols).chunks(size).collect()
     }
 
-    /// Runs `f` with panic output silenced (retry tests panic on
-    /// purpose).
+    /// Runs `f` with panic output silenced (the containment test panics
+    /// on purpose).
     fn quietly<T>(f: impl FnOnce() -> T) -> T {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
@@ -453,30 +381,22 @@ mod tests {
         assert!(run.statuses.iter().all(|s| *s == ChunkStatus::Completed));
         assert_eq!(run.pairs_completed, space.len());
         assert_eq!(run.stop, None);
-        assert_eq!(run.retries, 0);
         for (lin, v) in cells.iter().enumerate() {
             assert_eq!(*v, lin as u64 * 3);
         }
     }
 
     #[test]
-    fn panicking_chunk_is_retried_then_failed() {
+    fn panicking_chunk_fails_alone_and_the_rest_complete() {
         quietly(|| {
             let chunks = chunks_of(4, 1, 1); // 4 chunks of 1 pair
-            let cfg = PoolConfig {
-                retry: RetryPolicy {
-                    max_retries: 2,
-                    backoff_base: Duration::from_micros(10),
-                    backoff_cap: Duration::from_micros(100),
-                    seed: 1,
-                },
-                ..PoolConfig::default()
-            };
+            let calls = AtomicUsize::new(0);
             let mut delivered = Vec::new();
             let run = run_supervised(
                 &chunks,
-                &cfg,
+                &PoolConfig::default(),
                 |c| {
+                    calls.fetch_add(1, Ordering::Relaxed);
                     if c.start == 2 {
                         panic!("poisoned chunk");
                     }
@@ -484,44 +404,15 @@ mod tests {
                 },
                 |_c, cells| delivered.extend(cells),
             );
-            assert_eq!(run.statuses[2], ChunkStatus::Failed { attempts: 3 });
-            assert_eq!(run.retries, 2);
+            assert_eq!(run.statuses[2], ChunkStatus::Failed);
             for idx in [0, 1, 3] {
                 assert_eq!(run.statuses[idx], ChunkStatus::Completed, "chunk {idx}");
             }
+            assert_eq!(calls.load(Ordering::Relaxed), 4, "no chunk runs twice");
+            assert_eq!(run.pairs_completed, 3);
+            assert_eq!(run.stop, None);
             delivered.sort_unstable();
             assert_eq!(delivered, vec![(0, 0), (1, 1), (3, 3)]);
-        });
-    }
-
-    #[test]
-    fn transient_panic_recovers_on_retry() {
-        quietly(|| {
-            let chunks = chunks_of(1, 1, 1);
-            let tries = AtomicUsize::new(0);
-            let cfg = PoolConfig {
-                retry: RetryPolicy {
-                    max_retries: 3,
-                    backoff_base: Duration::from_micros(10),
-                    backoff_cap: Duration::from_micros(50),
-                    seed: 2,
-                },
-                ..PoolConfig::default()
-            };
-            let run = run_supervised(
-                &chunks,
-                &cfg,
-                |c| {
-                    if tries.fetch_add(1, Ordering::Relaxed) < 2 {
-                        panic!("transient");
-                    }
-                    vec![(c.start, 7u8)]
-                },
-                |_, _| {},
-            );
-            assert_eq!(run.statuses[0], ChunkStatus::Completed);
-            assert_eq!(run.retries, 2);
-            assert_eq!(run.pairs_completed, 1);
         });
     }
 

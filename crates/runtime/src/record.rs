@@ -1,26 +1,33 @@
-//! The cell record codec and the workspace fingerprint hash.
+//! The one cell vocabulary and the workspace fingerprint hash.
 //!
-//! A [`CellRecord`] is one terminal, *computed* cell outcome as the
-//! durable formats store it. Matrix tiles (`crate::tile`) key records
-//! by linear pair index; the record itself is the tag-and-value tail of
-//! a `cell` line:
+//! A [`PairOutcome`] is what scoring one (query, candidate) cell came
+//! to. Everything that writes a cell down — a tile file's cell lines
+//! (`crate::tile`) and a worker's `result` frame (`sts-core`'s worker
+//! protocol) — writes it with [`encode_cell`] and reads it back with
+//! [`decode_cell`]:
 //!
 //! ```text
 //! s <score>      # scored cell
-//! f <attempts>   # terminally failed cell (attempts made)
-//! p              # panicked cell (legacy no-retry mode)
+//! f <attempts>   # cell that panicked on every attempt
+//! q              # cell of a quarantined trajectory
 //! x <exit>       # poison pair that killed a worker
 //! ```
 //!
-//! The `x` record's `<exit>` is the single-token form of
+//! The `x` cell's `<exit>` is the single-token form of
 //! [`WorkerExit`](crate::WorkerExit) (`signal:6`, `hard-timeout`, …),
 //! so a resumed job never re-runs — and never re-dies on — a known
-//! poison pair.
+//! poison pair. [`PairOutcome::Skipped`] has no text form: only
+//! complete slabs are ever written, and a skipped cell is by
+//! definition not complete.
 //!
 //! Scores are written with Rust's shortest-round-trip `f64` formatting
 //! (`Display`), which parses back to the *bit-identical* value —
 //! including `NaN`, `inf` and `-0` — so a resumed job reproduces an
-//! uninterrupted run's matrix byte for byte.
+//! uninterrupted run's matrix byte for byte, and a worker-scored cell
+//! equals its in-process twin.
+
+use crate::WorkerExit;
+use std::fmt::Write;
 
 /// FNV-1a 64-bit — the workspace's zero-dependency fingerprint hash.
 /// Not cryptographic; it guards against *accidental* input mismatch
@@ -67,68 +74,95 @@ impl Fnv1a {
     }
 }
 
-/// A persisted cell outcome. Mirrors the terminal, *computed* outcomes
-/// of the matrix job; the mapping to `sts-core`'s `PairOutcome` lives
-/// there.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CellRecord {
-    /// The cell was scored.
+/// The outcome of scoring one (query, candidate) cell.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PairOutcome {
+    /// The pair was scored. The value is passed through as computed;
+    /// use [`PairOutcome::score_or`] to fold non-finite values away.
     Score(f64),
-    /// The cell panicked on every attempt (`attempts` made).
+    /// The query or the candidate was quarantined during preparation;
+    /// the pair was never attempted.
+    Quarantined,
+    /// Scoring this pair panicked on every attempt: `attempts` made,
+    /// with backoff between them (1 when retries are disabled).
     Failed {
         /// Total attempts consumed before giving up.
         attempts: u32,
     },
-    /// The cell panicked with retries disabled (legacy degraded mode).
-    Panicked,
-    /// The cell killed a worker subprocess and was quarantined with
-    /// the worker's exit status (subprocess execution mode).
+    /// The pair was never attempted: the job stopped first (deadline,
+    /// pair budget or cancellation). A resumed job will compute it.
+    Skipped,
+    /// Scoring this pair killed its worker subprocess (abort, OOM
+    /// kill, hard-timeout kill, garbage output); crash attribution
+    /// isolated the pair and quarantined it with the worker's exit.
+    /// Only subprocess execution produces it — in-process execution
+    /// does not survive these faults at all.
     Poisoned {
-        /// How the worker holding this pair died.
-        exit: crate::WorkerExit,
+        /// How the worker holding the isolated pair died.
+        exit: WorkerExit,
     },
 }
 
-/// The record's tag-and-value fields (`s 0.5`, `f 3`, `p`,
-/// `x signal:6`) — the part of a `cell` line after the index.
-pub(crate) fn record_fields(rec: &CellRecord) -> String {
-    match rec {
-        CellRecord::Score(s) => format!("s {s}"),
-        CellRecord::Failed { attempts } => format!("f {attempts}"),
-        CellRecord::Panicked => "p".to_string(),
-        CellRecord::Poisoned { exit } => format!("x {exit}"),
+impl PairOutcome {
+    /// The score, if the pair produced one.
+    pub fn score(&self) -> Option<f64> {
+        match self {
+            PairOutcome::Score(s) => Some(*s),
+            _ => None,
+        }
+    }
+
+    /// The score, with unscored and non-finite cells folded to
+    /// `default` — the "an unmeasurable pair is maximally dissimilar"
+    /// convention of the matching harness.
+    pub fn score_or(&self, default: f64) -> f64 {
+        match self {
+            PairOutcome::Score(s) if s.is_finite() => *s,
+            _ => default,
+        }
     }
 }
 
-/// Parses the tag-and-value fields written by [`record_fields`].
-pub(crate) fn record_from_fields(
-    fields: &mut std::str::SplitWhitespace,
-) -> Result<CellRecord, String> {
-    let tag = fields
-        .next()
-        .ok_or_else(|| "missing cell tag".to_string())?;
+/// Appends `cell`'s text form (`s 0.5`, `f 3`, `q`, `x signal:6`) to
+/// `out`.
+///
+/// # Panics
+/// On [`PairOutcome::Skipped`], which has no text form: the engine
+/// writes complete slabs only.
+pub fn encode_cell(cell: &PairOutcome, out: &mut String) {
+    // Writing to a String cannot fail.
+    let _ = match cell {
+        PairOutcome::Score(s) => write!(out, "s {s}"),
+        PairOutcome::Failed { attempts } => write!(out, "f {attempts}"),
+        PairOutcome::Quarantined => write!(out, "q"),
+        PairOutcome::Poisoned { exit } => write!(out, "x {exit}"),
+        PairOutcome::Skipped => unreachable!("a skipped cell is never written"),
+    };
+}
+
+/// Parses one cell's text form, as written by [`encode_cell`], off the
+/// front of `fields`.
+pub fn decode_cell<'a>(fields: &mut impl Iterator<Item = &'a str>) -> Result<PairOutcome, String> {
+    let tag = fields.next().ok_or("missing cell tag")?;
+    let mut value = |what: &str| fields.next().ok_or_else(|| format!("missing {what}"));
     match tag {
         "s" => {
-            let v = fields.next().ok_or_else(|| "missing score".to_string())?;
+            let v = value("score")?;
             v.parse()
-                .map(CellRecord::Score)
+                .map(PairOutcome::Score)
                 .map_err(|_| format!("bad score `{v}`"))
         }
         "f" => {
-            let v = fields
-                .next()
-                .ok_or_else(|| "missing attempts".to_string())?;
+            let v = value("attempts")?;
             v.parse()
-                .map(|attempts| CellRecord::Failed { attempts })
+                .map(|attempts| PairOutcome::Failed { attempts })
                 .map_err(|_| format!("bad attempts `{v}`"))
         }
-        "p" => Ok(CellRecord::Panicked),
+        "q" => Ok(PairOutcome::Quarantined),
         "x" => {
-            let v = fields
-                .next()
-                .ok_or_else(|| "missing worker exit".to_string())?;
+            let v = value("worker exit")?;
             v.parse()
-                .map(|exit| CellRecord::Poisoned { exit })
+                .map(|exit| PairOutcome::Poisoned { exit })
                 .map_err(|_| format!("bad worker exit `{v}`"))
         }
         other => Err(format!("unknown cell tag `{other}`")),
@@ -139,15 +173,21 @@ pub(crate) fn record_from_fields(
 mod tests {
     use super::*;
 
-    fn parse(text: &str) -> Result<CellRecord, String> {
-        record_from_fields(&mut text.split_whitespace())
+    fn round_trip(cell: &PairOutcome) -> Result<PairOutcome, String> {
+        let mut text = String::new();
+        encode_cell(cell, &mut text);
+        decode_cell(&mut text.split_whitespace())
     }
 
-    /// Bit-exact record equality (`PartialEq` on `f64` misses NaN and
+    fn parse(text: &str) -> Result<PairOutcome, String> {
+        decode_cell(&mut text.split_whitespace())
+    }
+
+    /// Bit-exact outcome equality (`PartialEq` on `f64` misses NaN and
     /// conflates `0.0`/`-0.0`).
-    fn bit_eq(a: &CellRecord, b: &CellRecord) -> bool {
+    fn bit_eq(a: &PairOutcome, b: &PairOutcome) -> bool {
         match (a, b) {
-            (CellRecord::Score(x), CellRecord::Score(y)) => x.to_bits() == y.to_bits(),
+            (PairOutcome::Score(x), PairOutcome::Score(y)) => x.to_bits() == y.to_bits(),
             _ => a == b,
         }
     }
@@ -157,22 +197,22 @@ mod tests {
         use sts_rng::{Rng, Xoshiro256pp};
         let mut rng = Xoshiro256pp::seed_from_u64(99);
         let specials = [f64::NAN, -0.0, f64::INFINITY, 0.12345678901234567];
-        let records = (0..200)
-            .map(|_| CellRecord::Score(rng.f64().powi(7) * 1e3))
-            .chain(specials.map(CellRecord::Score))
+        let cells = (0..200)
+            .map(|_| PairOutcome::Score(rng.f64().powi(7) * 1e3))
+            .chain(specials.map(PairOutcome::Score))
             .chain([
-                CellRecord::Failed { attempts: 3 },
-                CellRecord::Panicked,
-                CellRecord::Poisoned {
-                    exit: crate::WorkerExit::Signal(6),
+                PairOutcome::Failed { attempts: 3 },
+                PairOutcome::Quarantined,
+                PairOutcome::Poisoned {
+                    exit: WorkerExit::Signal(6),
                 },
-                CellRecord::Poisoned {
-                    exit: crate::WorkerExit::HardTimeout,
+                PairOutcome::Poisoned {
+                    exit: WorkerExit::HardTimeout,
                 },
             ]);
-        for rec in records {
-            let back = parse(&record_fields(&rec)).unwrap();
-            assert!(bit_eq(&rec, &back), "{rec:?} vs {back:?}");
+        for cell in cells {
+            let back = round_trip(&cell).unwrap();
+            assert!(bit_eq(&cell, &back), "{cell:?} vs {back:?}");
         }
     }
 
@@ -181,6 +221,7 @@ mod tests {
         for (text, want) in [
             ("", "missing cell tag"),
             ("z", "unknown cell tag"),
+            ("p", "unknown cell tag"),
             ("s", "missing score"),
             ("s zero", "bad score"),
             ("f -1", "bad attempts"),

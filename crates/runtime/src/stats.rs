@@ -233,22 +233,22 @@ pub struct JobStats {
     pub chunks_total: usize,
     /// Chunks that completed.
     pub chunks_completed: usize,
-    /// Chunks that failed terminally (pool-level backstop).
+    /// Chunks whose work panicked outside the per-cell containment
+    /// (the pool's backstop); their unresolved cells fail.
     pub chunks_failed: usize,
     /// Chunks skipped by an early stop.
     pub chunks_skipped: usize,
-    /// Retry attempts performed (cell-level and chunk-level).
+    /// Per-cell retry attempts performed in process.
     pub retries: u64,
     /// Ids of chunks that exceeded the per-chunk soft timeout,
     /// ascending. Ids number the chunks of the whole pair space, so
     /// they are distinct across tiles.
     pub slow_chunks: Vec<usize>,
-    /// Total time chunks spent queued before a worker picked them up,
-    /// summed over all attempts (`> elapsed` is normal with several
-    /// workers: it sums *per-chunk* waits).
+    /// Total time chunks spent queued before a worker picked them up
+    /// (`> elapsed` is normal with several workers: it sums
+    /// *per-chunk* waits).
     pub chunk_wait_total: Duration,
-    /// Total time workers spent inside chunk work functions, summed
-    /// over all attempts.
+    /// Total time workers spent inside chunk work functions.
     pub chunk_run_total: Duration,
     /// Out-of-core tiling accounting; `None` for in-memory runs.
     pub tiles: Option<TileStats>,

@@ -2,19 +2,19 @@
 //!
 //! A *tile* is one [`PairChunk`](crate::PairChunk)-sized slab of the
 //! pair space, spilled to its own file once every cell in it has a
-//! terminal record. The format is the workspace's line-based text
+//! terminal outcome. The format is the workspace's line-based text
 //! style, and it is verified end to end on every load:
 //!
 //! ```text
 //! # STS matrix tile (DESIGN.md §3h)
-//! tile v1
+//! tile v2
 //! job <16 hex digits>          # job-input fingerprint
 //! tile <id> <start> <len>      # which slab of the pair space this is
 //! payload <16 hex digits>      # FNV-1a over the cell-line bytes below
-//! cell <lin> s <score>         # records: the `CellRecord` codec
-//! cell <lin> f <attempts>      # (s/f/p/x; quarantined cells are
-//! cell <lin> x <exit>          #  re-derived, never stored)
-//! end <n_cells>                # trailer: number of cell lines above
+//! s <score>                    # one line per cell of the slab, in
+//! q                            # order, in the one cell text form
+//! f <attempts>                 # (`crate::record`: s/f/q/x)
+//! end <len>                    # trailer: number of cell lines above
 //! ```
 //!
 //! Three independent integrity checks make silent corruption
@@ -28,34 +28,34 @@
 //!    write — the classic crash-mid-spill artifact — fails the load
 //!    even when the truncation lands exactly on a line boundary.
 //!
-//! A failed check is a typed [`TileError::Corrupt`]; the engine
-//! quarantines the file aside (`.corrupt` suffix — evidence, not
-//! garbage) and recomputes the tile. Loads never guess.
+//! A failed check — or a slab with a cell missing — is a typed
+//! [`TileError::Corrupt`]; the engine quarantines the file aside
+//! (`.corrupt` suffix — evidence, not garbage) and recomputes the
+//! tile. Loads never guess. A tile written by an older build in
+//! another format fails the same checks and is recomputed the same way.
 //!
 //! All I/O goes through the injectable [`Storage`] trait, which is how
 //! the `sts-robust` disk-chaos suite drives torn writes, bit flips,
 //! ENOSPC and stale tmp files through this exact code.
 
-use crate::record::{record_fields, record_from_fields, CellRecord, Fnv1a};
+use crate::record::{decode_cell, encode_cell, Fnv1a, PairOutcome};
 use crate::store::{sweep_stale_tmp, Storage};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One spilled tile: the slab geometry plus every terminal cell
-/// record, keyed by *absolute* linear pair index.
+/// One spilled tile: the slab geometry plus the outcome of every cell
+/// in it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileData {
     /// Tile id (the chunk id in the tile-sized chunking of the space).
     pub id: usize,
     /// First linear pair index covered.
     pub start: usize,
-    /// Number of pairs covered.
-    pub len: usize,
-    /// `(lin, record)` for every terminal cell, ascending by `lin`.
-    /// Cells whose trajectory is quarantined carry no record — the
-    /// engine re-derives quarantine from preparation.
-    pub cells: Vec<(usize, CellRecord)>,
+    /// The slab's cells in order — `cells[k]` is pair `start + k` —
+    /// none of them `Skipped`. Quarantined cells are written too, and
+    /// the engine checks them against preparation on resume.
+    pub cells: Vec<PairOutcome>,
 }
 
 /// Errors loading a tile.
@@ -96,31 +96,28 @@ impl From<io::Error> for TileError {
 /// durability is the caller's [`Storage::write_atomic`].
 pub fn encode_tile(job_fingerprint: u64, tile: &TileData) -> Vec<u8> {
     let mut cells_text = String::new();
-    for (lin, rec) in &tile.cells {
-        cells_text.push_str("cell ");
-        cells_text.push_str(&lin.to_string());
-        cells_text.push(' ');
-        cells_text.push_str(&record_fields(rec));
+    for cell in &tile.cells {
+        encode_cell(cell, &mut cells_text);
         cells_text.push('\n');
     }
     let mut digest = Fnv1a::new();
     digest.write(cells_text.as_bytes());
     let mut out = String::new();
     out.push_str("# STS matrix tile (DESIGN.md \u{a7}3h)\n");
-    out.push_str("tile v1\n");
+    out.push_str("tile v2\n");
     out.push_str(&format!("job {:016x}\n", job_fingerprint));
-    out.push_str(&format!("tile {} {} {}\n", tile.id, tile.start, tile.len));
+    let len = tile.cells.len();
+    out.push_str(&format!("tile {} {} {len}\n", tile.id, tile.start));
     out.push_str(&format!("payload {:016x}\n", digest.finish()));
     out.push_str(&cells_text);
-    out.push_str(&format!("end {}\n", tile.cells.len()));
+    out.push_str(&format!("end {len}\n"));
     out.into_bytes()
 }
 
 /// Parses and fully verifies a tile against the slab the caller
 /// expects. Any deviation — torn tail, flipped byte, wrong job
-/// fingerprint, wrong geometry, out-of-slab or duplicate cell —
-/// returns `Err` with the failed check; the bytes are never partially
-/// trusted.
+/// fingerprint, wrong geometry, a cell too many or too few — returns
+/// `Err` with the failed check; the bytes are never partially trusted.
 pub fn decode_tile(
     bytes: &[u8],
     job_fingerprint: u64,
@@ -136,14 +133,14 @@ pub fn decode_tile(
         return Err("truncated: missing final newline".to_string());
     }
     let mut lines = text.split('\n');
-    // Header: comments/blank lines tolerated until `tile v1`.
+    // Header: comments/blank lines tolerated until `tile v2`.
     loop {
-        let line = lines.next().ok_or("missing `tile v1` header")?.trim();
+        let line = lines.next().ok_or("missing `tile v2` header")?.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        if line != "tile v1" {
-            return Err(format!("expected `tile v1` header, got `{line}`"));
+        if line != "tile v2" {
+            return Err(format!("expected `tile v2` header, got `{line}`"));
         }
         break;
     }
@@ -186,8 +183,7 @@ pub fn decode_tile(
     // Cells region: exact bytes, re-hashed as read. No comments, no
     // blank lines — we wrote this file; anything unexpected is damage.
     let mut digest = Fnv1a::new();
-    let mut cells: Vec<(usize, CellRecord)> = Vec::new();
-    let mut seen = vec![false; len];
+    let mut cells: Vec<PairOutcome> = Vec::new();
     let end_count = loop {
         let line = lines.next().ok_or("truncated: missing `end` trailer")?;
         if let Some(rest) = line.strip_prefix("end ") {
@@ -198,35 +194,20 @@ pub fn decode_tile(
         }
         digest.write(line.as_bytes());
         digest.write(b"\n");
-        let rest = line
-            .strip_prefix("cell ")
-            .ok_or_else(|| format!("unexpected line in cell region: `{line}`"))?;
-        let mut fields = rest.split_whitespace();
-        let lin: usize = fields
-            .next()
-            .ok_or("cell line missing index")?
-            .parse()
-            .map_err(|_| format!("bad cell index in `{line}`"))?;
-        if lin < start || lin >= start + len {
-            return Err(format!(
-                "cell {lin} outside tile slab [{start}, {})",
-                start + len
-            ));
-        }
-        if std::mem::replace(&mut seen[lin - start], true) {
-            return Err(format!("duplicate cell {lin}"));
-        }
-        let rec = record_from_fields(&mut fields)?;
+        let mut fields = line.split_whitespace();
+        cells.push(decode_cell(&mut fields)?);
         if fields.next().is_some() {
             return Err(format!("trailing fields in `{line}`"));
         }
-        cells.push((lin, rec));
     };
     if end_count != cells.len() {
         return Err(format!(
             "trailer says {end_count} cell(s) but {} present (torn write)",
             cells.len()
         ));
+    }
+    if cells.len() != len {
+        return Err(format!("slab holds {} of its {len} cell(s)", cells.len()));
     }
     if digest.finish() != payload {
         return Err(format!(
@@ -240,13 +221,7 @@ pub fn decode_tile(
             return Err(format!("trailing garbage after `end`: `{line}`"));
         }
     }
-    cells.sort_by_key(|&(lin, _)| lin);
-    Ok(TileData {
-        id,
-        start,
-        len,
-        cells,
-    })
+    Ok(TileData { id, start, cells })
 }
 
 /// Quarantined `.tile.corrupt` files kept for forensics: the newest
@@ -437,26 +412,22 @@ mod tests {
         TileData {
             id: 3,
             start: 12,
-            len: 6,
             cells: vec![
-                (12, CellRecord::Score(0.12345678901234567)),
-                (13, CellRecord::Score(f64::NAN)),
-                (14, CellRecord::Score(-0.0)),
-                (15, CellRecord::Failed { attempts: 3 }),
-                (16, CellRecord::Panicked),
-                (
-                    17,
-                    CellRecord::Poisoned {
-                        exit: WorkerExit::Signal(9),
-                    },
-                ),
+                PairOutcome::Score(0.12345678901234567),
+                PairOutcome::Score(f64::NAN),
+                PairOutcome::Score(-0.0),
+                PairOutcome::Failed { attempts: 3 },
+                PairOutcome::Quarantined,
+                PairOutcome::Poisoned {
+                    exit: WorkerExit::Signal(9),
+                },
             ],
         }
     }
 
-    fn bit_eq(a: &CellRecord, b: &CellRecord) -> bool {
+    fn bit_eq(a: &PairOutcome, b: &PairOutcome) -> bool {
         match (a, b) {
-            (CellRecord::Score(x), CellRecord::Score(y)) => x.to_bits() == y.to_bits(),
+            (PairOutcome::Score(x), PairOutcome::Score(y)) => x.to_bits() == y.to_bits(),
             _ => a == b,
         }
     }
@@ -467,8 +438,7 @@ mod tests {
         let bytes = encode_tile(0xFEED, &tile);
         let back = decode_tile(&bytes, 0xFEED, 3, 12, 6).unwrap();
         assert_eq!(back.cells.len(), tile.cells.len());
-        for ((l1, r1), (l2, r2)) in back.cells.iter().zip(&tile.cells) {
-            assert_eq!(l1, l2);
+        for (r1, r2) in back.cells.iter().zip(&tile.cells) {
             assert!(bit_eq(r1, r2), "{r1:?} vs {r2:?}");
         }
     }
@@ -501,8 +471,7 @@ mod tests {
                     Err(_) => {}
                     Ok(back) => {
                         assert_eq!(back.cells.len(), tile.cells.len(), "flip at {pos}");
-                        for ((l1, r1), (l2, r2)) in back.cells.iter().zip(&tile.cells) {
-                            assert_eq!(l1, l2, "flip at byte {pos} bit {bit:#x}");
+                        for (r1, r2) in back.cells.iter().zip(&tile.cells) {
                             assert!(
                                 bit_eq(r1, r2),
                                 "flip at byte {pos} bit {bit:#x}: {r1:?} vs {r2:?}"
@@ -529,18 +498,25 @@ mod tests {
     }
 
     #[test]
-    fn sparse_tiles_round_trip() {
-        // Quarantined cells carry no record: a tile may legally hold
-        // fewer cells than its slab length.
-        let tile = TileData {
-            id: 0,
-            start: 0,
-            len: 10,
-            cells: vec![(2, CellRecord::Score(1.5)), (7, CellRecord::Score(2.5))],
-        };
-        let bytes = encode_tile(7, &tile);
-        let back = decode_tile(&bytes, 7, 0, 0, 10).unwrap();
-        assert_eq!(back.cells, tile.cells);
+    fn a_slab_with_a_missing_cell_is_corrupt() {
+        // A well-formed file — digest and trailer consistent — that
+        // holds one cell fewer than its slab: never read back short.
+        let mut tile = sample();
+        tile.cells.pop();
+        let bytes = encode_tile(0xFEED, &tile);
+        let text = String::from_utf8(bytes)
+            .unwrap()
+            .replace("tile 3 12 5", "tile 3 12 6");
+        let dir = std::env::temp_dir().join(format!("sts-tile-short-{}", std::process::id()));
+        let (store, _) = TileStore::open(&FsStorage, &dir, 0xFEED).unwrap();
+        std::fs::write(store.tile_path(3), text).unwrap();
+        match store.load(3, 12, 6) {
+            Err(TileError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("5 of its 6"), "{reason}")
+            }
+            other => panic!("a short slab must be corrupt: {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Real storage whose writes flip one bit at a fixed offset and

@@ -304,8 +304,9 @@ impl ServeClient {
                 "deadline" => true,
                 _ => return None,
             };
+            // `n` comes off the wire: grow as entries parse.
             let n: usize = it.next()?.parse().ok()?;
-            let mut out = Vec::with_capacity(n);
+            let mut out = Vec::new();
             for _ in 0..n {
                 let id: u64 = it.next()?.parse().ok()?;
                 out.push((id, f64_from_hex(it.next()?)?));

@@ -38,8 +38,21 @@ bench_rates() {
 echo "== build (release, offline) =="
 cargo build --workspace --release --offline
 
+# --no-fail-fast: one failing test binary must not hide the results of
+# the others.
 echo "== test (offline) =="
-cargo test --workspace -q --offline
+cargo test --workspace -q --offline --no-fail-fast
+
+# The examples check their own results (planted pairs recovered,
+# pruned top-k equal to the exhaustive scan, …) and exit non-zero when
+# a check fails; companion_detection and scalable_query drive the
+# strict matrix and top-k views end to end.
+echo "== examples (self-checking) =="
+for example in quickstart contact_tracing companion_detection \
+    cross_system_linking scalable_query observe_job; do
+    echo "-- ${example}"
+    cargo run -q --release --offline --example "${example}" >/dev/null
+done
 
 # Explicit robustness gate: the chaos property suite (every fault
 # injector, 100+ seeded cases each, through repair → prepare → STP →

@@ -122,7 +122,6 @@ fn cell_token(cell: &PairOutcome) -> String {
     match cell {
         PairOutcome::Score(s) => format!("s:{:016x}", s.to_bits()),
         PairOutcome::Quarantined => "q".into(),
-        PairOutcome::Panicked => "p".into(),
         PairOutcome::Failed { attempts } => format!("f:{attempts}"),
         PairOutcome::Skipped => "k".into(),
         PairOutcome::Poisoned { exit } => format!("x:{exit}"),

@@ -103,7 +103,6 @@ fn matrix_bits(matrix: &[Vec<PairOutcome>]) -> Vec<String> {
         .map(|cell| match cell {
             PairOutcome::Score(s) => format!("s:{:016x}", s.to_bits()),
             PairOutcome::Quarantined => "q".into(),
-            PairOutcome::Panicked => "p".into(),
             PairOutcome::Failed { attempts } => format!("f:{attempts}"),
             PairOutcome::Skipped => "k".into(),
             PairOutcome::Poisoned { exit } => format!("x:{exit}"),
