@@ -1,23 +1,24 @@
-//! In-repo performance runner — the replacement for `cargo bench`.
+//! Paper-facing timing suites and fleet-trace replay.
 //!
 //! ```text
 //! cargo run -p sts-bench --release --bin perf                      # all suites
 //! cargo run -p sts-bench --release --bin perf -- stp               # one suite
 //! cargo run -p sts-bench --release --bin perf -- --quick           # smoke config
-//! cargo run -p sts-bench --release --bin perf -- --json BENCH.json # machine output
 //! cargo run -p sts-bench --release --bin perf -- --timeline t.jsonl  # replay a trace
 //! ```
 //!
-//! `--timeline <trace.jsonl>` switches from benchmarking to *replay*:
-//! the file (an `STS_TRACE=<path>` export from a sharded run) is folded
-//! into per-tile lease → deal → heartbeat → commit lifecycles,
-//! stragglers beyond `--straggler-pct` (default 90) are flagged, and
-//! `--json <out>` writes a chrome://tracing-compatible trace instead of
-//! bench numbers.
+//! The suites time what the paper reports (see [`sts_bench::perf`]);
+//! engine throughput and latency are measured by `benchmark/`.
+//!
+//! `--timeline <trace.jsonl>` switches from timing to *replay*: the
+//! file (an `STS_TRACE=<path>` export from a fleet run, e.g.
+//! `STS_TRACE=t.jsonl sts-worker chaos subprocess 1`) is folded into
+//! per-tile lease → deal → heartbeat → commit lifecycles, stragglers
+//! beyond `--straggler-pct` (default 90) are flagged, and
+//! `--json <out>` writes a chrome://tracing-compatible trace.
 
 use std::process::ExitCode;
-use sts_bench::perf::{all_suites, PerfReport};
-use sts_bench::report::write_json;
+use sts_bench::perf::all_suites;
 use sts_bench::timing::{format_ns, TimingConfig};
 
 fn main() -> ExitCode {
@@ -70,12 +71,13 @@ fn main() -> ExitCode {
     if let Some(path) = timeline_path {
         return run_timeline(&path, straggler_pct, json_path.as_deref());
     }
+    if json_path.is_some() {
+        eprintln!("--json only applies to --timeline");
+        print_usage();
+        return ExitCode::FAILURE;
+    }
 
-    // Bench runs honour STS_TRACE/STS_METRICS like every other binary,
-    // which is how a traced sharded run for `--timeline` is produced:
-    // the coordinator writes `$STS_TRACE`, its workers ship spans back
-    // over the wire (their own env-inherited files get a `.<pid>`
-    // suffix and can be ignored or merged).
+    // Timing runs honour STS_TRACE/STS_METRICS like every other binary.
     sts_obs::init_from_env();
 
     let suites = all_suites();
@@ -87,7 +89,6 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut reports: Vec<PerfReport> = Vec::new();
     for (name, suite) in suites {
         if !selected.is_empty() && !selected.iter().any(|s| s == name) {
             continue;
@@ -109,26 +110,7 @@ fn main() -> ExitCode {
                 iters = m.iters_per_sample,
             );
         }
-        for (name, value) in &report.extras {
-            println!("  {name}: {value:.1}");
-        }
         println!();
-        reports.push(report);
-    }
-
-    if let Some(path) = json_path {
-        let mut file = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = write_json(&mut file, &reports) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
     }
     ExitCode::SUCCESS
 }
@@ -215,11 +197,9 @@ fn run_timeline(path: &str, straggler_pct: f64, json_out: Option<&str>) -> ExitC
 
 fn print_usage() {
     eprintln!(
-        "usage: perf [--quick] [--json <path>] [suite ...]\n       \
+        "usage: perf [--quick] [suite ...]\n       \
          perf --timeline <trace.jsonl> [--straggler-pct <p>] [--json <chrome-trace-out>]"
     );
-    eprintln!(
-        "suites: similarity, grid_size, matching, stp, stp_cache, substrates, chaos, runtime, \
-         tiles, shard, serve"
-    );
+    let names: Vec<&str> = all_suites().iter().map(|(name, _)| *name).collect();
+    eprintln!("suites: {}", names.join(", "));
 }

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-//! # sts-bench — benchmark harness
+//! # sts-bench — paper-facing harness
 //!
 //! Two entry points:
 //!
@@ -10,20 +10,18 @@
 //!   text tables;
 //! * the `perf` binary (`cargo run -p sts-bench --release --bin perf
 //!   [-- --quick] [-- <suite>]`), built on the in-repo [`timing`]
-//!   harness, times the measure kernels (`similarity`), the
-//!   grid-size/running-time trade-off of Fig. 12 (`grid_size`), the
-//!   matching task (`matching`), the dense-vs-sparse STP ablation
-//!   (`stp`), the per-trajectory STP cache against the uncached oracle
-//!   (`stp_cache`), the substrate primitives (`substrates`) and the
-//!   dirty-data path — repair and lenient parsing — (`chaos`) and
-//!   the supervised matrix in process and in worker subprocesses
-//!   (`runtime`). A smoke run of
-//!   every suite hides behind `cargo test -p sts-bench -- --ignored`.
-//!   `--json <path>` additionally writes the machine-readable
-//!   [`report`] document (`BENCH_<name>.json` by convention).
+//!   harness, times what the paper reports: the measure kernels
+//!   (`similarity`), the grid-size/running-time trade-off of Fig. 12
+//!   (`grid_size`), the matching task (`matching`), the dense-vs-sparse
+//!   STP ablation (`stp`) and the substrate primitives (`substrates`).
+//!   A smoke run of every suite hides behind
+//!   `cargo test -p sts-bench -- --ignored`. `perf --timeline
+//!   <trace.jsonl>` replays a traced fleet run instead.
+//!
+//! Engine throughput and latency are the repository benchmark's
+//! (`benchmark/`, see `benchmark/BENCHMARK.md`), not this crate's.
 
 pub mod perf;
-pub mod report;
 pub mod timing;
 
 pub use sts_eval::experiments::{run, ExperimentConfig};

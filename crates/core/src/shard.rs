@@ -249,6 +249,13 @@ impl NetInjector for OffsetInjector {
 /// count, so windows never overlap.
 const CONN_INDEX_STRIDE: u64 = 1 << 20;
 
+/// Trace slots, numbered from 1 across every fleet this process runs.
+/// A connection's slot picks its span-id window and thread range;
+/// `conn_id` restarts at 0 per [`run_sharded`] call, and one job may
+/// run many fleets (a tiled `Subprocess` job runs one per tile), all
+/// exporting into the same trace.
+static TRACE_SLOTS: AtomicU64 = AtomicU64::new(1);
+
 /// How the coordinator treats a unit whose worker was lost, and the
 /// work the fleet could not finish. The engine derives it from the
 /// job's `ExecMode`; it is not a caller option.
@@ -584,7 +591,7 @@ impl Shared<'_> {
     /// <start> <dur>)*` frame: sequence-gates against duplicates, maps
     /// worker clocks and thread ids into coordinator ranges, and
     /// re-emits each span through the coordinator's subscriber.
-    fn absorb_tspan(&self, conn_id: u64, clock: ClockMap, frame: &str) -> bool {
+    fn absorb_tspan(&self, w: &Worker, frame: &str) -> bool {
         let mut fields = frame.split_whitespace();
         fields.next(); // "tspan"
         let Some(seq) = fields.next().and_then(|s| s.parse::<u64>().ok()) else {
@@ -595,7 +602,7 @@ impl Shared<'_> {
         };
         {
             let mut t = self.telemetry.lock().unwrap();
-            let entry = t.entry(conn_id).or_default();
+            let entry = t.entry(w.id).or_default();
             if seq <= entry.span_seq {
                 return true; // duplicated frame; spans already emitted
             }
@@ -630,8 +637,8 @@ impl Shared<'_> {
                 name,
                 // Worker thread ids are per-process; shift them into a
                 // per-connection range so fleet threads stay distinct.
-                thread: ((conn_id + 1) << 16) | (thread & 0xffff),
-                start_ns: clock.to_local(start_ns),
+                thread: (w.trace_slot << 16) | (thread & 0xffff),
+                start_ns: w.clock.to_local(start_ns),
                 dur_ns,
             });
         }
@@ -792,12 +799,13 @@ pub(crate) fn run_sharded(
 
 /// One live worker connection, as held by a slot: the framed socket,
 /// the kill handle, the connection id (telemetry attribution key and
-/// injector window), and the worker→coordinator clock mapping from the
-/// ready exchange.
+/// injector window), the trace slot (span-id window and thread range)
+/// and the worker→coordinator clock mapping from the ready exchange.
 struct Worker {
     conn: FrameConn,
     handle: Box<dyn WorkerHandle>,
     id: u64,
+    trace_slot: u64,
     clock: ClockMap,
 }
 
@@ -899,7 +907,7 @@ fn slot_loop(shared: &Shared<'_>, slot: usize, tx: &Resolved) {
                     }
                 }
                 Ok(f) if f.starts_with("tspan ") => {
-                    if !shared.absorb_tspan(w.id, w.clock, &f) {
+                    if !shared.absorb_tspan(&w, &f) {
                         break;
                     }
                 }
@@ -953,7 +961,7 @@ fn deal(
                 true
             }
             Some("tstat") => shared.absorb_tstat(w.id, &frame),
-            Some("tspan") => shared.absorb_tspan(w.id, w.clock, &frame),
+            Some("tspan") => shared.absorb_tspan(w, &frame),
             Some("result") => {
                 let id = fields.next().and_then(|s| s.parse::<u64>().ok());
                 if id == Some(epoch) {
@@ -1028,7 +1036,8 @@ fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
     // should parent under, a disjoint id window per connection, and
     // whether spans are worth shipping at all (the coordinator is the
     // only consumer, so its tracing switch decides).
-    let span_base = (conn_id + 1) << 32;
+    let trace_slot = TRACE_SLOTS.fetch_add(1, Ordering::Relaxed);
+    let span_base = trace_slot << 32;
     let ship_spans = u64::from(trace::tracing_enabled());
     let trace_frame = format!(
         "trace {:016x} {} {span_base} {ship_spans}",
@@ -1050,6 +1059,7 @@ fn spawn_ready_worker(shared: &Shared<'_>) -> Result<Worker, SpawnError> {
                     conn,
                     handle,
                     id: conn_id,
+                    trace_slot,
                     clock,
                 });
             }

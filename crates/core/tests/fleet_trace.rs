@@ -12,15 +12,20 @@
 //!   exactly: fleet-summed `core.pairs.scored` equals the matrix pair
 //!   count, and so does the coordinator's commit tally.
 //!
-//! This file is one test on purpose: the trace subscriber and metrics
-//! registry are process-global, and this is the only test in this
-//! process, so the deltas below are exact.
+//!
+//! A second case runs a tiled `Subprocess` job — one fleet per tile,
+//! each numbering its connections from 0 — and asserts the merged
+//! trace still names every span once.
+//!
+//! The trace subscriber is process-global, so the tests in this file
+//! take turns under [`TRACE_TURN`].
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use sts_core::{
-    default_worker_path, ExecMode, JobConfig, ShardOptions, Sts, StsConfig, TileConfig,
+    default_worker_path, ExecMode, IsolateOptions, JobConfig, ShardOptions, Sts, StsConfig,
+    TileConfig,
 };
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_obs::{
@@ -81,6 +86,13 @@ impl Drop for Temp {
     }
 }
 
+/// Serialises the tests that install a trace subscriber.
+static TRACE_TURN: Mutex<()> = Mutex::new(());
+
+fn trace_turn() -> MutexGuard<'static, ()> {
+    TRACE_TURN.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn subprocess_fleet_produces_one_coherent_trace_and_exact_telemetry() {
     let worker = default_worker_path();
@@ -91,6 +103,7 @@ fn subprocess_fleet_produces_one_coherent_trace_and_exact_telemetry() {
         );
         return;
     }
+    let _turn = trace_turn();
     let tmp = Temp::new("run");
     let trace_path = tmp.0.join("trace.jsonl");
     let ring = Arc::new(RingRecorder::new(4096));
@@ -230,4 +243,81 @@ fn subprocess_fleet_produces_one_coherent_trace_and_exact_telemetry() {
         "per-worker attribution sums to the fleet total: {:?}",
         t.metrics.counters
     );
+}
+
+#[test]
+fn tiled_subprocess_job_names_each_span_once() {
+    let worker = default_worker_path();
+    if !worker.is_file() {
+        eprintln!(
+            "skipping tiled trace test: worker binary not built at {}",
+            worker.display()
+        );
+        return;
+    }
+    let _turn = trace_turn();
+    let tmp = Temp::new("tiled");
+    let trace_path = tmp.0.join("trace.jsonl");
+    let jsonl = Arc::new(JsonlSubscriber::to_file(&trace_path).unwrap());
+    sts_obs::set_subscriber(jsonl.clone());
+
+    let sts = Sts::new(StsConfig::default(), grid());
+    let queries = corpus(0xF1EE_7003, 4);
+    let candidates = corpus(0xF1EE_7004, 4);
+    let tiling = TileConfig {
+        tile_pairs: 4,
+        ..TileConfig::new(tmp.0.join("tiles"))
+    };
+    let cfg = JobConfig {
+        threads: 2,
+        exec: ExecMode::Subprocess(IsolateOptions {
+            worker: Some(worker),
+            ..IsolateOptions::default()
+        }),
+        ..JobConfig::default()
+    };
+    let (_, report) = sts
+        .similarity_matrix_tiled(&queries, &candidates, &cfg, &tiling)
+        .unwrap();
+    sts_obs::clear_subscriber();
+    assert!(report.is_complete(), "{report}");
+    assert_eq!(jsonl.write_errors(), 0);
+
+    let log = parse_jsonl(&std::fs::read_to_string(&trace_path).unwrap());
+    assert_eq!(log.skipped, 0, "every exported line must be valid JSON");
+    let fleets = log.spans.iter().filter(|s| s.name == "job.shard").count();
+    assert!(
+        fleets >= 2,
+        "one fleet per tile, got {fleets} job.shard span(s)"
+    );
+
+    let mut uses: BTreeMap<u64, usize> = BTreeMap::new();
+    for span in &log.spans {
+        *uses.entry(span.id).or_default() += 1;
+    }
+    let reused: Vec<_> = uses.iter().filter(|&(_, &n)| n > 1).collect();
+    assert!(
+        reused.is_empty(),
+        "span ids named more than once: {reused:?}"
+    );
+
+    let by_id: BTreeMap<u64, &sts_obs::timeline::OwnedSpan> =
+        log.spans.iter().map(|s| (s.id, s)).collect();
+    let worker_spans: Vec<_> = log
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("worker."))
+        .collect();
+    assert!(!worker_spans.is_empty(), "the fleets shipped no spans");
+    for span in worker_spans {
+        let mut cur = span;
+        let mut hops = 0;
+        while cur.name != "job.shard" {
+            cur = by_id.get(&cur.parent).unwrap_or_else(|| {
+                panic!("worker span {span:?} does not resolve to a job.shard ancestor")
+            });
+            hops += 1;
+            assert!(hops < 16, "parent chain cycle from {span:?}");
+        }
+    }
 }

@@ -34,9 +34,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 }
 
 /// Samples [`peak_rss_bytes`] into the `process.peak_rss_bytes` gauge
-/// and returns it. Call at the end of memory-sensitive phases (the
-/// tiled merge, bench suites) so the high-water mark lands in
-/// telemetry snapshots.
+/// and returns it. Call at the end of memory-sensitive phases (such as
+/// the tiled merge) so the high-water mark lands in telemetry
+/// snapshots.
 pub fn record_peak_rss() -> Option<u64> {
     let v = peak_rss_bytes();
     if let Some(bytes) = v {

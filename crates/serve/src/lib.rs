@@ -30,7 +30,7 @@
 //!   surface as typed errors and leave the server standing.
 //!
 //! The wire protocol is the `sts-isolate` frame codec (length-prefixed
-//! text lines) over TCP or stdio; all floats cross the wire and the
+//! text lines) over TCP; all floats cross the wire and the
 //! disk as exact IEEE-754 bit patterns (hex), so "byte-identical" is a
 //! meaningful comparison, not a tolerance.
 

@@ -1,7 +1,7 @@
 //! The long-running service: recovery, ingest pipeline, query serving,
 //! backpressure and the shedding ladder.
 //!
-//! Thread layout (TCP mode):
+//! Thread layout:
 //!
 //! ```text
 //!   listener ──accept──► conn thread (one per client)
@@ -42,7 +42,6 @@ use crate::snapshot::{load_latest, write_snapshot};
 use crate::state::{ApplyVerdict, Ping, ServeState, StateConfig};
 use crate::wal::Wal;
 use crate::{f64_from_hex, f64_to_hex, ServeError, ServeStats};
-use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
@@ -50,7 +49,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use sts_isolate::protocol::{read_frame_capped, write_frame, ProtocolError};
+use sts_isolate::protocol::{write_frame, ProtocolError};
 use sts_isolate::transport::{is_timeout, FrameConn};
 use sts_runtime::Storage;
 
@@ -74,8 +73,7 @@ pub struct ServeOptions {
     /// Snapshot + truncate the WAL every this many applied pings
     /// (0 = only on explicit `snapshot` frames).
     pub snapshot_every: u64,
-    /// Read deadline per connection; `None` disarms (stdio mode always
-    /// runs disarmed — pipes have no slowloris problem).
+    /// Read deadline per connection; `None` disarms.
     pub read_deadline: Option<Duration>,
     /// Inbound frame cap for this endpoint (bytes).
     pub frame_cap: usize,
@@ -462,46 +460,6 @@ fn serve_conn(sh: Arc<Shared>, tx: SyncSender<IngestMsg>, stream: TcpStream) {
     }
 }
 
-/// The stdio frame loop (pipes: no deadlines, single connection).
-fn serve_stdio_frames<R: BufRead, W: Write>(
-    sh: &Shared,
-    tx: &SyncSender<IngestMsg>,
-    reader: &mut R,
-    writer: &mut W,
-) {
-    loop {
-        if sh.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match read_frame_capped(reader, sh.opts.frame_cap) {
-            Ok(frame) => match dispatch(sh, tx, &frame) {
-                Reply::Text(t) => {
-                    if write_frame(writer, &t).is_err() {
-                        break;
-                    }
-                }
-                Reply::Shutdown(t) => {
-                    let _ = write_frame(writer, &t);
-                    sh.stop.store(true, Ordering::SeqCst);
-                    break;
-                }
-            },
-            Err(ProtocolError::Garbage { .. }) => {
-                sh.stats.ingest_garbage(1);
-                if write_frame(writer, "err garbage").is_err() {
-                    break;
-                }
-            }
-            Err(ProtocolError::FrameTooLarge { .. }) => {
-                sh.stats.frames_too_large(1);
-                let _ = write_frame(writer, "err too-large");
-                break;
-            }
-            Err(_) => break,
-        }
-    }
-}
-
 /// The service entry points.
 pub struct Server;
 
@@ -589,38 +547,6 @@ impl Server {
             listener: Some(listen_thread),
             ingest: Some(ingest),
         })
-    }
-
-    /// Recovers from `opts.dir` and serves a single session over
-    /// stdin/stdout, blocking until EOF or a `shutdown` frame. The
-    /// read deadline is disarmed (pipes cannot slowloris).
-    pub fn run_stdio(opts: ServeOptions, storage: Arc<dyn Storage>) -> Result<(), ServeError> {
-        let stats = Arc::new(ServeStats::default());
-        let (state, wal) = recover(&opts, &storage, &stats)?;
-        let durable = state.max_seq();
-        let sh = Arc::new(Shared {
-            state: Mutex::new(state),
-            stats,
-            storage,
-            durable: AtomicU64::new(durable),
-            depth: AtomicI64::new(0),
-            stop: AtomicBool::new(false),
-            active_conns: AtomicUsize::new(1),
-            opts,
-        });
-        let (tx, rx) = sync_channel::<IngestMsg>(sh.opts.queue_bound.max(1));
-        let ingest = {
-            let sh = Arc::clone(&sh);
-            std::thread::spawn(move || ingest_loop(&sh, wal, rx))
-        };
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let mut reader = stdin.lock();
-        let mut writer = stdout.lock();
-        serve_stdio_frames(&sh, &tx, &mut reader, &mut writer);
-        drop(tx);
-        let _ = ingest.join();
-        Ok(())
     }
 }
 

@@ -1,16 +1,12 @@
 //! `sts-serve` — the crash-safe streaming co-location server.
 //!
-//! Two modes:
-//!
-//! - `--addr <host:port>` (default `127.0.0.1:0`): bind a TCP listener
-//!   and serve the `sts-isolate` frame protocol until a client sends
-//!   `shutdown` (or the process is killed — that is the point: the WAL
-//!   and snapshots in `--dir` make a SIGKILL at any instant recoverable
-//!   to byte-identical query answers). Prints `listening <addr>` on
-//!   stdout once bound, which is how the crash suite finds the
-//!   ephemeral port.
-//! - `--stdio`: serve a single session over stdin/stdout, deadline
-//!   disarmed (pipes cannot slowloris).
+//! Binds a TCP listener on `--addr <host:port>` (default
+//! `127.0.0.1:0`) and serves the `sts-isolate` frame protocol until a
+//! client sends `shutdown` (or the process is killed — that is the
+//! point: the WAL and snapshots in `--dir` make a SIGKILL at any
+//! instant recoverable to byte-identical query answers). Prints
+//! `listening <addr>` on stdout once bound, which is how the crash
+//! suite finds the ephemeral port.
 //!
 //! All durability/overload knobs are flags so the kill- and chaos-tests
 //! can shrink commit intervals to CI scale. `STS_TRACE`/`STS_METRICS`
@@ -26,12 +22,11 @@ use sts_serve::{ServeOptions, Server};
 struct Args {
     opts: ServeOptions,
     addr: String,
-    stdio: bool,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: sts-serve --dir <data-dir> [--addr <host:port>] [--stdio]\n\
+        "usage: sts-serve --dir <data-dir> [--addr <host:port>]\n\
          \x20      [--segment-records <n>] [--snapshot-every <n>] [--queue-bound <n>]\n\
          \x20      [--commit-every <n>] [--ingest-delay-ms <n>] [--read-deadline-ms <n>]\n\
          \x20      [--frame-cap <bytes>] [--shed-defer-depth <n>]"
@@ -43,7 +38,6 @@ fn parse_args() -> Result<Args, ExitCode> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut dir: Option<String> = None;
     let mut addr = "127.0.0.1:0".to_string();
-    let mut stdio = false;
     let mut opts_edits: Vec<(String, u64)> = Vec::new();
     let mut i = 0;
     let take_str = |argv: &[String], i: usize, flag: &str| -> Result<String, ExitCode> {
@@ -68,10 +62,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--addr" => {
                 addr = take_str(&argv, i, flag)?;
                 i += 2;
-            }
-            "--stdio" => {
-                stdio = true;
-                i += 1;
             }
             "--segment-records" | "--snapshot-every" | "--queue-bound" | "--commit-every"
             | "--ingest-delay-ms" | "--read-deadline-ms" | "--frame-cap" | "--shed-defer-depth" => {
@@ -108,7 +98,7 @@ fn parse_args() -> Result<Args, ExitCode> {
             _ => unreachable!(),
         }
     }
-    Ok(Args { opts, addr, stdio })
+    Ok(Args { opts, addr })
 }
 
 fn main() -> ExitCode {
@@ -118,15 +108,6 @@ fn main() -> ExitCode {
         Err(code) => return code,
     };
     let storage = Arc::new(FsStorage);
-    if args.stdio {
-        return match Server::run_stdio(args.opts, storage) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("sts-serve: {e}");
-                ExitCode::from(3)
-            }
-        };
-    }
     let handle = match Server::start(args.opts, storage, &args.addr) {
         Ok(h) => h,
         Err(e) => {

@@ -18,6 +18,11 @@
 //!   bits to `<out>`. The tile and isolation crash suites SIGKILL this
 //!   mid-spill, rerun it, and assert the resumed output is
 //!   byte-identical.
+//!
+//! `chaos` and `tile-drive` are fleet coordinators: they honour
+//! `STS_TRACE`/`STS_METRICS` like every other binary, so
+//! `STS_TRACE=t.jsonl sts-worker chaos subprocess 1` writes a fleet
+//! trace that `perf --timeline t.jsonl` replays.
 
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -159,6 +164,7 @@ fn fast_retry() -> RetryPolicy {
 /// matrix bits written to `out` must be identical whether the run was
 /// interrupted-and-resumed or not, and across exec modes.
 fn run_tile_drive(dir: &str, seed: &str, out: &str, subprocess: bool) -> ExitCode {
+    sts_obs::init_from_env();
     let Ok(seed) = seed.parse::<u64>() else {
         eprintln!("sts-worker: tile-drive seed must be a u64");
         return ExitCode::from(2);
@@ -234,6 +240,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 /// report: the first abort pair kills this process, or the first wedge
 /// pair hangs it until the caller loses patience.
 fn run_chaos(mode: &str, seed: &str) -> ExitCode {
+    sts_obs::init_from_env();
     let Ok(seed) = seed.parse::<u64>() else {
         eprintln!("sts-worker: chaos seed must be a u64");
         return ExitCode::from(2);
