@@ -18,7 +18,10 @@
 //!
 //! The estimator truncates the candidate-cell set using the noise model's
 //! truncation radius and the transition model's maximum plausible
-//! displacement; `stp_dense` evaluates every cell for validation.
+//! displacement; `stp_dense` evaluates every cell for validation. For
+//! isotropic transition models the two sums of Eq. 4 are correlations
+//! of each noise patch with an offset stencil over the candidates'
+//! bounding box (`BoxKernel`); other models are evaluated pairwise.
 
 use crate::dist::SparseDistribution;
 use crate::noise::NoiseModel;
@@ -139,15 +142,16 @@ impl<'a> StpEstimator<'a> {
         &scratch.out
     }
 
-    fn stp_into_impl(&self, t: f64, dense: bool, scratch: &mut StpEvalScratch) {
+    /// Evaluates `STP(·, t)` into `scratch.out` and returns the kernel
+    /// work it did (zero unless `t` needed an isotropic bridge).
+    fn stp_into_impl(&self, t: f64, dense: bool, scratch: &mut StpEvalScratch) -> BridgeWork {
         sts_obs::static_counter!("core.stp.evals").incr();
         let StpEvalScratch {
             out,
-            cand_a,
-            cand_b,
-            candidates,
+            lens,
             table1,
             table2,
+            kernel,
         } = scratch;
         out.clear();
         // The negated comparison also routes NaN query times to the
@@ -155,14 +159,14 @@ impl<'a> StpEstimator<'a> {
         // the `stp()` contract for any input rather than panicking in
         // the binary search below.
         if !(t >= self.traj.start_time() && t <= self.traj.end_time()) {
-            return;
+            return BridgeWork::default();
         }
         let Some(i) = self.traj.index_at_or_before(t) else {
-            return;
+            return BridgeWork::default();
         };
         if self.traj.get(i).t == t {
             out.clone_from_dist(&self.obs_dists[i]);
-            return;
+            return BridgeWork::default();
         }
         // Strictly between observations i and i+1.
         let prev = self.traj.get(i);
@@ -172,45 +176,60 @@ impl<'a> StpEstimator<'a> {
         let before = &self.obs_dists[i];
         let after = &self.obs_dists[i + 1];
         if dense {
-            candidates.clear();
-            candidates.extend(self.grid.cells());
+            lens.fill_all(self.grid);
         } else {
-            self.candidate_cells_into(prev.loc, dt1, next.loc, dt2, cand_a, cand_b, candidates);
+            self.candidate_lens(prev.loc, dt1, next.loc, dt2, lens);
         }
-        // Isotropic transition models are evaluated through a per-bridge
-        // distance table: O(1) in the innermost loop instead of O(KDE
-        // samples).
-        let use_tables = self.transition.is_isotropic();
-        if use_tables {
-            let step = (self.grid.cell_size() * 0.125).max(1e-3);
-            table1.fill(self.transition, dt1, self.table_extent(dt1, step), step);
-            table2.fill(self.transition, dt2, self.table_extent(dt2, step), step);
-        }
-        let (table1, table2) = (&*table1, &*table2);
-        let trans1 = |from: sts_geo::Point, to: sts_geo::Point| -> f64 {
-            if use_tables {
-                table1.eval(from.distance(&to))
-            } else {
-                self.transition.probability(from, to, dt1)
-            }
-        };
-        let trans2 = |from: sts_geo::Point, to: sts_geo::Point| -> f64 {
-            if use_tables {
-                table2.eval(from.distance(&to))
-            } else {
-                self.transition.probability(from, to, dt2)
-            }
-        };
         // Candidates arrive sorted and unique (dense grid order), so
         // pushing positive weights directly yields exactly what
         // `from_weights` would: no resort, no dedup, same entry order.
-        let entries = out.entries_mut();
-        for &r in candidates.iter() {
-            let center = self.grid.center(r);
+        let mut work = BridgeWork::default();
+        if self.transition.is_isotropic() {
+            // Isotropic transition models are evaluated through a
+            // per-bridge distance table, read once per cell offset into
+            // a stencil (see `BoxKernel`).
+            let step = (self.grid.cell_size() * 0.125).max(1e-3);
+            table1.fill(self.transition, dt1, self.table_extent(dt1, step), step);
+            table2.fill(self.transition, dt2, self.table_extent(dt2, step), step);
+            work = kernel.bridge(
+                self.grid,
+                lens,
+                (before, table1),
+                (after, table2),
+                out.entries_mut(),
+            );
+            sts_obs::static_counter!("core.stp.bridges").incr();
+            sts_obs::static_counter!("core.stp.lens_cells").add(work.lens_cells);
+            sts_obs::static_counter!("core.stp.kernel_terms").add(work.kernel_terms);
+        } else {
+            self.pairwise_bridge(lens, (before, dt1), (after, dt2), out.entries_mut());
+        }
+        out.normalize_in_place();
+        sts_obs::static_counter!("core.stp.cells").add(out.entries().len() as u64);
+        work
+    }
+
+    /// The reference bridge for any transition model: both sums of
+    /// Eq. 4 term by term through `TransitionModel::probability`, per
+    /// candidate. Non-isotropic models (STS-F's frequency transition,
+    /// user models) take this path.
+    fn pairwise_bridge(
+        &self,
+        lens: &Lens,
+        (before, dt1): (&SparseDistribution, f64),
+        (after, dt2): (&SparseDistribution, f64),
+        entries: &mut Vec<(CellId, f64)>,
+    ) {
+        let cols = self.grid.cols();
+        for &(col, row) in &lens.cells {
+            let center = self.grid.center_at(col, row);
             // Σ_j f(r_j, ℓᵢ)·P(r, t | r_j, tᵢ)
             let mut p_in = 0.0;
             for &(rj, fj) in before.entries() {
-                p_in += fj * trans1(self.grid.center(rj), center);
+                p_in += fj
+                    * self
+                        .transition
+                        .probability(self.grid.center(rj), center, dt1);
             }
             if p_in == 0.0 {
                 continue;
@@ -218,15 +237,16 @@ impl<'a> StpEstimator<'a> {
             // Σ_k f(r_k, ℓᵢ₊₁)·P(r_k, tᵢ₊₁ | r, t)
             let mut p_out = 0.0;
             for &(rk, fk) in after.entries() {
-                p_out += fk * trans2(center, self.grid.center(rk));
+                p_out += fk
+                    * self
+                        .transition
+                        .probability(center, self.grid.center(rk), dt2);
             }
             let w = p_in * p_out;
             if w > 0.0 {
-                entries.push((r, w));
+                entries.push((CellId(row * cols + col), w));
             }
         }
-        out.normalize_in_place();
-        sts_obs::static_counter!("core.stp.cells").add(out.entries().len() as u64);
     }
 
     /// Largest distance a transition table must cover: the model's own
@@ -238,60 +258,36 @@ impl<'a> StpEstimator<'a> {
     }
 
     /// Candidate bridge cells: reachable both forward from the previous
-    /// noisy observation and backward from the next one. A cell-size
-    /// margin absorbs center-vs-point discretization. Writes into the
-    /// caller's scratch buffers (`a`, `b` for the two reachability sets,
-    /// `out` for their intersection) instead of allocating.
-    #[allow(clippy::too_many_arguments)]
-    fn candidate_cells_into(
-        &self,
-        prev: Point,
-        dt1: f64,
-        next: Point,
-        dt2: f64,
-        a: &mut Vec<CellId>,
-        b: &mut Vec<CellId>,
-        out: &mut Vec<CellId>,
-    ) {
-        out.clear();
+    /// noisy observation and backward from the next one — the lens of
+    /// two discs, scanned once over their common row and column range.
+    /// A cell-size margin absorbs center-vs-point discretization. When
+    /// a radius is not finite, every cell is a candidate.
+    fn candidate_lens(&self, prev: Point, dt1: f64, next: Point, dt2: f64, lens: &mut Lens) {
         let slack = self.noise.truncation_radius() + self.grid.cell_size();
         let r1 = self.transition.max_displacement(dt1) + slack;
         let r2 = self.transition.max_displacement(dt2) + slack;
         if !r1.is_finite() || !r2.is_finite() {
-            out.extend(self.grid.cells());
+            lens.fill_all(self.grid);
             return;
         }
-        self.grid.cells_within_into(prev, r1, a);
-        self.grid.cells_within_into(next, r2, b);
-        // Both lists are in dense (sorted) order: linear intersection.
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        lens.clear();
+        self.grid
+            .lens_cells(prev, r1, next, r2, |col, row| lens.push(col, row));
     }
 }
 
 /// Reusable buffers for [`StpEstimator::stp_into`]: the output
 /// distribution plus every intermediate the bridge evaluation needs
-/// (candidate-cell sets and the two per-bridge distance tables). One
-/// scratch per worker thread removes all per-evaluation allocation from
-/// the STS hot path.
+/// (the candidate lens, the two per-bridge distance tables and the
+/// stencil kernel's buffers). One scratch per worker thread removes all
+/// per-evaluation allocation from the STS hot path.
 #[derive(Default)]
 pub struct StpEvalScratch {
     out: SparseDistribution,
-    cand_a: Vec<CellId>,
-    cand_b: Vec<CellId>,
-    candidates: Vec<CellId>,
+    lens: Lens,
     table1: DistTable,
     table2: DistTable,
+    kernel: BoxKernel,
 }
 
 impl StpEvalScratch {
@@ -304,6 +300,187 @@ impl StpEvalScratch {
     pub fn distribution(&self) -> &SparseDistribution {
         &self.out
     }
+}
+
+/// What one isotropic bridge cost: the unit the `core.stp.lens_cells`
+/// and `core.stp.kernel_terms` counters add up.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct BridgeWork {
+    /// Candidate cells.
+    lens_cells: u64,
+    /// Patch-cell × box-cell multiply-adds over both sides.
+    kernel_terms: u64,
+}
+
+/// The candidate cells of one bridge as `(col, row)` in dense order,
+/// with their bounding box.
+#[derive(Default)]
+struct Lens {
+    cells: Vec<(u32, u32)>,
+    cols: (u32, u32),
+    rows: (u32, u32),
+}
+
+impl Lens {
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.cols = (u32::MAX, 0);
+        self.rows = (u32::MAX, 0);
+    }
+
+    #[inline]
+    fn push(&mut self, col: u32, row: u32) {
+        self.cells.push((col, row));
+        self.cols = (self.cols.0.min(col), self.cols.1.max(col));
+        self.rows = (self.rows.0.min(row), self.rows.1.max(row));
+    }
+
+    fn fill_all(&mut self, grid: &Grid) {
+        self.clear();
+        for row in 0..grid.rows() {
+            for col in 0..grid.cols() {
+                self.push(col, row);
+            }
+        }
+    }
+
+    /// Width and height of the bounding box (zero when empty).
+    fn box_dims(&self) -> (usize, usize) {
+        if self.cells.is_empty() {
+            return (0, 0);
+        }
+        (
+            (self.cols.1 - self.cols.0) as usize + 1,
+            (self.rows.1 - self.rows.0) as usize + 1,
+        )
+    }
+}
+
+/// The isotropic bridge as two box correlations.
+///
+/// On a regular grid an isotropic transition between two cell centers
+/// depends only on their integer offset `(dx, dy)`: it is
+/// `table(cell·√(dx²+dy²))`. So each side of a bridge reads its table
+/// once per offset into a stencil `S[|dy|][dx]` (signed `dx`, so a
+/// stencil row is one contiguous slice), and its sum of Eq. 4 over the
+/// candidates' bounding box becomes, for each patch entry `(r_j, f_j)`
+/// in entry order and each box row, `acc_row += f_j · stencil_row`.
+/// Every box cell's sum therefore adds the same terms in the same order
+/// as a per-candidate loop over the patch, bit for bit; the compiler
+/// vectorises across cells, never across the terms of one sum.
+#[derive(Default)]
+struct BoxKernel {
+    patch: Vec<(u32, u32, f64)>,
+    stencil: Vec<f64>,
+    p_in: Vec<f64>,
+    p_out: Vec<f64>,
+}
+
+impl BoxKernel {
+    /// Writes the unnormalized bridge weight `P_in·P_out` of every lens
+    /// cell with `P_in ≠ 0` and a positive weight into `entries`, in
+    /// the lens's (dense) order.
+    fn bridge(
+        &mut self,
+        grid: &Grid,
+        lens: &Lens,
+        before: (&SparseDistribution, &DistTable),
+        after: (&SparseDistribution, &DistTable),
+        entries: &mut Vec<(CellId, f64)>,
+    ) -> BridgeWork {
+        let BoxKernel {
+            patch,
+            stencil,
+            p_in,
+            p_out,
+        } = self;
+        let (w, h) = lens.box_dims();
+        correlate(grid, lens, before, patch, stencil, p_in);
+        correlate(grid, lens, after, patch, stencil, p_out);
+        let (col0, row0) = (lens.cols.0, lens.rows.0);
+        let cols = grid.cols();
+        for &(col, row) in &lens.cells {
+            let k = (row - row0) as usize * w + (col - col0) as usize;
+            let p_in = p_in[k];
+            if p_in == 0.0 {
+                continue;
+            }
+            let weight = p_in * p_out[k];
+            if weight > 0.0 {
+                entries.push((CellId(row * cols + col), weight));
+            }
+        }
+        BridgeWork {
+            lens_cells: lens.cells.len() as u64,
+            kernel_terms: ((before.0.len() + after.0.len()) * w * h) as u64,
+        }
+    }
+}
+
+/// `acc[cell] = Σ_j f_j · table(‖cell − r_j‖)` over every cell of the
+/// lens's bounding box (row-major), the sum running over `side`'s
+/// entries in entry order.
+fn correlate(
+    grid: &Grid,
+    lens: &Lens,
+    (side, table): (&SparseDistribution, &DistTable),
+    patch: &mut Vec<(u32, u32, f64)>,
+    stencil: &mut Vec<f64>,
+    acc: &mut Vec<f64>,
+) {
+    let (w, h) = lens.box_dims();
+    acc.clear();
+    acc.resize(w * h, 0.0);
+    patch.clear();
+    patch.extend(side.entries().iter().map(|&(id, f)| {
+        let (col, row) = grid.col_row(id);
+        (col, row, f)
+    }));
+    if patch.is_empty() || acc.is_empty() {
+        return;
+    }
+    let (mut pc0, mut pc1, mut pr0, mut pr1) = (u32::MAX, 0, u32::MAX, 0);
+    for &(col, row, _) in patch.iter() {
+        (pc0, pc1) = (pc0.min(col), pc1.max(col));
+        (pr0, pr1) = (pr0.min(row), pr1.max(row));
+    }
+    let ((col0, col1), (row0, row1)) = (lens.cols, lens.rows);
+    // Offsets box cell − patch cell: dx ∈ [dx0, dx0 + sw), and |dy|
+    // between the nearest and farthest row pair.
+    let dx0 = col0 as i64 - pc1 as i64;
+    let sw = (col1 as i64 - pc0 as i64 - dx0 + 1) as usize;
+    let (dy_lo, dy_hi) = (row0 as i64 - pr1 as i64, row1 as i64 - pr0 as i64);
+    let ady0 = if dy_lo <= 0 && dy_hi >= 0 {
+        0
+    } else {
+        dy_lo.abs().min(dy_hi.abs())
+    };
+    let ady1 = dy_lo.abs().max(dy_hi.abs());
+    let cell = grid.cell_size();
+    stencil.clear();
+    for ady in ady0..=ady1 {
+        stencil.extend((0..sw as i64).map(|k| {
+            let dx = dx0 + k;
+            offset_probability(table, cell, dx * dx + ady * ady)
+        }));
+    }
+    for &(pc, pr, f) in patch.iter() {
+        // This entry's dx for box column col0.
+        let first = (col0 as i64 - pc as i64 - dx0) as usize;
+        for (row, acc_row) in (row0..=row1).zip(acc.chunks_exact_mut(w)) {
+            let ady = (row as i64 - pr as i64).abs();
+            let s = &stencil[(ady - ady0) as usize * sw + first..][..w];
+            for (a, &p) in acc_row.iter_mut().zip(s) {
+                *a += f * p;
+            }
+        }
+    }
+}
+
+/// The transition between two cell centers `√d2` cells apart.
+#[inline]
+fn offset_probability(table: &DistTable, cell: f64, d2: i64) -> f64 {
+    table.eval(cell * (d2 as f64).sqrt())
 }
 
 /// Linear-interpolation lookup table for an isotropic transition's
@@ -575,6 +752,157 @@ mod tests {
             // speed density: sub-0.2% total-variation error.
             assert!(tv < 2e-3, "t={t}: table vs pairwise TV {tv}");
         }
+    }
+
+    /// The bridge at `t` recomputed per candidate from what the last
+    /// `stp_into_impl` call left in `scratch` (its lens and tables):
+    /// each candidate's two sums term by term, in entry order, through
+    /// the same `offset_probability` the stencil reads.
+    fn scalar_stencil_bridge(
+        est: &StpEstimator<'_>,
+        t: f64,
+        scratch: &StpEvalScratch,
+    ) -> SparseDistribution {
+        let i = est.traj.index_at_or_before(t).unwrap();
+        let g = est.grid;
+        let sum = |side: &SparseDistribution, table: &DistTable, col: u32, row: u32| {
+            let mut acc = 0.0;
+            for &(id, f) in side.entries() {
+                let (c, r) = g.col_row(id);
+                let (dx, dy) = (col as i64 - c as i64, row as i64 - r as i64);
+                acc += f * offset_probability(table, g.cell_size(), dx * dx + dy * dy);
+            }
+            acc
+        };
+        let mut out = SparseDistribution::empty();
+        let entries = out.entries_mut();
+        for &(col, row) in &scratch.lens.cells {
+            let p_in = sum(&est.obs_dists[i], &scratch.table1, col, row);
+            if p_in == 0.0 {
+                continue;
+            }
+            let w = p_in * sum(&est.obs_dists[i + 1], &scratch.table2, col, row);
+            if w > 0.0 {
+                entries.push((CellId(row * g.cols() + col), w));
+            }
+        }
+        out.normalize_in_place();
+        out
+    }
+
+    fn assert_bit_equal(a: &SparseDistribution, b: &SparseDistribution, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: cell count");
+        for (&(ca, wa), &(cb, wb)) in a.entries().iter().zip(b.entries()) {
+            assert_eq!(ca, cb, "{what}: cell id");
+            assert_eq!(wa.to_bits(), wb.to_bits(), "{what}: weight bits of {ca}");
+        }
+    }
+
+    #[test]
+    fn box_correlation_matches_scalar_stencil_loop() {
+        let kde = |g: &Grid, traj: &Trajectory| {
+            SpeedKdeTransition::from_trajectory(traj, Kernel::Gaussian)
+                .unwrap()
+                .with_position_uncertainty(g.cell_size() / 2.0)
+        };
+        // 95 × 21 m over 2 m cells: the last column and row hang over.
+        let ragged = Grid::new(
+            BoundingBox::new(Point::new(-1.0, 0.5), Point::new(94.0, 21.5)),
+            2.0,
+        )
+        .unwrap();
+        assert_eq!((ragged.cols(), ragged.rows()), (48, 11));
+        let single =
+            Grid::new(BoundingBox::new(Point::ORIGIN, Point::new(5.0, 5.0)), 10.0).unwrap();
+        // Starts and ends in grid corners: the noise patches there are
+        // clipped by the border.
+        let cornered = Trajectory::from_xyt(&[
+            (0.3, 0.4, 0.0),
+            (8.0, 6.0, 10.0),
+            (20.0, 12.0, 22.0),
+            (99.5, 19.8, 90.0),
+        ])
+        .unwrap();
+        let tiny =
+            Trajectory::from_xyt(&[(1.0, 1.0, 0.0), (2.0, 2.0, 10.0), (3.0, 1.0, 20.0)]).unwrap();
+        let cases: [(&str, Grid, Trajectory, &[f64]); 4] = [
+            ("walker", grid(), walker(), &[3.0, 12.5, 15.0, 27.9, 36.0]),
+            ("ragged", ragged, walker(), &[3.0, 15.0, 27.9, 36.0]),
+            ("single cell", single, tiny, &[5.0, 12.5]),
+            ("corner", grid(), cornered, &[0.5, 4.0, 16.0, 60.0, 89.9]),
+        ];
+        let noise = GaussianNoise::new(2.0);
+        let mut scratch = StpEvalScratch::new();
+        for (name, g, traj, times) in &cases {
+            let trans = kde(g, traj);
+            let est = StpEstimator::new(g, &noise, &trans, traj);
+            for &t in times.iter() {
+                for dense in [false, true] {
+                    let what = format!("{name} t={t} dense={dense}");
+                    est.stp_into_impl(t, dense, &mut scratch);
+                    assert!(!scratch.out.is_empty(), "{what}: empty bridge");
+                    let scalar = scalar_stencil_bridge(&est, t, &scratch);
+                    assert_bit_equal(&scratch.out, &scalar, &what);
+                }
+            }
+        }
+        // `stp_dense` is the same kernel over every cell.
+        let (g, traj) = (grid(), walker());
+        let trans = kde(&g, &traj);
+        let est = StpEstimator::new(&g, &noise, &trans, &traj);
+        est.stp_into_impl(15.0, true, &mut scratch);
+        assert_eq!(scratch.lens.cells.len(), g.len());
+        assert_bit_equal(&est.stp_dense(15.0), &scratch.out, "stp_dense");
+    }
+
+    #[test]
+    fn kernel_work_is_pinned_on_the_walker() {
+        let g = grid();
+        let noise = GaussianNoise::new(2.0);
+        let traj = walker();
+        let trans = SpeedKdeTransition::from_trajectory(&traj, Kernel::Gaussian)
+            .unwrap()
+            .with_position_uncertainty(g.cell_size() / 2.0);
+        let est = StpEstimator::new(&g, &noise, &trans, &traj);
+        let counters = [
+            "core.stp.bridges",
+            "core.stp.lens_cells",
+            "core.stp.kernel_terms",
+        ];
+        let read = || counters.map(|c| sts_obs::metrics::counter(c).get());
+        let base = read();
+        let mut scratch = StpEvalScratch::new();
+        let mut total = BridgeWork::default();
+        let mut bridges = 0;
+        for t in [0.0, 3.0, 10.0, 12.5, 15.0, 27.9, 36.0, 41.0] {
+            let work = est.stp_into_impl(t, false, &mut scratch);
+            if traj.observed_at(t) || !(0.0..=40.0).contains(&t) {
+                assert_eq!(work, BridgeWork::default(), "t={t}: not a bridge");
+                continue;
+            }
+            bridges += 1;
+            let i = traj.index_at_or_before(t).unwrap();
+            let patch = est.obs_dists[i].len() + est.obs_dists[i + 1].len();
+            let (w, h) = scratch.lens.box_dims();
+            assert_eq!(work.lens_cells, scratch.lens.cells.len() as u64, "t={t}");
+            assert_eq!(work.kernel_terms, (patch * w * h) as u64, "t={t}");
+            total.lens_cells += work.lens_cells;
+            total.kernel_terms += work.kernel_terms;
+        }
+        assert_eq!(bridges, 5);
+        assert_eq!(
+            total,
+            BridgeWork {
+                lens_cells: 842,
+                kernel_terms: 82_740,
+            }
+        );
+        // Other tests evaluate STP concurrently, so the process-wide
+        // counters moved by at least this test's own work.
+        let delta: Vec<u64> = read().iter().zip(base).map(|(now, b)| now - b).collect();
+        assert!(delta[0] >= 5, "bridges {delta:?}");
+        assert!(delta[1] >= total.lens_cells, "lens cells {delta:?}");
+        assert!(delta[2] >= total.kernel_terms, "kernel terms {delta:?}");
     }
 
     #[test]

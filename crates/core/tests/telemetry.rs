@@ -195,6 +195,9 @@ fn metric_totals_are_thread_count_invariant() {
         "core.pairs.scored",
         "core.stp.evals",
         "core.stp.cells",
+        "core.stp.bridges",
+        "core.stp.lens_cells",
+        "core.stp.kernel_terms",
         "core.trajectories.prepared",
         "core.speed_models.built",
     ];

@@ -162,6 +162,14 @@ impl Grid {
     /// Center of cell `id` (the paper uses centers as cell locations).
     pub fn center(&self, id: CellId) -> Point {
         let (col, row) = self.col_row(id);
+        self.center_at(col, row)
+    }
+
+    /// Center of the cell at `(col, row)`: the same value as
+    /// [`Grid::center`] of that cell, without recovering the coordinates
+    /// from an id. Scans that already hold `(col, row)` use this.
+    #[inline]
+    pub fn center_at(&self, col: u32, row: u32) -> Point {
         Point::new(
             self.area.min().x + (col as f64 + 0.5) * self.cell_size,
             self.area.min().y + (row as f64 + 0.5) * self.cell_size,
@@ -209,18 +217,67 @@ impl Grid {
         if !(radius.is_finite() && radius >= 0.0) {
             return;
         }
-        let min = self.area.min();
-        let lo_col = (((p.x - radius - min.x) / self.cell_size).floor()).max(0.0) as i64;
-        let hi_col = (((p.x + radius - min.x) / self.cell_size).floor()) as i64;
-        let lo_row = (((p.y - radius - min.y) / self.cell_size).floor()).max(0.0) as i64;
-        let hi_row = (((p.y + radius - min.y) / self.cell_size).floor()) as i64;
         let r2 = radius * radius;
-        for row in lo_row..=hi_row.min(self.rows as i64 - 1) {
-            for col in lo_col..=hi_col.min(self.cols as i64 - 1) {
-                let id = CellId(row as u32 * self.cols + col as u32);
-                if self.center(id).distance_sq(&p) <= r2 {
-                    out.push(id);
-                }
+        self.scan(self.disc_span(p, radius), |col, row, center| {
+            if center.distance_sq(&p) <= r2 {
+                out.push(CellId(row * self.cols + col));
+            }
+        });
+    }
+
+    /// Visits, in dense order, the `(col, row)` of every cell whose
+    /// center lies within `ra` of `a` **and** within `rb` of `b`: exactly
+    /// the ids both [`Grid::cells_within`] lists share, found in one scan
+    /// over the two discs' common column and row range instead of two
+    /// lists and a merge. Visits nothing when either radius is negative
+    /// or not finite.
+    pub fn lens_cells(
+        &self,
+        a: Point,
+        ra: f64,
+        b: Point,
+        rb: f64,
+        mut visit: impl FnMut(u32, u32),
+    ) {
+        if !(ra.is_finite() && ra >= 0.0 && rb.is_finite() && rb >= 0.0) {
+            return;
+        }
+        let [(ca0, ca1), (ra0, ra1)] = self.disc_span(a, ra);
+        let [(cb0, cb1), (rb0, rb1)] = self.disc_span(b, rb);
+        let common = [(ca0.max(cb0), ca1.min(cb1)), (ra0.max(rb0), ra1.min(rb1))];
+        let (ra2, rb2) = (ra * ra, rb * rb);
+        self.scan(common, |col, row, center| {
+            if center.distance_sq(&a) <= ra2 && center.distance_sq(&b) <= rb2 {
+                visit(col, row);
+            }
+        });
+    }
+
+    /// The inclusive column and row ranges `[(lo, hi); 2]` a disc of
+    /// `radius` (finite, non-negative) around `p` can touch, clipped to
+    /// the grid; a range with `hi < lo` is empty.
+    fn disc_span(&self, p: Point, radius: f64) -> [(i64, i64); 2] {
+        let min = self.area.min();
+        let span = |lo: f64, hi: f64, n: u32| {
+            (
+                ((lo / self.cell_size).floor()).max(0.0) as i64,
+                (((hi / self.cell_size).floor()) as i64).min(n as i64 - 1),
+            )
+        };
+        [
+            span(p.x - radius - min.x, p.x + radius - min.x, self.cols),
+            span(p.y - radius - min.y, p.y + radius - min.y, self.rows),
+        ]
+    }
+
+    /// Calls `f(col, row, center)` for every cell of the column and row
+    /// ranges `span` (as [`Grid::disc_span`] gives them), in dense order.
+    #[inline]
+    fn scan(&self, [(c0, c1), (r0, r1)]: [(i64, i64); 2], mut f: impl FnMut(u32, u32, Point)) {
+        for row in r0..=r1 {
+            for col in c0..=c1 {
+                let (col, row) = (col as u32, row as u32);
+                f(col, row, self.center_at(col, row));
             }
         }
     }
@@ -350,6 +407,69 @@ mod tests {
             .collect();
         assert_eq!(within, brute);
         assert!(within.len() > 1);
+
+        let brute = |g: &Grid, p: Point, r: f64| -> Vec<CellId> {
+            g.cells()
+                .filter(|id| g.center(*id).distance_sq(&p) <= r * r)
+                .collect()
+        };
+
+        // A ragged last column (95 m over 10 m cells) and an origin off
+        // the axes, queried from inside, across the ragged edge and from
+        // points outside the area.
+        let ragged = Grid::new(
+            BoundingBox::new(Point::new(-3.0, 2.0), Point::new(92.0, 41.0)),
+            10.0,
+        )
+        .unwrap();
+        assert_eq!((ragged.cols(), ragged.rows()), (10, 4));
+        for p in [
+            Point::new(40.0, 20.0),
+            Point::new(91.5, 40.0),
+            Point::new(-20.0, 25.0),
+            Point::new(120.0, -30.0),
+        ] {
+            for r in [0.0, 7.5, 15.0, 33.3, 200.0] {
+                let within = ragged.cells_within(p, r);
+                assert_eq!(within, brute(&ragged, p, r), "p={p:?} r={r}");
+            }
+        }
+    }
+
+    #[test]
+    fn lens_cells_is_the_intersection_of_two_discs() {
+        let g = Grid::new(
+            BoundingBox::new(Point::new(-3.0, 2.0), Point::new(92.0, 41.0)),
+            10.0,
+        )
+        .unwrap();
+        let cases = [
+            (Point::new(20.0, 20.0), 25.0, Point::new(50.0, 25.0), 30.0),
+            (Point::new(91.5, 40.0), 12.0, Point::new(88.0, 38.0), 40.0),
+            (Point::new(-20.0, 25.0), 60.0, Point::new(10.0, 10.0), 15.0),
+            (Point::new(0.0, 0.0), 5.0, Point::new(90.0, 40.0), 5.0),
+            (Point::new(40.0, 20.0), 0.0, Point::new(40.0, 20.0), 100.0),
+        ];
+        for (a, ra, b, rb) in cases {
+            let (la, lb) = (g.cells_within(a, ra), g.cells_within(b, rb));
+            let both: Vec<CellId> = la.into_iter().filter(|c| lb.contains(c)).collect();
+            let mut lens = Vec::new();
+            g.lens_cells(a, ra, b, rb, |col, row| {
+                lens.push(g.cell_from_col_row(col, row).unwrap())
+            });
+            assert_eq!(lens, both, "a={a:?} ra={ra} b={b:?} rb={rb}");
+        }
+        let mut visited = 0;
+        for (ra, rb) in [(f64::NAN, 10.0), (10.0, -1.0), (f64::INFINITY, 10.0)] {
+            g.lens_cells(
+                Point::new(40.0, 20.0),
+                ra,
+                Point::new(40.0, 20.0),
+                rb,
+                |_, _| visited += 1,
+            );
+        }
+        assert_eq!(visited, 0, "degenerate radii visit nothing");
     }
 
     #[test]
@@ -381,6 +501,19 @@ mod tests {
         // Interior cell has 8.
         let interior = g.cell_from_col_row(5, 2).unwrap();
         assert_eq!(g.neighbors(interior).len(), 8);
+    }
+
+    #[test]
+    fn center_at_matches_center() {
+        let g = Grid::new(
+            BoundingBox::new(Point::new(-50.0, -20.0), Point::new(33.0, 47.0)),
+            7.0,
+        )
+        .unwrap();
+        for id in g.cells() {
+            let (col, row) = g.col_row(id);
+            assert_eq!(g.center_at(col, row), g.center(id));
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::{f64_from_hex, f64_to_hex, ServeStats};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
-use sts_core::{colocation_probability, GaussianNoise, SpeedKdeTransition, StpEstimator};
+use sts_core::{GaussianNoise, SpeedKdeTransition, StpEstimator, StpEvalScratch};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_stats::Kernel;
 use sts_traj::{TrajPoint, Trajectory};
@@ -339,9 +339,11 @@ impl ServeState {
             Staleness::Fresh
         };
         let value = match (stale_a, stale_b) {
-            (Some(_), Some(_)) => self
-                .pair_score(a, b, t0, t1, steps)
-                .expect("ensure_model guarantees both objects are warm"),
+            (Some(_), Some(_)) => {
+                let mut scratch = [StpEvalScratch::new(), StpEvalScratch::new()];
+                self.pair_score(a, b, t0, t1, steps, &mut scratch)
+                    .expect("ensure_model guarantees both objects are warm")
+            }
             _ => 0.0,
         };
         QueryOutcome {
@@ -352,7 +354,17 @@ impl ServeState {
     }
 
     /// The immutable scoring pass: both objects must have valid caches.
-    fn pair_score(&self, a: u64, b: u64, t0: f64, t1: f64, steps: usize) -> Option<f64> {
+    /// `scratch` holds one STP evaluation buffer per side; callers reuse
+    /// the pair across every step and candidate of a query.
+    fn pair_score(
+        &self,
+        a: u64,
+        b: u64,
+        t0: f64,
+        t1: f64,
+        steps: usize,
+        scratch: &mut [StpEvalScratch; 2],
+    ) -> Option<f64> {
         let oa = self.objects.get(&a)?;
         let ob = self.objects.get(&b)?;
         let traj_a = oa.trajectory()?;
@@ -362,6 +374,7 @@ impl ServeState {
         let est_a = StpEstimator::new(&self.grid, &self.noise, model_a, &traj_a);
         let est_b = StpEstimator::new(&self.grid, &self.noise, model_b, &traj_b);
         let steps = steps.max(1);
+        let [sa, sb] = scratch;
         let mut sum = 0.0;
         for i in 0..steps {
             let t = if steps == 1 {
@@ -369,7 +382,8 @@ impl ServeState {
             } else {
                 t0 + (t1 - t0) * (i as f64) / ((steps - 1) as f64)
             };
-            sum += colocation_probability(&est_a, &est_b, t);
+            // CP(t) (Eq. 8/9), as `colocation_probability` computes it.
+            sum += est_a.stp_into(t, sa).dot(est_b.stp_into(t, sb));
         }
         Some(sum / steps as f64)
     }
@@ -396,6 +410,7 @@ impl ServeState {
         let mut any_stale = self.ensure_model(obj, allow_stale, stats) == Some(true);
         let candidates: Vec<u64> = self.objects.keys().copied().filter(|&o| o != obj).collect();
         let mut scored: Vec<(u64, f64)> = Vec::with_capacity(candidates.len());
+        let mut scratch = [StpEvalScratch::new(), StpEvalScratch::new()];
         let mut deadline_hit = false;
         for cand in candidates {
             if start.elapsed() > budget {
@@ -407,7 +422,7 @@ impl ServeState {
                 None => continue,
                 Some(stale) => any_stale |= stale,
             }
-            if let Some(score) = self.pair_score(obj, cand, t0, t1, steps) {
+            if let Some(score) = self.pair_score(obj, cand, t0, t1, steps, &mut scratch) {
                 scored.push((cand, score));
             }
         }

@@ -101,6 +101,16 @@ echo "== serve (ingest chaos + SIGKILL recovery; fixed seeds) =="
 run_seeded "serve chaos suite" cargo test -p sts-robust -q --offline --test serve_chaos
 run_seeded "serve crash suite" cargo test -p sts-repro -q --offline --test serve_crash
 
+# Bridge-kernel gate: the stprob unit tests (the box correlation equals
+# a scalar per-candidate stencil loop bit for bit on the walker,
+# ragged-column, single-cell and corner-clipped grids and under
+# stp_dense; sparse ≡ dense; table ≡ pairwise; the pinned kernel work)
+# and the kernel's relative-error bound against the pairwise
+# probability() path on both evaluation scenarios.
+echo "== kernel (box correlation ≡ scalar stencil + error bound vs pairwise; fixed seeds) =="
+run_seeded "stprob unit tests" cargo test -p sts-core -q --offline --lib stprob
+run_seeded "kernel bound suite" cargo test -p sts-repro -q --offline --test kernel_bound
+
 # STP-cache equivalence gate: the differential suite proving the cached
 # sparse hot path equals the uncached oracle — bit-exact matrices,
 # top-k and crash/resume for exact mode, rank-preservation for lattice
