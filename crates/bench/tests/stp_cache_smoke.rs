@@ -1,6 +1,6 @@
 //! Work guard for the per-trajectory STP cache: on an 8-trajectory
-//! matrix, the `Exact` and `Lattice` caches must each spend strictly
-//! fewer STP evaluations per scored pair than the uncached oracle.
+//! matrix, the `Exact` cache must spend strictly fewer STP evaluations
+//! per scored pair than the uncached oracle.
 //! This is the repo's only check that the cache saves work
 //! (`stp_cache_equiv` checks that it stays exact). Lives in its own
 //! test binary so the global telemetry registry it reads is not
@@ -36,16 +36,10 @@ fn cached_matrix_spends_fewer_stp_evals_per_pair_than_uncached() {
 
     let uncached = evals_per_pair(&make(StpCacheMode::Off), &trajs);
     let exact = evals_per_pair(&make(StpCacheMode::Exact), &trajs);
-    let lattice = evals_per_pair(&make(StpCacheMode::Lattice { dt: 20.0 }), &trajs);
 
     assert!(
         exact < uncached,
         "exact caching did not reduce STP evals per pair: \
          exact {exact:.2} vs uncached {uncached:.2}"
-    );
-    assert!(
-        lattice < uncached,
-        "lattice caching did not reduce STP evals per pair: \
-         lattice {lattice:.2} vs uncached {uncached:.2}"
     );
 }

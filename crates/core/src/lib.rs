@@ -40,7 +40,6 @@
 pub mod batch;
 mod colocation;
 mod dist;
-pub mod index;
 pub mod job;
 pub mod noise;
 pub mod shard;
@@ -54,7 +53,6 @@ pub mod worker;
 pub use batch::{BatchReport, PairOutcome, QuarantineReason};
 pub use colocation::colocation_probability;
 pub use dist::SparseDistribution;
-pub use index::ColocationIndex;
 pub use job::{ExecMode, IsolateOptions, JobConfig, JobError, JobReport};
 pub use noise::{DeterministicNoise, GaussianNoise, NoiseModel, UniformDiscNoise};
 pub use shard::{ProcessLauncher, ShardOptions, WorkerHandle, WorkerLauncher};

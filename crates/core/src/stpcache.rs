@@ -54,32 +54,11 @@ pub enum StpCacheMode {
     /// per-evaluation allocation.
     #[default]
     Exact,
-    /// Evaluation on the shared time lattice `t_k = k·dt` instead of
-    /// the pair's merged timestamps: the score becomes the mean
-    /// co-location probability over lattice points inside the pair's
-    /// overlap window. Because lattice points are global, each
-    /// trajectory is evaluated at most `span/dt` times for the *whole*
-    /// matrix — per-trajectory, not per-pair — which is where the
-    /// order-of-magnitude throughput win comes from. This is an
-    /// explicitly tolerance-gated approximation of the merged-timestamp
-    /// score (quadrature of the same co-location curve on a different
-    /// time partition); equivalence tests gate it on ranking agreement,
-    /// not bit equality. `dt ≤ 0`, non-finite `dt`, or a window that
-    /// would need more than [`MAX_LATTICE_POINTS`] points falls back to
-    /// [`StpCacheMode::Exact`] semantics for that pair.
-    Lattice {
-        /// Lattice period in seconds.
-        dt: f64,
-    },
 }
 
 /// Upper bound on `(cell, prob)` entries held per trajectory cache
 /// (≈ 48 MB). On overflow the cache recycles; see module docs.
 pub(crate) const MAX_ARENA_ENTRIES: usize = 4 << 20;
-
-/// Upper bound on lattice points per pair before a pair falls back to
-/// exact merged-timestamp evaluation (guards against degenerate `dt`).
-pub(crate) const MAX_LATTICE_POINTS: usize = 1 << 22;
 
 #[derive(Default)]
 struct CacheInner {

@@ -8,7 +8,7 @@
 use crate::colocation::{colocation_of, colocation_sparse};
 use crate::dist::SparseDistribution;
 use crate::noise::{DeterministicNoise, GaussianNoise, NoiseModel};
-use crate::stpcache::{soa_to_dist, StpCache, MAX_LATTICE_POINTS};
+use crate::stpcache::{soa_to_dist, StpCache};
 use crate::stprob::StpEstimator;
 use crate::transition::{
     BrownianTransition, FrequencyTransition, SpeedKdeTransition, TransitionModel,
@@ -342,8 +342,7 @@ impl Sts {
         static_counter!("core.pairs.scored").incr();
         match self.cache {
             StpCacheMode::Off => self.similarity_uncached(a, b),
-            StpCacheMode::Exact => self.similarity_cached(a, b, None, scratch),
-            StpCacheMode::Lattice { dt } => self.similarity_cached(a, b, Some(dt), scratch),
+            StpCacheMode::Exact => self.similarity_cached(a, b, scratch),
         }
     }
 
@@ -380,66 +379,35 @@ impl Sts {
     }
 
     /// The cached hot path: fill both trajectories' STP caches for the
-    /// pair's evaluation times, then reduce to sparse dot products over
-    /// the cached SoA slices. With `lattice_dt = None` the evaluation
-    /// times are the merged timestamps inside the overlap window and the
-    /// result is bit-identical to [`Sts::similarity_uncached`]; with a
-    /// lattice period the times are the global lattice points in the
-    /// window (see [`StpCacheMode::Lattice`]).
+    /// merged timestamps inside the pair's overlap window, then reduce
+    /// to sparse dot products over the cached SoA slices. The result is
+    /// bit-identical to [`Sts::similarity_uncached`].
     fn similarity_cached(
         &self,
         a: &PreparedTrajectory,
         b: &PreparedTrajectory,
-        lattice_dt: Option<f64>,
         scratch: &mut StpScratch,
     ) -> f64 {
         let lo = a.traj.start_time().max(b.traj.start_time());
         let hi = a.traj.end_time().min(b.traj.end_time());
-        // Degenerate lattice periods fall back to exact evaluation.
-        let lattice_dt = lattice_dt.filter(|&dt| {
-            dt > 0.0
-                && dt.is_finite()
-                && ((hi - lo) / dt).is_finite()
-                && (hi - lo) / dt < MAX_LATTICE_POINTS as f64
-        });
+        let ts = a.traj.merged_timestamps(&b.traj);
+        debug_assert!(!ts.is_empty());
+        // Same duplicate-grouping as the reference loop: one evaluation
+        // per distinct timestamp, weighted by multiplicity; out-of-window
+        // stamps contribute 0 but count in the denominator.
         scratch.times.clear();
-        let denom = match lattice_dt {
-            Some(dt) => {
-                // Global lattice t_k = k·dt: the same k always yields the
-                // same f64, so lattice points are shared by every pair
-                // (and every worker) that overlaps them.
-                let k0 = (lo / dt).ceil() as i64;
-                let k1 = (hi / dt).floor() as i64;
-                if k1 < k0 {
-                    return 0.0;
-                }
-                for k in k0..=k1 {
-                    scratch.times.push((k as f64 * dt, 1.0));
-                }
-                (k1 - k0 + 1) as f64
+        let mut i = 0;
+        while i < ts.len() {
+            let t = ts[i];
+            let mut mult = 1;
+            while i + mult < ts.len() && ts[i + mult] == t {
+                mult += 1;
             }
-            None => {
-                let ts = a.traj.merged_timestamps(&b.traj);
-                debug_assert!(!ts.is_empty());
-                // Same duplicate-grouping as the reference loop: one
-                // evaluation per distinct timestamp, weighted by
-                // multiplicity; out-of-window stamps contribute 0 but
-                // count in the denominator.
-                let mut i = 0;
-                while i < ts.len() {
-                    let t = ts[i];
-                    let mut mult = 1;
-                    while i + mult < ts.len() && ts[i + mult] == t {
-                        mult += 1;
-                    }
-                    if t >= lo && t <= hi {
-                        scratch.times.push((t, mult as f64));
-                    }
-                    i += mult;
-                }
-                ts.len() as f64
+            if t >= lo && t <= hi {
+                scratch.times.push((t, mult as f64));
             }
-        };
+            i += mult;
+        }
         let same = std::ptr::eq(a, b);
         let est_a = self.estimator(a);
         let est_b = self.estimator(b);
@@ -482,7 +450,7 @@ impl Sts {
                 score(&r2, &r1)
             }
         };
-        sum / denom
+        sum / ts.len() as f64
     }
 
     /// The co-location probability at every merged timestamp, in time

@@ -242,9 +242,10 @@ impl TransitionModel for FrequencyTransition {
 /// Brownian-motion transition: a Gaussian random walk with diffusion
 /// coefficient `q` (m²/s), `P(ℓ'|ℓ, Δt) ∝ exp(−d²/(2qΔt))`. The paper
 /// (§II) observes the Brownian bridge is the special case of its
-/// estimator under a Gaussian speed distribution; this model makes the
-/// comparison executable (see the `brownian_special_case` test in
-/// `sts.rs`).
+/// estimator under a Gaussian speed distribution. This is the
+/// workspace's one Brownian model: [`Sts::brownian`](crate::Sts::brownian)
+/// bridges with it, and the `brownian_special_case_behaves_like_gaussian_speed_sts`
+/// test in `sts.rs` makes the comparison executable.
 #[derive(Debug, Clone, Copy)]
 pub struct BrownianTransition {
     diffusion: f64,

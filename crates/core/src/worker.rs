@@ -16,7 +16,7 @@
 //! coordinator → worker (preamble, then `begin`):
 //!   hello <version> <fingerprint:016x> <hb_every>
 //!   trace <trace_id:016x> <parent_span> <span_base> <ship_spans>
-//!   measure <full|no-noise> <sigma> <kernel> <trunc|none> <off|exact|lattice:<dt>>
+//!   measure <full|no-noise> <sigma> <kernel> <trunc|none> <off|exact>
 //!   grid <minx> <miny> <maxx> <maxy> <cell>
 //!   retry <max_retries> <base_ns> <cap_ns> <seed>
 //!   fault <seed> <slow> <transient> <tfail> <persistent> <abort> <wedge> <garbage> <slow_ns>
@@ -179,12 +179,10 @@ pub(crate) fn encode_preamble(
         None => "none".to_string(),
     };
     // The cache mode travels with the measure so a worker-scored cell
-    // takes the same code path (and lattice approximation, if any) as
-    // its in-process twin.
+    // takes the same code path as its in-process twin.
     let cache = match sts_cfg.cache {
-        StpCacheMode::Off => "off".to_string(),
-        StpCacheMode::Exact => "exact".to_string(),
-        StpCacheMode::Lattice { dt } => format!("lattice:{dt}"),
+        StpCacheMode::Off => "off",
+        StpCacheMode::Exact => "exact",
     };
     frames.push(format!(
         "measure {variant} {} {} {trunc} {cache}",
@@ -375,11 +373,6 @@ impl JobSpec {
                 let cache = match fields.next() {
                     Some("off") => StpCacheMode::Off,
                     Some("exact") => StpCacheMode::Exact,
-                    Some(v) if v.starts_with("lattice:") => StpCacheMode::Lattice {
-                        dt: v["lattice:".len()..]
-                            .parse()
-                            .map_err(|_| spec_err("bad lattice dt"))?,
-                    },
                     Some(_) => return Err(spec_err("unknown cache mode")),
                     None => return Err(spec_err("missing cache mode")),
                 };
@@ -1159,10 +1152,34 @@ mod tests {
     }
 
     #[test]
+    fn cache_mode_round_trips_through_the_measure_frame() {
+        for mode in [StpCacheMode::Off, StpCacheMode::Exact] {
+            let cfg = StsConfig {
+                cache: mode,
+                ..StsConfig::default()
+            };
+            let preamble = encode_preamble(
+                &MeasureSpec::Full(cfg),
+                &grid(),
+                &JobConfig::default(),
+                &PairSpace::new(1, 1),
+                &[walker(25.0, 0.0, 4)],
+                &[walker(25.0, 5.0, 4)],
+                0,
+            );
+            let measure = preamble.iter().find(|f| f.starts_with("measure "));
+            let mut spec = JobSpec::default();
+            spec.absorb(measure.unwrap()).unwrap();
+            assert_eq!(spec.measure.map(|(_, c)| c.cache), Some(mode));
+        }
+    }
+
+    #[test]
     fn malformed_preambles_are_typed_errors() {
         for bad in [
             "measure sideways 1 gaussian none",
             "measure full nope gaussian none",
+            "measure full 3 gaussian 4 lattice:10",
             "grid 0 0 10 10 not-a-number",
             "traj z 0 1 0 0 0",
             "blorp 1 2 3",

@@ -1,14 +1,10 @@
 //! Differential equivalence suite for the STP-cache hot path.
 //!
 //! [`StpCacheMode::Off`] is the uncached oracle — Algorithm 1 exactly
-//! as written. These tests pin the cached paths against it:
-//!
-//! * `Exact` mode must agree **bit for bit** — on full matrices, on
-//!   top-k, through tiled crash→resume, and through
-//!   `ExecMode::Subprocess` workers;
-//! * `Lattice` mode is a documented tolerance-gated approximation
-//!   (same co-location curve, different time quadrature), so it is
-//!   gated on *ranking* agreement, not bit equality.
+//! as written. These tests pin the cached path against it: `Exact`
+//! mode must agree **bit for bit** — on full matrices, on top-k,
+//! through tiled crash→resume, and through `ExecMode::Subprocess`
+//! workers.
 //!
 //! Scenario axes per seed: Gaussian noise on a normal grid, a
 //! degenerate single-cell grid, duplicate timestamps across
@@ -177,60 +173,6 @@ fn exact_mode_matches_uncached_oracle_bit_for_bit() {
     }
 }
 
-/// Lattice mode is an approximation, so it is gated on ranking: on a
-/// corpus of well-separated lane walkers, the best match of every
-/// query under the lattice score is the best match under the oracle,
-/// and scores stay in [0, 1].
-#[test]
-fn lattice_mode_preserves_oracle_ranking_on_separated_lanes() {
-    for seed in 0..8u64 {
-        let mut rng = Xoshiro256pp::seed_from_u64(0x7A77 ^ seed);
-        // Pairs of co-moving walkers in well-separated lanes: lane k
-        // holds trajectories 2k and 2k+1.
-        let ts: Vec<Trajectory> = (0..3)
-            .flat_map(|lane| {
-                let y = 15.0 + 30.0 * lane as f64;
-                let speed = rng.random_range(1.5..2.5);
-                [0.0, 4.0].map(|phase| {
-                    let pts: Vec<(f64, f64, f64)> = (0..8)
-                        .map(|i| {
-                            let t = phase + 10.0 * i as f64;
-                            ((speed * t).clamp(0.5, 99.5), y, t)
-                        })
-                        .collect();
-                    Trajectory::from_xyt(&pts).unwrap()
-                })
-            })
-            .collect();
-        let off = sts_with(grid(), StpCacheMode::Off);
-        let lat = sts_with(grid(), StpCacheMode::Lattice { dt: 10.0 });
-        let m_off = off.similarity_matrix(&ts, &ts).unwrap();
-        let m_lat = lat.similarity_matrix(&ts, &ts).unwrap();
-        for (i, (row_off, row_lat)) in m_off.iter().zip(&m_lat).enumerate() {
-            let best = |row: &[f64]| -> usize {
-                row.iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .unwrap()
-                    .0
-            };
-            assert_eq!(
-                best(row_off),
-                best(row_lat),
-                "seed={seed} query={i}: lattice best match diverges from oracle \
-                 (off={row_off:?} lat={row_lat:?})"
-            );
-            for (j, s) in row_lat.iter().enumerate() {
-                assert!(
-                    (0.0..=1.0 + 1e-12).contains(s),
-                    "seed={seed} ({i},{j}): lattice score {s} out of [0,1]"
-                );
-            }
-        }
-    }
-}
-
 /// Exact cached scoring through a tiled crash→resume is bit-identical
 /// to an *uncached, uninterrupted* run — the cache never leaks into
 /// what gets persisted or restored.
@@ -328,22 +270,6 @@ fn subprocess_cached_scoring_matches_in_process_oracle() {
             score_bits(&m_sub),
             score_bits(&oracle),
             "seed={seed}: subprocess exact run differs from in-process oracle"
-        );
-
-        // Lattice over the wire vs lattice in-process: pins the
-        // preamble's `lattice:<dt>` round-trip bit-exactly.
-        let lat = sts_with(grid(), StpCacheMode::Lattice { dt: 7.5 });
-        let in_proc = lat
-            .similarity_matrix_supervised(&ts, &ts, &JobConfig::default())
-            .unwrap()
-            .0;
-        let (m_lat_sub, _) = lat
-            .similarity_matrix_supervised(&ts, &ts, &sub_cfg)
-            .unwrap();
-        assert_eq!(
-            score_bits(&m_lat_sub),
-            score_bits(&in_proc),
-            "seed={seed}: subprocess lattice run differs from in-process lattice"
         );
     }
 }

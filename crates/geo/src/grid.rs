@@ -281,27 +281,6 @@ impl Grid {
             }
         }
     }
-
-    /// The 4- or 8-neighborhood of a cell (here: 8, clipped at borders).
-    pub fn neighbors(&self, id: CellId) -> Vec<CellId> {
-        let (col, row) = self.col_row(id);
-        let mut out = Vec::with_capacity(8);
-        for dr in -1i64..=1 {
-            for dc in -1i64..=1 {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let r = row as i64 + dr;
-                let c = col as i64 + dc;
-                if r >= 0 && c >= 0 {
-                    if let Some(n) = self.cell_from_col_row(c as u32, r as u32) {
-                        out.push(n);
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -489,18 +468,6 @@ mod tests {
         assert!(g.cells_within(far, 10.0).is_empty());
         // Large radius from outside still finds cells.
         assert!(!g.cells_within(far, 200.0).is_empty());
-    }
-
-    #[test]
-    fn neighbors_counts() {
-        let g = grid_10x5();
-        // Corner cell has 3 neighbors.
-        assert_eq!(g.neighbors(CellId(0)).len(), 3);
-        // Edge cell has 5.
-        assert_eq!(g.neighbors(CellId(1)).len(), 5);
-        // Interior cell has 8.
-        let interior = g.cell_from_col_row(5, 2).unwrap();
-        assert_eq!(g.neighbors(interior).len(), 8);
     }
 
     #[test]

@@ -3,13 +3,10 @@
 //!
 //! Planar geometry used throughout the STS reproduction: points and vector
 //! arithmetic in a local metric frame, bounding boxes, the uniform grid
-//! partition of §IV-A of the paper, segments and polylines (needed by the
-//! interpolation-based baselines EDwP/SST), and a local equirectangular
-//! projection for ingesting latitude/longitude data such as the Porto taxi
-//! dataset.
+//! partition of §IV-A of the paper, and segments (needed by the
+//! interpolation-based baselines EDwP/SST).
 //!
-//! All coordinates are `f64` meters in a local planar frame unless a type
-//! says otherwise ([`GeoPoint`] is degrees).
+//! All coordinates are `f64` meters in a local planar frame.
 //!
 //! ```
 //! use sts_geo::{Point, Grid, BoundingBox};
@@ -24,15 +21,11 @@
 mod bbox;
 mod grid;
 mod point;
-mod polyline;
-mod projection;
 mod segment;
 
 pub use bbox::BoundingBox;
 pub use grid::{CellId, Grid, GridError};
 pub use point::Point;
-pub use polyline::Polyline;
-pub use projection::{GeoPoint, LocalProjection};
 pub use segment::Segment;
 
 /// Numerical tolerance used for approximate float comparisons inside the

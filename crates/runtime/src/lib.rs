@@ -51,8 +51,9 @@
 //! `sts-robust` drive them end to end.
 //!
 //! Everything here is std-only (the workspace builds offline with zero
-//! external crates); the only workspace dependency is `sts-rng`, which
-//! seeds the deterministic backoff jitter.
+//! external crates); the workspace dependencies are `sts-obs`, which
+//! the pool and the stores record their counters and spans in, and
+//! `sts-rng`, which seeds the deterministic backoff jitter.
 
 mod backoff;
 mod budget;

@@ -13,12 +13,8 @@
 //!   baseline of §VI-A);
 //! * [`empirical`] — frequency-based discrete transition estimation with
 //!   Laplace smoothing (the `STS-F` ablation variant and APM's calibration
-//!   model [24], [25], [34]);
-//! * [`brownian`] — the Brownian-bridge location model, which the paper
-//!   notes is the special case of STS's transition estimator under a
-//!   Gaussian speed distribution (§II).
+//!   model [24], [25], [34]).
 
-pub mod brownian;
 pub mod empirical;
 pub mod gaussian;
 pub mod kalman;
@@ -26,7 +22,6 @@ pub mod kde;
 pub mod kernel;
 pub mod summary;
 
-pub use brownian::BrownianBridge;
 pub use empirical::TransitionCounts;
 pub use gaussian::Gaussian;
 pub use kalman::{KalmanConfig, KalmanFilter2D, KalmanState};

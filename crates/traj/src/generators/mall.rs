@@ -185,6 +185,23 @@ mod tests {
     }
 
     #[test]
+    fn pedestrians_dwell_at_every_stop() {
+        let cfg = small_config(6);
+        let w = generate(&cfg);
+        for (i, o) in w.objects.iter().enumerate() {
+            // A dwell is two consecutive waypoints at one location with
+            // time passing between them; corridor legs always move.
+            let dwells = o
+                .path
+                .waypoints()
+                .windows(2)
+                .filter(|p| p[0].loc == p[1].loc && p[1].t > p[0].t)
+                .count();
+            assert_eq!(dwells, cfg.n_stops, "pedestrian {i} skipped a store");
+        }
+    }
+
+    #[test]
     fn sampling_is_sporadic() {
         let w = generate(&small_config(3));
         let t = &w.objects[0].trajectory;

@@ -28,8 +28,6 @@ pub mod noise;
 pub mod path;
 pub mod repair;
 pub mod sampling;
-pub mod simplify;
-pub mod stay_points;
 mod types;
 
 pub use dataset::{Dataset, MatchingPairs};

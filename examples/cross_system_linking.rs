@@ -81,10 +81,10 @@ fn main() {
 
     // Persist the degraded system-2 view so it can be inspected or
     // re-used (plain-text format of `sts_traj::io`).
-    let out = std::env::temp_dir().join("sts_linking_system2.txt");
+    let name = "sts_linking_system2.txt";
     let mut buf = Vec::new();
     sts_repro::traj::io::write_trajectories(&mut buf, &pairs.d2).expect("serialize");
-    std::fs::write(&out, buf).expect("write file");
-    println!("system-2 trajectories written to {}", out.display());
+    std::fs::write(std::env::temp_dir().join(name), buf).expect("write file");
+    println!("system-2 trajectories written to {name} in the temp directory");
     let _ = Dataset::new(pairs.d2.clone()); // demonstrate dataset wrapping
 }

@@ -29,16 +29,29 @@ cargo build --workspace --release --offline
 echo "== test (offline) =="
 cargo test --workspace -q --offline --no-fail-fast
 
-# The examples check their own results (planted pairs recovered,
-# pruned top-k equal to the exhaustive scan, …) and exit non-zero when
-# a check fails; companion_detection and scalable_query drive the
-# strict matrix and top-k views end to end.
-echo "== examples (self-checking) =="
+# The examples check their own results (planted pairs recovered, the
+# tiled top-k equal to the in-memory one bit for bit, …) and exit
+# non-zero when a check fails; companion_detection and scalable_query
+# drive the strict matrix and tiled top-k views end to end. The five
+# seeded examples must also print exactly their record in
+# results/examples.txt (their output does not depend on STS_THREADS);
+# to regenerate the record after an intended change, run the loop below
+# with its output redirected to that file. observe_job prints timings,
+# so it gates on exit status only.
+echo "== examples (self-checking; seeded output vs results/examples.txt) =="
+examples_out="$(mktemp)"
 for example in quickstart contact_tracing companion_detection \
-    cross_system_linking scalable_query observe_job; do
-    echo "-- ${example}"
-    cargo run -q --release --offline --example "${example}" >/dev/null
+    cross_system_linking scalable_query; do
+    echo "=== ${example} ===" >>"${examples_out}"
+    cargo run -q --release --offline --example "${example}" >>"${examples_out}"
 done
+if ! diff -u results/examples.txt "${examples_out}"; then
+    echo "!! example output differs from results/examples.txt"
+    rm -f "${examples_out}"
+    exit 1
+fi
+rm -f "${examples_out}"
+cargo run -q --release --offline --example observe_job >/dev/null
 
 # Explicit robustness gate: the chaos property suite (every fault
 # injector, 100+ seeded cases each, through repair → prepare → STP →
@@ -113,12 +126,12 @@ run_seeded "kernel bound suite" cargo test -p sts-repro -q --offline --test kern
 
 # STP-cache equivalence gate: the differential suite proving the cached
 # sparse hot path equals the uncached oracle — bit-exact matrices,
-# top-k and crash/resume for exact mode, rank-preservation for lattice
-# mode, plus the sts_rng::check property tests over distributions and
-# visitation order. Runs after the workspace tests above so the debug
-# sts-worker binary exists for the subprocess cases. The eval-count
-# guard checks that the cache saves work at all: Exact and Lattice
-# spend fewer STP evaluations per scored pair than Off.
+# top-k, crash/resume and subprocess runs for exact mode, plus the
+# sts_rng::check property tests over distributions and visitation
+# order. Runs after the workspace tests above so the debug sts-worker
+# binary exists for the subprocess cases. The eval-count guard checks
+# that the cache saves work at all: Exact spends fewer STP evaluations
+# per scored pair than Off.
 echo "== stp cache (differential equivalence + property tests + eval-count guard; fixed seeds) =="
 run_seeded "stp cache equivalence suite" cargo test -p sts-core -q --offline --test stp_cache_equiv
 run_seeded "stp eval-count guard" cargo test -p sts-bench -q --offline --test stp_cache_smoke
