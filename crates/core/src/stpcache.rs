@@ -188,11 +188,6 @@ impl StpCacheReader<'_> {
         let (s, e) = (start as usize, start as usize + len as usize);
         Some((&self.guard.cell_ids[s..e], &self.guard.probs[s..e]))
     }
-
-    /// Number of cached timestamps.
-    pub(crate) fn timestamps(&self) -> usize {
-        self.guard.index.len()
-    }
 }
 
 /// Buffers used while filling a cache: the miss list and the low-level

@@ -129,11 +129,6 @@ impl PreparedTrajectory {
         let (ids, probs) = reader.get(t)?;
         Some(soa_to_dist(ids, probs))
     }
-
-    /// Number of timestamps currently cached for this trajectory.
-    pub fn cached_timestamps(&self) -> usize {
-        self.cache.read().timestamps()
-    }
 }
 
 /// The STS spatial-temporal similarity measure.
@@ -296,12 +291,6 @@ impl Sts {
             &p.traj,
             &p.obs_dists,
         )
-    }
-
-    /// The cache mode in effect for this measure.
-    #[inline]
-    pub fn cache_mode(&self) -> StpCacheMode {
-        self.cache
     }
 
     /// Overrides the STP cache mode (and the embedded subprocess spec,

@@ -18,7 +18,7 @@
 //! * [`DiskFault::StaleTmp`] — the `*.tmp` sibling is written and the
 //!   operation dies before the rename (a SIGKILL between the two
 //!   syscalls), leaving exactly the debris the runtime's
-//!   `sweep_stale_tmp` exists for.
+//!   `store::open_dir` sweeps.
 //!
 //! Every decision is a pure function of `(plan.seed, write_index)`, so
 //! a chaos run is replayable from its seed alone, and every injected
@@ -239,7 +239,7 @@ impl Storage for FaultyStorage {
             )),
             DiskFault::StaleTmp => {
                 // Crash between tmp write and rename: target untouched,
-                // tmp debris left for sweep_stale_tmp to find.
+                // tmp debris left for store::open_dir to sweep.
                 std::fs::write(tmp_path(path), bytes)?;
                 Err(io::Error::new(
                     io::ErrorKind::Interrupted,

@@ -27,16 +27,18 @@
 //!   seeded decorrelated-jitter backoff;
 //! * [`PairOutcome`] with [`encode_cell`] / [`decode_cell`] — the one
 //!   cell vocabulary and its bit-exact text form, shared by tile files
-//!   and the worker wire; [`Fnv1a`] — the fingerprint hash shared by
-//!   tiles, the serve WAL and snapshots;
-//! * [`store`] — the injectable [`Storage`] trait behind every durable
-//!   artifact (tiles, WAL segments, snapshots), with [`FsStorage`]
-//!   owning the tmp-write → fsync → rename discipline; the disk-chaos
-//!   suite in `sts-robust` swaps in a fault-injecting implementation;
+//!   and the worker wire; [`Fnv1a`] — the fingerprint hash behind job
+//!   fingerprints and the store's seal;
+//! * [`store`] — the one sealed-artifact layer behind every durable
+//!   file (tiles, WAL segments, snapshots): the injectable [`Storage`]
+//!   trait, with [`FsStorage`] owning the tmp-write → fsync → rename
+//!   discipline (the disk-chaos suite in `sts-robust` swaps in a
+//!   fault-injecting implementation), the sealed format, the
+//!   read-back-verified write and the quarantine;
 //! * [`tile`] — per-tile spill files for the matrix engine, which are
-//!   also its only resume state: job-fingerprint bound, payload-digest
-//!   verified, trailer closed, so torn writes and bit rot are detected
-//!   on load instead of silently read back;
+//!   also its only resume state: sealed and job-fingerprint bound, so
+//!   torn writes and bit rot are detected on load instead of silently
+//!   read back;
 //! * [`JobStats`] / [`JobState`] — timing, retry and completion
 //!   accounting for the job report surfaced by `sts-core`;
 //! * [`FaultPlan`] — deterministic, seeded fault injection (panicking
@@ -78,8 +80,8 @@ pub use lease::{CommitOutcome, LeaseTable};
 pub use pool::{ChunkStatus, PoolConfig, PoolRun};
 pub use record::{decode_cell, encode_cell, Fnv1a, PairOutcome};
 pub use stats::{JobState, JobStats, ShardStats, TileStats};
-pub use store::{sweep_stale_tmp, FsStorage, Storage};
-pub use tile::{sweep_quarantine, TileData, TileError, TileStore, TileSweep};
+pub use store::{FsStorage, Storage};
+pub use tile::{TileData, TileError, TileStore};
 
 /// Number of worker threads to use for a workload with `cap` parallel
 /// units (chunks, rows, …).

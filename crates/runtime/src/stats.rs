@@ -91,7 +91,7 @@ pub struct TileStats {
     pub spill_errors: usize,
     /// Orphaned `*.tmp` files swept from the tile directory at open.
     pub stale_tmp_swept: usize,
-    /// Aged-out `*.tile.corrupt` quarantine files swept from the tile
+    /// Aged-out `*.corrupt` quarantine files swept from the tile
     /// directory at open (the capped hygiene sweep — recent quarantines
     /// are kept for forensics, old overflow is reclaimed).
     pub corrupt_swept: usize,

@@ -9,10 +9,10 @@
 //!
 //! The headline is robustness, not throughput:
 //!
-//! * **Durability** — every applied ping is appended to a segmented
-//!   WAL ([`wal`]) group-committed through the [`Storage`] atomic-write
-//!   discipline, with periodic fingerprint-verified snapshots
-//!   ([`snapshot`]) that truncate the log. A SIGKILL at any instant
+//! * **Durability** — every applied ping is logged to a segmented WAL
+//!   ([`wal`]) group-committed through `sts_runtime::store`'s sealed,
+//!   read-back-verified writes, with periodic snapshots ([`snapshot`])
+//!   in the same format that truncate the log. A SIGKILL at any instant
 //!   recovers to a state whose query answers are **byte-identical** to
 //!   an uninterrupted run, because the served state is a pure function
 //!   of the applied ping sequence and recovery replays exactly that
@@ -105,6 +105,18 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+impl ServeError {
+    /// Maps the error of a single-attempt storage operation on `what`
+    /// (a directory open, listing or removal).
+    pub(crate) fn storage(what: &'static str) -> impl FnOnce(io::Error) -> ServeError {
+        move |source| ServeError::Storage {
+            what,
+            attempts: 1,
+            source,
+        }
+    }
+}
+
 macro_rules! stat_counters {
     ($($(#[$doc:meta])* $name:ident => $obs:literal,)+) => {
         /// Per-server counters, mirrored into the global `sts-obs`
@@ -192,6 +204,8 @@ stat_counters! {
     wal_segments_sealed => "serve.wal.segments_sealed",
     /// WAL segment files deleted by post-snapshot truncation.
     wal_truncated => "serve.wal.truncated",
+    /// Corrupt WAL segments quarantined aside during recovery.
+    wal_quarantined => "serve.wal.quarantined",
     /// Snapshots written and verified durable.
     snapshots => "serve.snapshot.written",
     /// Snapshot writes that failed read-back verification.

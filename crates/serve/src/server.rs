@@ -276,18 +276,8 @@ fn recover(
     stats: &Arc<ServeStats>,
 ) -> Result<(ServeState, Wal), ServeError> {
     let snap_dir = opts.dir.join("snap");
-    storage
-        .create_dir_all(&snap_dir)
-        .map_err(|e| ServeError::Storage {
-            what: "snapshot dir",
-            attempts: 1,
-            source: e,
-        })?;
-    sts_runtime::sweep_stale_tmp(storage.as_ref(), &snap_dir).map_err(|e| ServeError::Storage {
-        what: "snapshot tmp sweep",
-        attempts: 1,
-        source: e,
-    })?;
+    sts_runtime::store::open_dir(storage.as_ref(), &snap_dir)
+        .map_err(ServeError::storage("snapshot dir"))?;
     let mut state = load_latest(storage.as_ref(), &snap_dir, &opts.state, stats)
         .unwrap_or_else(|| ServeState::new(opts.state.clone()));
     let (wal, records) = Wal::open(

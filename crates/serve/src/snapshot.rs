@@ -1,69 +1,33 @@
-//! Fingerprint-verified snapshots with quarantine-and-fall-back
-//! recovery.
+//! Verified snapshots with quarantine-and-fall-back recovery.
 //!
 //! A snapshot is the full served state ([`ServeState`]) serialized
-//! bit-exactly (floats as hex bit patterns) into `snap-<seq>.snap`,
-//! wrapped in the same header/digest/trailer armor as a WAL segment
-//! and written through the same write → read-back-verify → retry loop.
+//! bit-exactly (floats as hex bit patterns) into `snap-<seq>.snap`, a
+//! sealed artifact ([`sts_runtime::store::seal`]) whose format
+//! `ServeState::encode_snapshot` owns, written through the same
+//! [`write_verified`] write → read-back → retry loop as a WAL segment.
 //! Once a snapshot is verified durable, every WAL record it covers is
 //! redundant and the log is truncated — that pair is the only thing
 //! bounding recovery-replay time and disk usage on a long-running
 //! server.
 //!
-//! Recovery scans snapshots newest-first: a snapshot that fails
-//! structural or digest verification is **quarantined aside**
-//! (`.corrupt`, keep the evidence) and the next-older one is tried,
-//! degrading gracefully to an empty state plus full WAL replay. The
-//! byte-identical-recovery invariant never depends on the snapshot
-//! being recent — only on `state ∘ replay` being a pure function,
-//! which `state::tests::replay_equals_direct_application` pins.
+//! Recovery scans snapshots newest-first: a snapshot that fails to
+//! unseal or decode is **quarantined aside** (`.corrupt`, keep the
+//! evidence) and the next-older one is tried, degrading gracefully to
+//! an empty state plus full WAL replay. The byte-identical-recovery
+//! invariant never depends on the snapshot being recent — only on
+//! `state ∘ replay` being a pure function, which
+//! `state::tests::replay_equals_direct_application` pins.
 
 use crate::state::{ServeState, StateConfig};
 use crate::{ServeError, ServeStats};
 use std::path::{Path, PathBuf};
-use sts_runtime::{Fnv1a, Storage};
+use sts_runtime::store::{self, numbered, write_verified, WriteFailure};
+use sts_runtime::Storage;
 
 const MAX_WRITE_ATTEMPTS: u32 = 64;
 
 fn snap_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snap-{seq}.snap"))
-}
-
-fn digest_body(body: &str) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(body.as_bytes());
-    h.finish()
-}
-
-/// Serializes `state` into the on-disk snapshot format.
-fn encode(state: &ServeState) -> String {
-    let body = state.encode_snapshot_body();
-    format!("{body}end {:016x}\n", digest_body(&body))
-}
-
-/// Verifies armor and decodes the state. `Err` explains why the bytes
-/// are untrustworthy.
-fn decode(cfg: StateConfig, bytes: &[u8]) -> Result<ServeState, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
-    let Some(trailer_at) = text.trim_end_matches('\n').rfind('\n') else {
-        return Err("no trailer line".to_string());
-    };
-    let (body, trailer) = text.split_at(trailer_at + 1);
-    let mut t = trailer.split_whitespace();
-    if t.next() != Some("end") {
-        return Err(format!("bad trailer {trailer:?} (truncated snapshot)"));
-    }
-    let want = t
-        .next()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or("bad trailer digest")?;
-    let got = digest_body(body);
-    if got != want {
-        return Err(format!(
-            "digest mismatch: trailer {want:016x}, body {got:016x}"
-        ));
-    }
-    ServeState::decode_snapshot_body(cfg, body)
 }
 
 /// Writes a verified-durable snapshot of `state`, then deletes all
@@ -76,75 +40,33 @@ pub fn write_snapshot(
 ) -> Result<u64, ServeError> {
     storage
         .create_dir_all(dir)
-        .map_err(|e| ServeError::Storage {
-            what: "snapshot dir",
-            attempts: 1,
-            source: e,
-        })?;
+        .map_err(ServeError::storage("snapshot dir"))?;
     let seq = state.max_seq();
-    let path = snap_path(dir, seq);
-    let bytes = encode(state).into_bytes();
-    let mut last_err: Option<std::io::Error> = None;
-    let mut ok = false;
-    for _ in 1..=MAX_WRITE_ATTEMPTS {
-        match storage.write_atomic(&path, &bytes) {
-            Err(e) => {
-                stats.snapshot_write_errors(1);
-                last_err = Some(e);
-                continue;
-            }
-            Ok(()) => {}
-        }
-        match storage.read(&path) {
-            Ok(back) if back == bytes => {
-                ok = true;
-                break;
-            }
-            Ok(_) => {
-                stats.snapshot_verify_failed(1);
-                last_err = Some(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "snapshot read-back mismatch",
-                ));
-            }
-            Err(e) => {
-                stats.snapshot_verify_failed(1);
-                last_err = Some(e);
-            }
-        }
-    }
-    if !ok {
-        return Err(ServeError::Storage {
-            what: "snapshot",
-            attempts: MAX_WRITE_ATTEMPTS,
-            source: last_err.unwrap_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::Other, "unknown snapshot failure")
-            }),
-        });
-    }
+    let bytes = state.encode_snapshot().into_bytes();
+    write_verified(
+        storage,
+        &snap_path(dir, seq),
+        &bytes,
+        MAX_WRITE_ATTEMPTS,
+        |failure| match failure {
+            WriteFailure::Write => stats.snapshot_write_errors(1),
+            WriteFailure::Read | WriteFailure::Mismatch => stats.snapshot_verify_failed(1),
+        },
+    )
+    .map_err(|source| ServeError::Storage {
+        what: "snapshot",
+        attempts: MAX_WRITE_ATTEMPTS,
+        source,
+    })?;
     stats.snapshots(1);
     // Older snapshots are now strictly redundant. Failure to delete is
     // harmless (recovery scans newest-first), so best effort.
-    if let Ok(listed) = storage.list(dir) {
-        for p in listed {
-            if let Some((s, _)) = parse_snap_name(&p) {
-                if s < seq {
-                    let _ = storage.remove(&p);
-                }
-            }
+    for (s, path) in numbered(storage, dir, "snap-", "snap").unwrap_or_default() {
+        if s < seq {
+            let _ = storage.remove(&path);
         }
     }
     Ok(seq)
-}
-
-fn parse_snap_name(path: &Path) -> Option<(u64, PathBuf)> {
-    let name = path.file_name()?.to_str()?;
-    let seq = name
-        .strip_prefix("snap-")?
-        .strip_suffix(".snap")?
-        .parse()
-        .ok()?;
-    Some((seq, path.to_path_buf()))
 }
 
 /// Loads the newest snapshot that verifies, quarantining corrupt ones
@@ -155,22 +77,16 @@ pub fn load_latest(
     cfg: &StateConfig,
     stats: &ServeStats,
 ) -> Option<ServeState> {
-    let mut snaps: Vec<(u64, PathBuf)> = storage
-        .list(dir)
+    for (_, path) in numbered(storage, dir, "snap-", "snap")
         .ok()?
-        .iter()
-        .filter_map(|p| parse_snap_name(p))
-        .collect();
-    snaps.sort_by_key(|&(seq, _)| std::cmp::Reverse(seq));
-    for (_, path) in snaps {
-        let bytes = match storage.read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                quarantine(storage, &path, stats, &format!("unreadable: {e}"));
-                continue;
-            }
-        };
-        match decode(cfg.clone(), &bytes) {
+        .into_iter()
+        .rev()
+    {
+        let decoded = storage
+            .read(&path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|bytes| ServeState::decode_snapshot(cfg.clone(), &bytes));
+        match decoded {
             Ok(state) => return Some(state),
             Err(why) => quarantine(storage, &path, stats, &why),
         }
@@ -179,14 +95,13 @@ pub fn load_latest(
 }
 
 fn quarantine(storage: &dyn Storage, path: &Path, stats: &ServeStats, why: &str) {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".corrupt");
-    let moved = storage.rename(path, &PathBuf::from(name)).is_ok();
+    let aside = store::quarantine(storage, path);
     stats.snapshot_quarantined(1);
     sts_obs::event("serve.snapshot.quarantine", 1.0);
     eprintln!(
-        "sts-serve: quarantined snapshot {} ({why}; moved={moved})",
-        path.display()
+        "sts-serve: quarantined snapshot {} as {} ({why})",
+        path.display(),
+        aside.display()
     );
 }
 
@@ -229,7 +144,7 @@ mod tests {
         assert!(!snap_path(&dir, 10).exists(), "older snapshot pruned");
         let loaded = load_latest(&storage, &dir, &StateConfig::default(), &stats).unwrap();
         assert_eq!(loaded.max_seq(), 25);
-        assert_eq!(loaded.encode_snapshot_body(), s25.encode_snapshot_body());
+        assert_eq!(loaded.encode_snapshot(), s25.encode_snapshot());
         assert_eq!(stats.get("snapshots"), Some(2));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -259,15 +174,14 @@ mod tests {
     #[test]
     fn truncated_and_tampered_snapshots_fail_decode() {
         let s = walked(8);
-        let full = encode(&s);
-        assert!(decode(StateConfig::default(), full.as_bytes()).is_ok());
+        let full = s.encode_snapshot();
+        let decode = |bytes: &[u8]| ServeState::decode_snapshot(StateConfig::default(), bytes);
+        assert!(decode(full.as_bytes()).is_ok());
         let cut = &full[..full.len() - 3];
-        assert!(decode(StateConfig::default(), cut.as_bytes()).is_err());
+        assert!(decode(cut.as_bytes()).is_err());
         let tampered = full.replacen('o', "0", 1);
-        assert!(decode(StateConfig::default(), tampered.as_bytes())
-            .unwrap_err()
-            .contains("digest"));
-        assert!(decode(StateConfig::default(), b"").is_err());
+        assert!(decode(tampered.as_bytes()).unwrap_err().contains("digest"));
+        assert!(decode(b"").is_err());
     }
 
     #[test]

@@ -30,6 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 use sts_core::{GaussianNoise, SpeedKdeTransition, StpEstimator, StpEvalScratch};
 use sts_geo::{BoundingBox, Grid, Point};
+use sts_runtime::store::{seal, unseal};
 use sts_stats::Kernel;
 use sts_traj::{TrajPoint, Trajectory};
 
@@ -241,11 +242,6 @@ impl ServeState {
         self.max_seq
     }
 
-    /// Objects currently tracked, in id order.
-    pub fn object_ids(&self) -> Vec<u64> {
-        self.objects.keys().copied().collect()
-    }
-
     /// Total pings applied across all objects.
     pub fn total_applied(&self) -> u64 {
         self.objects.values().map(|o| o.applied).sum()
@@ -441,56 +437,42 @@ impl ServeState {
         }
     }
 
-    /// Serializes the full state for a snapshot: line-oriented, floats
-    /// as hex bits, so decode→encode is the identity.
-    pub(crate) fn encode_snapshot_body(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "stssnap 1 {} {}\n",
-            self.max_seq,
-            self.objects.len()
-        ));
+    /// Serializes the full state as a sealed snapshot file: the header
+    /// `stssnap 2 <max_seq>`, then one line per object, floats as hex
+    /// bits, so decode→encode is the identity.
+    pub(crate) fn encode_snapshot(&self) -> String {
+        let mut body = String::new();
         for (id, o) in &self.objects {
-            out.push_str(&format!("o {} {} {}", id, o.applied, o.ring.len()));
+            body.push_str(&format!("o {} {} {}", id, o.applied, o.ring.len()));
             for &(t, x, y) in &o.ring {
-                out.push_str(&format!(
+                body.push_str(&format!(
                     " {} {} {}",
                     f64_to_hex(t),
                     f64_to_hex(x),
                     f64_to_hex(y)
                 ));
             }
-            out.push_str(&format!(" {}", o.speeds.len()));
+            body.push_str(&format!(" {}", o.speeds.len()));
             for &v in &o.speeds {
-                out.push_str(&format!(" {}", f64_to_hex(v)));
+                body.push_str(&format!(" {}", f64_to_hex(v)));
             }
-            out.push('\n');
+            body.push('\n');
         }
-        out
+        seal(&format!("stssnap 2 {}", self.max_seq), &body)
     }
 
-    /// Rebuilds a state from a verified snapshot body (everything
-    /// between the header check and the trailer). Caches start cold —
-    /// they are rebuilt lazily and deterministically from the rings.
-    pub(crate) fn decode_snapshot_body(cfg: StateConfig, body: &str) -> Result<Self, String> {
-        let mut lines = body.lines();
-        let header = lines.next().ok_or("empty snapshot body")?;
-        let mut it = header.split_whitespace();
-        if it.next() != Some("stssnap") || it.next() != Some("1") {
-            return Err(format!("bad snapshot header {header:?}"));
-        }
-        let max_seq: u64 = it
-            .next()
+    /// Unseals and rebuilds a state from [`ServeState::encode_snapshot`]'s
+    /// output. Caches start cold — they are rebuilt lazily and
+    /// deterministically from the rings.
+    pub(crate) fn decode_snapshot(cfg: StateConfig, bytes: &[u8]) -> Result<Self, String> {
+        let (header, body) = unseal(bytes)?;
+        let max_seq: u64 = header
+            .strip_prefix("stssnap 2 ")
             .and_then(|s| s.parse().ok())
-            .ok_or("bad snapshot max_seq")?;
-        let count: usize = it
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or("bad snapshot object count")?;
+            .ok_or_else(|| format!("bad snapshot header {header:?}"))?;
         let mut state = ServeState::new(cfg);
         state.max_seq = max_seq;
-        for _ in 0..count {
-            let line = lines.next().ok_or("snapshot object count overruns body")?;
+        for line in body.lines() {
             let mut it = line.split_whitespace();
             if it.next() != Some("o") {
                 return Err(format!("bad object line {line:?}"));
@@ -536,9 +518,6 @@ impl ServeState {
                 return Err(format!("trailing fields on object line {line:?}"));
             }
             state.objects.insert(id, o);
-        }
-        if lines.next().is_some() {
-            return Err("snapshot body longer than object count".to_string());
         }
         Ok(state)
     }
@@ -698,9 +677,9 @@ mod tests {
     #[test]
     fn snapshot_body_round_trips_bit_exactly() {
         let s = walked_state(20, 3.0);
-        let body = s.encode_snapshot_body();
-        let back = ServeState::decode_snapshot_body(StateConfig::default(), &body).unwrap();
-        assert_eq!(back.encode_snapshot_body(), body);
+        let body = s.encode_snapshot();
+        let back = ServeState::decode_snapshot(StateConfig::default(), body.as_bytes()).unwrap();
+        assert_eq!(back.encode_snapshot(), body);
         assert_eq!(back.max_seq(), s.max_seq());
         assert_eq!(back.total_applied(), s.total_applied());
         // And the restored state answers queries identically.
@@ -714,16 +693,18 @@ mod tests {
 
     #[test]
     fn snapshot_decode_rejects_structural_corruption() {
+        // Sealed, so past the digest, but wrong inside.
         let s = walked_state(5, 1.0);
-        let body = s.encode_snapshot_body();
+        let snapshot = s.encode_snapshot();
+        let (_, body) = unseal(snapshot.as_bytes()).unwrap();
         for bad in [
-            "stssnap 2 0 0\n",             // wrong version
-            "stssnap 1 5 2\no 1 1 0 0\n",  // count overruns body
-            &body.replace("o 0", "x 0"),   // bad object tag
-            &format!("{body}o 9 1 0 0\n"), // body longer than count
+            seal("stssnap 1 0", ""),                          // wrong version
+            seal("stssnap 2 5", &body.replace("o 0", "x 0")), // bad object tag
+            seal("stssnap 2 5", "o 9 1 33\n"),                // ring over capacity
+            seal("stssnap 2 5", "o 9 1 0 0 junk\n"),          // trailing fields
         ] {
             assert!(
-                ServeState::decode_snapshot_body(StateConfig::default(), bad).is_err(),
+                ServeState::decode_snapshot(StateConfig::default(), bad.as_bytes()).is_err(),
                 "{bad:?} must not decode"
             );
         }
@@ -757,9 +738,9 @@ mod tests {
         for p in &pings[..24] {
             half.apply(p);
         }
-        let body = half.encode_snapshot_body();
+        let body = half.encode_snapshot();
         let mut recovered =
-            ServeState::decode_snapshot_body(StateConfig::default(), &body).unwrap();
+            ServeState::decode_snapshot(StateConfig::default(), body.as_bytes()).unwrap();
         // Replay everything with overlap: dedup must discard the first
         // 24 and apply the rest.
         for p in &pings {

@@ -1,36 +1,37 @@
 //! Segmented write-ahead log for the ingest path.
 //!
 //! Design: the WAL is a directory of **whole-file-atomic segments**
-//! (`seg-<idx>.log`) written through the [`Storage`] discipline the
-//! matrix tiles use (tmp → fsync → rename → dir-fsync). There is
-//! no appending-in-place: each group commit rewrites the *active*
-//! segment in full, which keeps every byte on disk covered by one
-//! atomic rename — a SIGKILL can lose the in-flight commit (whose
-//! pings the client has not been acked for and will resend) but can
-//! never tear a record in half. Segments are bounded
-//! (`segment_records`), so the rewrite cost is bounded too; a full
-//! segment is sealed and a new one started.
+//! (`seg-<idx>.log`), each a sealed artifact
+//! ([`sts_runtime::store::seal`]): the header `walseg <idx>`, one line
+//! per record, and the `end <count> <fnv64>` trailer whose digest
+//! covers every byte above it. There is no appending-in-place: each
+//! group commit rewrites the *active* segment in full under one
+//! digest, so every byte on disk is covered by one atomic rename — a
+//! SIGKILL can lose the in-flight commit (whose pings the client has
+//! not been acked for and will resend) but can never tear a record in
+//! half. Segments are bounded (`segment_records`), so the rewrite cost
+//! is bounded too; a full segment is sealed and a new one started.
 //!
-//! Every segment carries a header (`walseg <idx> <count>`) and a
-//! trailer (`end <count> <fnv64-hex>`) whose FNV-1a digest covers the
-//! record bytes, and every commit is **read back and byte-compared**
-//! before the records are considered durable — the only defense that
-//! catches a torn or bit-flipped write that reported success
-//! (`FaultyStorage` injects exactly those). Failed or unverifiable
-//! writes are retried with exact accounting: `wal_verify_failed` for
-//! read-back mismatches, `wal_append_errors` for outright I/O errors,
-//! which the chaos suite reconciles against the injected-fault ledger.
+//! Every commit goes through [`write_verified`]: written, **read back
+//! and byte-compared** before the records are considered durable — the
+//! only defense that catches a torn or bit-flipped write that reported
+//! success (`FaultyStorage` injects exactly those). Failed attempts are
+//! retried with exact accounting: `wal_verify_failed` for read-back
+//! failures, `wal_append_errors` for outright write errors, which the
+//! chaos suite reconciles against the injected-fault ledger.
 //!
 //! After a verified snapshot covers everything, [`Wal::truncate_all`]
-//! deletes every segment and starts fresh. Recovery
-//! ([`Wal::open`]) scans segments in index order, verifies each,
-//! quarantines corrupt ones aside as `.corrupt` (keep the evidence,
-//! keep serving) and returns the surviving records for replay.
+//! deletes every segment and starts fresh. Recovery ([`Wal::open`])
+//! sweeps the directory ([`open_dir`]), scans segments in index order,
+//! unseals each, quarantines corrupt ones aside as `.corrupt` (keep
+//! the evidence, keep serving; counted as `wal_quarantined`) and
+//! returns the surviving records for replay.
 
 use crate::{ServeError, ServeStats};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use sts_runtime::{Fnv1a, Storage};
+use sts_runtime::store::{self, numbered, open_dir, seal, unseal, write_verified, WriteFailure};
+use sts_runtime::Storage;
 
 /// Cap on write→verify retries per commit before declaring storage
 /// unusable. Chaos plans inject faults far more sparsely than this.
@@ -40,86 +41,23 @@ fn seg_path(dir: &Path, idx: u64) -> PathBuf {
     dir.join(format!("seg-{idx}.log"))
 }
 
-fn digest_records(records: &[String]) -> u64 {
-    let mut h = Fnv1a::new();
-    for r in records {
-        h.write(r.as_bytes());
-        h.write(b"\n");
-    }
-    h.finish()
-}
-
 fn encode_segment(idx: u64, records: &[String]) -> String {
-    let mut out = format!("walseg {idx} {}\n", records.len());
+    let mut body = String::new();
     for r in records {
-        out.push_str(r);
-        out.push('\n');
+        body.push_str(r);
+        body.push('\n');
     }
-    out.push_str(&format!(
-        "end {} {:016x}\n",
-        records.len(),
-        digest_records(records)
-    ));
-    out
+    seal(&format!("walseg {idx}"), &body)
 }
 
-/// Parses and verifies one segment file. `Err` carries the reason the
-/// segment is untrustworthy.
+/// Unseals one segment file. `Err` carries the reason the segment is
+/// untrustworthy.
 fn decode_segment(idx: u64, bytes: &[u8]) -> Result<Vec<String>, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("not UTF-8: {e}"))?;
-    let mut lines: Vec<&str> = text.lines().collect();
-    if lines.len() < 2 {
-        return Err(format!("only {} line(s)", lines.len()));
+    let (header, body) = unseal(bytes)?;
+    if header != format!("walseg {idx}") {
+        return Err(format!("header `{header}` does not name segment {idx}"));
     }
-    let trailer = lines.pop().expect("len checked");
-    let header = lines.remove(0);
-    let mut h = header.split_whitespace();
-    if h.next() != Some("walseg") {
-        return Err(format!("bad header {header:?}"));
-    }
-    let hidx: u64 = h
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or("bad header index")?;
-    let hcount: usize = h
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or("bad header count")?;
-    if hidx != idx {
-        return Err(format!("header index {hidx} != filename index {idx}"));
-    }
-    if hcount != lines.len() {
-        return Err(format!(
-            "header count {hcount} != {} record(s)",
-            lines.len()
-        ));
-    }
-    let mut t = trailer.split_whitespace();
-    if t.next() != Some("end") {
-        return Err(format!("bad trailer {trailer:?} (truncated segment)"));
-    }
-    let tcount: usize = t
-        .next()
-        .and_then(|s| s.parse().ok())
-        .ok_or("bad trailer count")?;
-    let tdigest = t
-        .next()
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or("bad trailer digest")?;
-    if tcount != lines.len() {
-        return Err(format!(
-            "trailer count {tcount} != {} record(s)",
-            lines.len()
-        ));
-    }
-    let records: Vec<String> = lines.into_iter().map(str::to_string).collect();
-    let actual = digest_records(&records);
-    if actual != tdigest {
-        return Err(format!(
-            "digest mismatch: trailer {tdigest:016x}, records {actual:016x}"
-        ));
-    }
-    Ok(records)
+    Ok(body.lines().map(str::to_string).collect())
 }
 
 /// The ingest thread's write-ahead log. Single-writer by construction
@@ -152,59 +90,24 @@ impl Wal {
         stats: Arc<ServeStats>,
     ) -> Result<(Wal, Vec<String>), ServeError> {
         assert!(segment_records > 0, "segment_records must be positive");
-        storage
-            .create_dir_all(dir)
-            .map_err(|e| ServeError::Storage {
-                what: "wal dir",
-                attempts: 1,
-                source: e,
-            })?;
-        sts_runtime::sweep_stale_tmp(storage.as_ref(), dir).map_err(|e| ServeError::Storage {
-            what: "wal tmp sweep",
-            attempts: 1,
-            source: e,
-        })?;
-        let mut indexed: Vec<(u64, PathBuf)> = storage
-            .list(dir)
-            .map_err(|e| ServeError::Storage {
-                what: "wal dir listing",
-                attempts: 1,
-                source: e,
-            })?
-            .into_iter()
-            .filter_map(|p| {
-                let name = p.file_name()?.to_str()?;
-                let idx = name
-                    .strip_prefix("seg-")?
-                    .strip_suffix(".log")?
-                    .parse()
-                    .ok()?;
-                Some((idx, p))
-            })
-            .collect();
-        indexed.sort_by_key(|&(idx, _)| idx);
+        open_dir(storage.as_ref(), dir).map_err(ServeError::storage("wal dir"))?;
+        let segments = numbered(storage.as_ref(), dir, "seg-", "log")
+            .map_err(ServeError::storage("wal dir listing"))?;
         let mut recovered = Vec::new();
         let mut last_good: Option<(u64, Vec<String>)> = None;
-        let mut max_index = None;
-        for (idx, path) in indexed {
-            max_index = Some(max_index.map_or(idx, |m: u64| m.max(idx)));
-            let bytes = match storage.read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    quarantine(storage.as_ref(), &path, &stats, &format!("unreadable: {e}"));
-                    continue;
-                }
-            };
-            match decode_segment(idx, &bytes) {
+        let max_index = segments.last().map(|&(idx, _)| idx);
+        for (idx, path) in segments {
+            let decoded = storage
+                .read(&path)
+                .map_err(|e| format!("unreadable: {e}"))
+                .and_then(|bytes| decode_segment(idx, &bytes));
+            match decoded {
                 Ok(records) => {
-                    if let Some((_, prev)) = last_good.take() {
+                    if let Some((_, prev)) = last_good.replace((idx, records)) {
                         recovered.extend(prev);
                     }
-                    last_good = Some((idx, records));
                 }
-                Err(why) => {
-                    quarantine(storage.as_ref(), &path, &stats, &why);
-                }
+                Err(why) => quarantine(storage.as_ref(), &path, &stats, &why),
             }
         }
         // The highest verified segment is the active one: reopen it
@@ -246,14 +149,32 @@ impl Wal {
     }
 
     /// Group commit: folds pending records into the active segment and
-    /// rewrites it atomically, retrying until a read-back of the file
-    /// byte-matches what was written. Seals the segment when full.
+    /// rewrites it with [`write_verified`], retrying until a read-back
+    /// of the file byte-matches what was written. Seals the segment
+    /// when full.
     pub fn commit(&mut self) -> Result<(), ServeError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         self.records.append(&mut self.pending);
-        self.write_active_verified()?;
+        let path = seg_path(&self.dir, self.seg_index);
+        let bytes = encode_segment(self.seg_index, &self.records).into_bytes();
+        let stats = &self.stats;
+        write_verified(
+            self.storage.as_ref(),
+            &path,
+            &bytes,
+            MAX_COMMIT_ATTEMPTS,
+            |failure| match failure {
+                WriteFailure::Write => stats.wal_append_errors(1),
+                WriteFailure::Read | WriteFailure::Mismatch => stats.wal_verify_failed(1),
+            },
+        )
+        .map_err(|source| ServeError::Storage {
+            what: "wal segment",
+            attempts: MAX_COMMIT_ATTEMPTS,
+            source,
+        })?;
         self.stats.wal_commits(1);
         if self.records.len() >= self.segment_records {
             self.seg_index += 1;
@@ -261,47 +182,6 @@ impl Wal {
             self.stats.wal_segments_sealed(1);
         }
         Ok(())
-    }
-
-    /// Writes the active segment and read-back-verifies it, retrying
-    /// with exact fault accounting.
-    fn write_active_verified(&mut self) -> Result<(), ServeError> {
-        let path = seg_path(&self.dir, self.seg_index);
-        let bytes = encode_segment(self.seg_index, &self.records).into_bytes();
-        let mut last_err: Option<std::io::Error> = None;
-        for attempt in 1..=MAX_COMMIT_ATTEMPTS {
-            match self.storage.write_atomic(&path, &bytes) {
-                Err(e) => {
-                    self.stats.wal_append_errors(1);
-                    last_err = Some(e);
-                    continue;
-                }
-                Ok(()) => {}
-            }
-            match self.storage.read(&path) {
-                Ok(back) if back == bytes => return Ok(()),
-                Ok(_) => {
-                    // The write reported success but the bytes on disk
-                    // differ: a torn or bit-flipped write. Retry.
-                    self.stats.wal_verify_failed(1);
-                    last_err = Some(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("read-back mismatch on attempt {attempt}"),
-                    ));
-                }
-                Err(e) => {
-                    self.stats.wal_verify_failed(1);
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(ServeError::Storage {
-            what: "wal segment",
-            attempts: MAX_COMMIT_ATTEMPTS,
-            source: last_err.unwrap_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::Other, "unknown wal failure")
-            }),
-        })
     }
 
     /// Deletes every segment after a verified snapshot has covered all
@@ -312,32 +192,14 @@ impl Wal {
             self.pending.is_empty(),
             "truncate with uncommitted records would lose acked data"
         );
-        let listed = self
-            .storage
-            .list(&self.dir)
-            .map_err(|e| ServeError::Storage {
-                what: "wal dir listing",
-                attempts: 1,
-                source: e,
-            })?;
-        let mut removed = 0usize;
-        for path in listed {
-            let is_seg = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".log"));
-            if !is_seg {
-                continue;
-            }
+        let segments = numbered(self.storage.as_ref(), &self.dir, "seg-", "log")
+            .map_err(ServeError::storage("wal dir listing"))?;
+        for (_, path) in &segments {
             self.storage
-                .remove(&path)
-                .map_err(|e| ServeError::Storage {
-                    what: "wal truncation",
-                    attempts: 1,
-                    source: e,
-                })?;
-            removed += 1;
+                .remove(path)
+                .map_err(ServeError::storage("wal truncation"))?;
         }
+        let removed = segments.len();
         self.stats.wal_truncated(removed as u64);
         self.seg_index += 1;
         self.records.clear();
@@ -346,17 +208,13 @@ impl Wal {
 }
 
 fn quarantine(storage: &dyn Storage, path: &Path, stats: &ServeStats, why: &str) {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".corrupt");
-    let dest = PathBuf::from(name);
-    // Best effort: a failed rename leaves the corrupt file in place,
-    // where the next open will try (and fail) to verify it again.
-    let moved = storage.rename(path, &dest).is_ok();
-    stats.wal_verify_failed(1);
+    let aside = store::quarantine(storage, path);
+    stats.wal_quarantined(1);
     sts_obs::event("serve.wal.quarantine", 1.0);
     eprintln!(
-        "sts-serve: quarantined wal segment {} ({why}; moved={moved})",
-        path.display()
+        "sts-serve: quarantined wal segment {} as {} ({why})",
+        path.display(),
+        aside.display()
     );
 }
 
@@ -451,7 +309,38 @@ mod tests {
         );
         assert!(!victim.exists(), "victim moved aside");
         assert!(dir.join("seg-1.log.corrupt").exists(), "evidence kept");
-        assert_eq!(wal2.stats.get("wal_verify_failed"), Some(1));
+        assert_eq!(wal2.stats.get("wal_quarantined"), Some(1));
+        assert_eq!(
+            wal2.stats.get("wal_verify_failed"),
+            Some(0),
+            "a quarantine on recovery is not a failed write"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_bounds_quarantine_debris() {
+        // Every restart over a flaky disk may quarantine a segment; the
+        // evidence is kept under the same retention policy as tiles.
+        let dir = tmp_dir("debris");
+        let keep = sts_runtime::store::CORRUPT_KEEP_MAX;
+        let now = std::time::SystemTime::now();
+        for i in 0..keep + 3 {
+            let path = dir.join(format!("seg-{i}.log.corrupt"));
+            std::fs::write(&path, b"evidence").unwrap();
+            std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(now - std::time::Duration::from_secs(600 - 60 * i as u64))
+                .unwrap();
+        }
+        let (_, recovered) = open(&dir, 4);
+        assert!(recovered.is_empty());
+        let kept: Vec<usize> = (0..keep + 3)
+            .filter(|i| dir.join(format!("seg-{i}.log.corrupt")).exists())
+            .collect();
+        assert_eq!(kept, (3..keep + 3).collect::<Vec<_>>(), "newest kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

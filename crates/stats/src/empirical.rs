@@ -33,12 +33,6 @@ impl TransitionCounts {
         }
     }
 
-    /// Number of states.
-    #[inline]
-    pub fn num_states(&self) -> usize {
-        self.n
-    }
-
     /// Records one observed transition `from -> to`.
     pub fn record(&mut self, from: usize, to: usize) {
         assert!(from < self.n && to < self.n, "state out of range");

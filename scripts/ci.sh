@@ -103,14 +103,17 @@ echo "== shard (network chaos + worker SIGKILL; fixed seeds) =="
 run_seeded "network chaos suite" cargo test -p sts-robust -q --offline --test net_chaos
 run_seeded "shard crash suite" cargo test -p sts-repro -q --offline --test shard_crash
 
-# Streaming-service gate: the serve chaos suite (send-side network
-# faults reconciled *exactly* against the server's ingest counters,
-# full-duplex survival, disk faults split into silent/honest ledgers,
-# byte-mangler fuzz of the listener) and the serve crash suite — the
-# real sts-serve binary SIGKILLed at seed-staggered moments
-# mid-ingest, restarted, resent above the durable horizon, and
-# byte-compared against an uninterrupted run across 8 seeds.
-echo "== serve (ingest chaos + SIGKILL recovery; fixed seeds) =="
+# Streaming-service gate: sts-serve's own unit tests (WAL commit,
+# recovery and quarantine, snapshot fallback, state replay), the serve
+# chaos suite (send-side network faults reconciled *exactly* against
+# the server's ingest counters, full-duplex survival, disk faults split
+# into silent/honest ledgers, byte-mangler fuzz of the listener) and
+# the serve crash suite — the real sts-serve binary SIGKILLed at
+# seed-staggered moments mid-ingest, restarted, resent above the
+# durable horizon, and byte-compared against an uninterrupted run
+# across 8 seeds.
+echo "== serve (unit tests + ingest chaos + SIGKILL recovery; fixed seeds) =="
+run_seeded "serve unit tests" cargo test -p sts-serve -q --offline --lib
 run_seeded "serve chaos suite" cargo test -p sts-robust -q --offline --test serve_chaos
 run_seeded "serve crash suite" cargo test -p sts-repro -q --offline --test serve_crash
 
