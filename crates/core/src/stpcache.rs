@@ -15,18 +15,23 @@
 //! friendly slices, and makes an empty distribution a zero-length range
 //! rather than an allocation.
 //!
-//! Concurrency: the cache sits behind an `RwLock`. Scoring threads
-//! detect misses under a short read lock; when there are any, the
-//! re-check and the evaluation both happen under one write lock, so
+//! Concurrency: the arena sits behind an `RwLock`, and no lock is held
+//! while a distribution is evaluated. [`ensure`] fills a pair's two
+//! caches by *claims*: under a short write lock a thread claims one
+//! stamp that is neither cached nor claimed, evaluates it with no lock
+//! held, and publishes it under a second short write lock. A stamp
+//! another thread has claimed is set aside; the thread goes on with its
+//! pair's other missing stamps, on both sides, and only then sleeps
+//! until the set-aside stamps are published. A claim is taken once, so
 //! every `(trajectory, timestamp)` is evaluated **exactly once**
-//! process-wide — work counters (`core.stp.evals`, `core.stp.cells`,
-//! hits/misses) stay thread-count invariant, which the telemetry suite
-//! asserts. Holding the write lock across evaluation serializes fills
-//! of *one* trajectory's cache; threads filling different trajectories
-//! proceed in parallel, and a thread blocked on a filling writer would
-//! otherwise have computed the same distributions itself. When a pair
-//! reads two caches simultaneously the guards are taken in a canonical
-//! (address) order, which rules out reader/writer deadlock cycles.
+//! process-wide and the work counters (`core.stp.evals`,
+//! `core.stp.cells`, hits/misses) stay thread-count invariant, which the
+//! telemetry suite asserts. A thread never sleeps while it holds a
+//! claim, so waits form no cycle; a claim whose evaluation unwinds is
+//! released by a drop guard and its waiters are woken, and one of them
+//! claims the stamp in turn. When a pair reads two caches
+//! simultaneously the read guards are taken in a canonical (address)
+//! order, which rules out reader/writer deadlock cycles.
 //!
 //! The arena is bounded by [`MAX_ARENA_ENTRIES`]; on overflow the cache
 //! recycles (clears) itself. Correctness never depends on an entry
@@ -36,7 +41,9 @@
 use crate::dist::SparseDistribution;
 use crate::stprob::{StpEstimator, StpEvalScratch};
 use std::collections::HashMap;
-use std::sync::{RwLock, RwLockReadGuard};
+use std::sync::{
+    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// How [`crate::Sts`] evaluates STP distributions when scoring pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -67,12 +74,63 @@ struct CacheInner {
     index: HashMap<u64, (u32, u32)>,
     cell_ids: Vec<u32>,
     probs: Vec<f64>,
+    /// Stamps (`t.to_bits()`) some thread is evaluating: claimed, not
+    /// yet published. At most one per filling thread.
+    claimed: Vec<u64>,
+}
+
+/// Where a stamp stands in one cache.
+enum Slot {
+    Cached,
+    Claimed,
+    Free,
+}
+
+impl CacheInner {
+    fn slot(&self, key: u64) -> Slot {
+        if self.index.contains_key(&key) {
+            Slot::Cached
+        } else if self.claimed.contains(&key) {
+            Slot::Claimed
+        } else {
+            Slot::Free
+        }
+    }
+
+    /// Appends `d` to the arena under `key`.
+    fn insert(&mut self, key: u64, d: &SparseDistribution) {
+        let n = d.entries().len();
+        if n > MAX_ARENA_ENTRIES {
+            // A single distribution larger than the arena bound
+            // (degenerate dense fallback on a huge grid): leave it
+            // uncached; readers evaluate it directly.
+            return;
+        }
+        if self.cell_ids.len() + n > MAX_ARENA_ENTRIES {
+            // Arena full: recycle wholesale. Readers never rely on
+            // presence, so this only trades time, not correctness.
+            self.index.clear();
+            self.cell_ids.clear();
+            self.probs.clear();
+        }
+        let at = self.cell_ids.len() as u32;
+        for &(c, w) in d.entries() {
+            self.cell_ids.push(c.0);
+            self.probs.push(w);
+        }
+        self.index.insert(key, (at, n as u32));
+    }
 }
 
 /// A trajectory's STP cache (one per [`crate::PreparedTrajectory`]).
 #[derive(Default)]
 pub(crate) struct StpCache {
     inner: RwLock<CacheInner>,
+    /// Threads asleep on `settled`. A waiter holds this mutex from its
+    /// last look at a claim until it sleeps, and a settling thread takes
+    /// it before notifying, so no wake-up is lost.
+    sleepers: Mutex<usize>,
+    settled: Condvar,
 }
 
 impl std::fmt::Debug for StpCache {
@@ -86,85 +144,20 @@ impl std::fmt::Debug for StpCache {
 }
 
 impl StpCache {
+    // A poisoned lock only means some thread panicked while holding it;
+    // no critical section here can leave the arena mid-mutation short of
+    // an allocation failure, and claims are released by their guard, so
+    // the guards are recovered rather than wedging the whole job.
     fn lock_read(&self) -> RwLockReadGuard<'_, CacheInner> {
-        // A poisoned lock only means some scoring thread panicked; the
-        // cache itself is never left mid-mutation (appends are
-        // panic-free), so recover the guard rather than wedging the
-        // whole job.
-        self.inner
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Makes sure every timestamp in `times` is cached, evaluating
-    /// misses through `est.stp_into` with the caller's scratch. Misses
-    /// are re-checked and evaluated under one write lock, so each
-    /// timestamp is computed exactly once however many threads race on
-    /// it (see the module docs for why determinism wins over
-    /// out-of-lock evaluation here).
-    pub(crate) fn ensure(
-        &self,
-        est: &StpEstimator<'_>,
-        times: &[(f64, f64)],
-        scratch: &mut FillScratch,
-    ) {
-        let any_miss = {
-            let inner = self.lock_read();
-            times
-                .iter()
-                .any(|&(t, _)| !inner.index.contains_key(&t.to_bits()))
-        };
-        if !any_miss {
-            sts_obs::static_counter!("core.stp.cache_hits").add(times.len() as u64);
-            return;
-        }
-        let mut inner = self
-            .inner
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        // Re-check under the write lock: a concurrent filler may have
-        // committed some timestamps since the read probe. Whatever is
-        // still missing here is missing for every thread — exactly one
-        // writer evaluates it.
-        scratch.miss.clear();
-        scratch.miss.extend(
-            times
-                .iter()
-                .map(|&(t, _)| t)
-                .filter(|t| !inner.index.contains_key(&t.to_bits())),
-        );
-        let hits = times.len() - scratch.miss.len();
-        if hits > 0 {
-            sts_obs::static_counter!("core.stp.cache_hits").add(hits as u64);
-        }
-        if scratch.miss.is_empty() {
-            return;
-        }
-        sts_obs::static_counter!("core.stp.cache_misses").add(scratch.miss.len() as u64);
-        for i in 0..scratch.miss.len() {
-            let t = scratch.miss[i];
-            let d = est.stp_into(t, &mut scratch.eval);
-            let n = d.entries().len();
-            if n > MAX_ARENA_ENTRIES {
-                // A single distribution larger than the arena bound
-                // (degenerate dense fallback on a huge grid): leave it
-                // uncached; readers evaluate it directly.
-                continue;
-            }
-            if inner.cell_ids.len() + n > MAX_ARENA_ENTRIES {
-                // Arena full: recycle wholesale. Readers never rely on
-                // presence, so this only trades time, not correctness.
-                inner.index.clear();
-                inner.cell_ids.clear();
-                inner.probs.clear();
-            }
-            let at = inner.cell_ids.len() as u32;
-            for &(c, w) in d.entries() {
-                inner.cell_ids.push(c.0);
-                inner.probs.push(w);
-            }
-            inner.index.insert(t.to_bits(), (at, n as u32));
-        }
+    fn lock_write(&self) -> RwLockWriteGuard<'_, CacheInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_sleepers(&self) -> MutexGuard<'_, usize> {
+        self.sleepers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// A read view over the cache for the dot-product phase.
@@ -172,6 +165,159 @@ impl StpCache {
         StpCacheReader {
             guard: self.lock_read(),
         }
+    }
+
+    /// Claims the first stamp of `times[*cursor..]` that is neither
+    /// cached nor claimed, advancing `cursor` past it. Stamps cached on
+    /// the way count into `hits`; stamps claimed by other threads are
+    /// pushed to `waits` under `side`.
+    fn claim_next(
+        &self,
+        times: &[(f64, f64)],
+        cursor: &mut usize,
+        side: usize,
+        hits: &mut usize,
+        waits: &mut Vec<(usize, f64)>,
+    ) -> Option<Claim<'_>> {
+        let mut inner = self.lock_write();
+        while let Some(&(t, _)) = times.get(*cursor) {
+            *cursor += 1;
+            let key = t.to_bits();
+            match inner.slot(key) {
+                Slot::Cached => *hits += 1,
+                Slot::Claimed => waits.push((side, t)),
+                Slot::Free => {
+                    inner.claimed.push(key);
+                    return Some(Claim { cache: self, key });
+                }
+            }
+        }
+        None
+    }
+
+    /// Sleeps until no other thread holds a claim on `t`. Returns `None`
+    /// once `t` is cached, or a claim for the caller when the stamp is
+    /// free again — its evaluation unwound, or a recycle evicted it.
+    fn await_or_claim(&self, t: f64) -> Option<Claim<'_>> {
+        let key = t.to_bits();
+        let mut sleepers = self.lock_sleepers();
+        loop {
+            {
+                let mut inner = self.lock_write();
+                match inner.slot(key) {
+                    Slot::Cached => return None,
+                    Slot::Free => {
+                        inner.claimed.push(key);
+                        return Some(Claim { cache: self, key });
+                    }
+                    Slot::Claimed => {}
+                }
+            }
+            *sleepers += 1;
+            sleepers = self
+                .settled
+                .wait(sleepers)
+                .unwrap_or_else(PoisonError::into_inner);
+            *sleepers -= 1;
+        }
+    }
+
+    /// Ends the claim on `key`, publishing `d` when given, and wakes the
+    /// threads waiting for a claim of this cache to settle.
+    fn settle(&self, key: u64, d: Option<&SparseDistribution>) {
+        {
+            let mut inner = self.lock_write();
+            if let Some(at) = inner.claimed.iter().position(|&k| k == key) {
+                inner.claimed.swap_remove(at);
+            }
+            if let Some(d) = d {
+                inner.insert(key, d);
+            }
+        }
+        if *self.lock_sleepers() > 0 {
+            self.settled.notify_all();
+        }
+    }
+
+    /// Threads asleep waiting for a claim of this cache to settle.
+    #[cfg(test)]
+    fn sleepers(&self) -> usize {
+        *self.lock_sleepers()
+    }
+}
+
+/// A claimed stamp. [`Claim::evaluate`] ends it by publishing the
+/// distribution; dropped unpublished — its evaluation unwound — it
+/// releases the stamp and wakes the waiters, so a panic never leaves a
+/// stamp claimed.
+struct Claim<'c> {
+    cache: &'c StpCache,
+    key: u64,
+}
+
+impl Claim<'_> {
+    /// Evaluates the claimed stamp with no lock held and publishes it.
+    fn evaluate(self, est: &StpEstimator<'_>, eval: &mut StpEvalScratch) {
+        let d = est.stp_into(f64::from_bits(self.key), eval);
+        self.cache.settle(self.key, Some(d));
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.cache.settle(self.key, None);
+    }
+}
+
+/// Makes sure every stamp of `times` is cached in every side's cache,
+/// evaluating misses through the side's estimator with the caller's
+/// scratch. Each side's missing stamps are claimed and evaluated one at
+/// a time; stamps claimed by other threads are awaited only after every
+/// side's other misses are done. Counts one `core.stp.cache_misses` per
+/// stamp this call evaluated and one `core.stp.cache_hits` per other
+/// lookup, so both totals are thread-count invariant.
+pub(crate) fn ensure(
+    sides: &[(&StpCache, &StpEstimator<'_>)],
+    times: &[(f64, f64)],
+    scratch: &mut FillScratch,
+) {
+    let FillScratch { waits, eval } = scratch;
+    waits.clear();
+    let (mut hits, mut misses) = (0, 0);
+    for (side, &(cache, est)) in sides.iter().enumerate() {
+        // Fast path: one read lock when every stamp is cached already.
+        let first_miss = {
+            let inner = cache.lock_read();
+            times
+                .iter()
+                .position(|&(t, _)| !inner.index.contains_key(&t.to_bits()))
+        };
+        let Some(mut cursor) = first_miss else {
+            hits += times.len();
+            continue;
+        };
+        hits += cursor;
+        while let Some(claim) = cache.claim_next(times, &mut cursor, side, &mut hits, waits) {
+            claim.evaluate(est, eval);
+            misses += 1;
+        }
+    }
+    for &(side, t) in waits.iter() {
+        let (cache, est) = sides[side];
+        match cache.await_or_claim(t) {
+            None => hits += 1,
+            Some(claim) => {
+                claim.evaluate(est, eval);
+                misses += 1;
+            }
+        }
+    }
+    if hits > 0 {
+        sts_obs::static_counter!("core.stp.cache_hits").add(hits as u64);
+    }
+    if misses > 0 {
+        sts_obs::static_counter!("core.stp.cache_misses").add(misses as u64);
     }
 }
 
@@ -190,11 +336,11 @@ impl StpCacheReader<'_> {
     }
 }
 
-/// Buffers used while filling a cache: the miss list and the low-level
-/// evaluation scratch.
+/// Buffers used while filling caches: the stamps awaited from other
+/// threads and the low-level evaluation scratch.
 #[derive(Default)]
 pub(crate) struct FillScratch {
-    miss: Vec<f64>,
+    waits: Vec<(usize, f64)>,
     pub(crate) eval: StpEvalScratch,
 }
 
@@ -235,4 +381,95 @@ pub(crate) fn soa_to_dist(ids: &[u32], probs: &[f64]) -> SparseDistribution {
             .map(|(&c, &p)| (sts_geo::CellId(c), p)),
     );
     d
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::noise::GaussianNoise;
+    use crate::transition::{BrownianTransition, TransitionModel};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+    use sts_geo::{BoundingBox, Grid, Point};
+    use sts_traj::Trajectory;
+
+    /// A Brownian transition whose first evaluation meets the test at
+    /// `gate` twice — once inside the evaluation, once to be released —
+    /// and then panics.
+    struct PanicsOnceAtGate {
+        inner: BrownianTransition,
+        armed: AtomicBool,
+        gate: Barrier,
+    }
+
+    impl TransitionModel for PanicsOnceAtGate {
+        fn probability(&self, from: Point, to: Point, dt: f64) -> f64 {
+            self.inner.probability(from, to, dt)
+        }
+        fn max_displacement(&self, dt: f64) -> f64 {
+            self.inner.max_displacement(dt)
+        }
+        fn is_isotropic(&self) -> bool {
+            true
+        }
+        fn probability_by_distance(&self, d: f64, dt: f64) -> f64 {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.gate.wait();
+                self.gate.wait();
+                panic!("injected: the first transition evaluation panics");
+            }
+            self.inner.probability_by_distance(d, dt)
+        }
+    }
+
+    #[test]
+    fn an_unwound_claim_wakes_its_waiter_who_evaluates_the_stamp() {
+        let grid = Grid::new(
+            BoundingBox::new(Point::ORIGIN, Point::new(100.0, 20.0)),
+            2.0,
+        )
+        .unwrap();
+        let noise = GaussianNoise::new(2.0);
+        let traj =
+            Trajectory::from_xyt(&[(5.0, 10.0, 0.0), (15.0, 10.0, 10.0), (25.0, 10.0, 20.0)])
+                .unwrap();
+        let model = PanicsOnceAtGate {
+            inner: BrownianTransition::new(4.0),
+            armed: AtomicBool::new(true),
+            gate: Barrier::new(2),
+        };
+        let est = StpEstimator::new(&grid, &noise, &model, &traj);
+        let cache = StpCache::default();
+        // A bridge stamp: its evaluation reads the transition model.
+        let times = [(5.0, 1.0)];
+        let fill = || ensure(&[(&cache, &est)], &times, &mut FillScratch::default());
+        std::thread::scope(|s| {
+            let claimant = s.spawn(fill);
+            // The claimant is inside its evaluation of t = 5.
+            model.gate.wait();
+            let waiter = s.spawn(fill);
+            while cache.sleepers() == 0 {
+                std::thread::yield_now();
+            }
+            // The waiter sleeps on the claim; let the claimant panic.
+            model.gate.wait();
+            assert!(
+                claimant.join().is_err(),
+                "the claimant's evaluation unwinds"
+            );
+            waiter.join().expect("the waiter completes the fill");
+        });
+        let want = est.stp(5.0);
+        let reader = cache.read();
+        let (ids, probs) = reader.get(5.0).expect("the waiter cached t = 5");
+        let got = soa_to_dist(ids, probs);
+        assert!(!want.is_empty());
+        assert_eq!(got.len(), want.len());
+        for (&(cg, wg), &(cw, ww)) in got.entries().iter().zip(want.entries()) {
+            assert_eq!((cg, wg.to_bits()), (cw, ww.to_bits()));
+        }
+        drop(reader);
+        assert!(cache.lock_read().claimed.is_empty(), "no claim is left");
+        assert_eq!(cache.sleepers(), 0);
+    }
 }

@@ -27,7 +27,7 @@ use crate::dist::SparseDistribution;
 use crate::noise::NoiseModel;
 use crate::transition::TransitionModel;
 use std::borrow::Cow;
-use sts_geo::{CellId, Grid, Point};
+use sts_geo::{CellBox, CellId, Grid, Point};
 use sts_traj::Trajectory;
 
 /// Per-trajectory S-T probability estimator. Borrowing is deliberate:
@@ -260,12 +260,9 @@ impl<'a> StpEstimator<'a> {
     /// Candidate bridge cells: reachable both forward from the previous
     /// noisy observation and backward from the next one — the lens of
     /// two discs, scanned once over their common row and column range.
-    /// A cell-size margin absorbs center-vs-point discretization. When
-    /// a radius is not finite, every cell is a candidate.
+    /// When a radius is not finite, every cell is a candidate.
     fn candidate_lens(&self, prev: Point, dt1: f64, next: Point, dt2: f64, lens: &mut Lens) {
-        let slack = self.noise.truncation_radius() + self.grid.cell_size();
-        let r1 = self.transition.max_displacement(dt1) + slack;
-        let r2 = self.transition.max_displacement(dt2) + slack;
+        let (r1, r2) = self.lens_radii(dt1, dt2);
         if !r1.is_finite() || !r2.is_finite() {
             lens.fill_all(self.grid);
             return;
@@ -273,6 +270,28 @@ impl<'a> StpEstimator<'a> {
         lens.clear();
         self.grid
             .lens_cells(prev, r1, next, r2, |col, row| lens.push(col, row));
+    }
+
+    /// Radii of the two reachability discs of a bridge `dt1` after the
+    /// previous observation and `dt2` before the next. A cell-size
+    /// margin absorbs center-vs-point discretization.
+    fn lens_radii(&self, dt1: f64, dt2: f64) -> (f64, f64) {
+        let slack = self.noise.truncation_radius() + self.grid.cell_size();
+        (
+            self.transition.max_displacement(dt1) + slack,
+            self.transition.max_displacement(dt2) + slack,
+        )
+    }
+
+    /// A cell box holding every cell of `STP(·, t)` for a `t` strictly
+    /// between observations `i` and `i + 1`: the box `candidate_lens`
+    /// scans ([`Grid::lens_box`]), the whole grid when a radius is not
+    /// finite. Never narrower than the lens, so a cell outside it has
+    /// probability exactly 0.
+    pub(crate) fn bridge_box(&self, i: usize, t: f64) -> CellBox {
+        let (prev, next) = (self.traj.get(i), self.traj.get(i + 1));
+        let (r1, r2) = self.lens_radii(t - prev.t, next.t - t);
+        self.grid.lens_box(prev.loc, r1, next.loc, r2)
     }
 }
 
@@ -519,7 +538,7 @@ impl DistTable {
 mod tests {
     use super::*;
     use crate::noise::{DeterministicNoise, GaussianNoise};
-    use crate::transition::SpeedKdeTransition;
+    use crate::transition::{BrownianTransition, SpeedKdeTransition};
     use sts_geo::BoundingBox;
     use sts_stats::Kernel;
 
@@ -853,6 +872,52 @@ mod tests {
         est.stp_into_impl(15.0, true, &mut scratch);
         assert_eq!(scratch.lens.cells.len(), g.len());
         assert_bit_equal(&est.stp_dense(15.0), &scratch.out, "stp_dense");
+    }
+
+    #[test]
+    fn bridge_box_holds_every_lens_cell() {
+        let g = grid();
+        let noise = GaussianNoise::new(2.0);
+        // A walker, and one whose last leg crosses the grid in 60 s.
+        let cornered =
+            Trajectory::from_xyt(&[(0.3, 0.4, 0.0), (8.0, 6.0, 10.0), (99.5, 19.8, 70.0)]).unwrap();
+        let mut scratch = StpEvalScratch::new();
+        for (traj, times) in [
+            (walker(), &[0.5, 3.0, 12.5, 15.0, 27.9, 39.9][..]),
+            (cornered, &[0.1, 5.0, 10.5, 40.0, 69.9][..]),
+        ] {
+            let trans = SpeedKdeTransition::from_trajectory(&traj, Kernel::Gaussian)
+                .unwrap()
+                .with_position_uncertainty(g.cell_size() / 2.0);
+            let est = StpEstimator::new(&g, &noise, &trans, &traj);
+            for &t in times {
+                let i = traj.index_at_or_before(t).unwrap();
+                let b = est.bridge_box(i, t);
+                est.stp_into_impl(t, false, &mut scratch);
+                assert!(!scratch.lens.cells.is_empty(), "t={t}: empty lens");
+                let lens_box = scratch
+                    .lens
+                    .cells
+                    .iter()
+                    .fold(CellBox::EMPTY, |acc, &(col, row)| acc.including(col, row));
+                assert_eq!(b.intersection(&lens_box), lens_box, "t={t}: {b:?}");
+                for &(id, _) in scratch.out.entries() {
+                    let (col, row) = g.col_row(id);
+                    assert!(b.intersects(&CellBox::EMPTY.including(col, row)), "t={t}");
+                }
+            }
+        }
+        // A model with no finite reach (the trait's default
+        // `max_displacement`) bounds nothing: the whole grid.
+        struct Unbounded(BrownianTransition);
+        impl TransitionModel for Unbounded {
+            fn probability(&self, from: Point, to: Point, dt: f64) -> f64 {
+                self.0.probability(from, to, dt)
+            }
+        }
+        let (traj, model) = (walker(), Unbounded(BrownianTransition::new(4.0)));
+        let est = StpEstimator::new(&g, &noise, &model, &traj);
+        assert_eq!(est.bridge_box(1, 15.0), g.full_box());
     }
 
     #[test]

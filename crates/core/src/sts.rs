@@ -8,7 +8,7 @@
 use crate::colocation::{colocation_of, colocation_sparse};
 use crate::dist::SparseDistribution;
 use crate::noise::{DeterministicNoise, GaussianNoise, NoiseModel};
-use crate::stpcache::{soa_to_dist, StpCache};
+use crate::stpcache::{self, soa_to_dist, StpCache, StpCacheReader};
 use crate::stprob::StpEstimator;
 use crate::transition::{
     BrownianTransition, FrequencyTransition, SpeedKdeTransition, TransitionModel,
@@ -16,7 +16,7 @@ use crate::transition::{
 use crate::StsError;
 use crate::{StpCacheMode, StpScratch};
 use std::sync::Arc;
-use sts_geo::Grid;
+use sts_geo::{CellBox, Grid};
 use sts_obs::{static_counter, trace};
 use sts_stats::Kernel;
 use sts_traj::Trajectory;
@@ -108,6 +108,9 @@ pub struct PreparedTrajectory {
     traj: Trajectory,
     transition: Arc<dyn TransitionModel>,
     obs_dists: Vec<SparseDistribution>,
+    /// The cell bounding box of each observation distribution: where
+    /// `STP(·, tᵢ)` can be non-zero at observed stamp `tᵢ`.
+    obs_boxes: Vec<CellBox>,
     /// Per-trajectory STP cache shared by every pair this trajectory
     /// participates in (interior mutability; see `stpcache` docs).
     cache: StpCache,
@@ -275,10 +278,20 @@ impl Sts {
         };
         let obs_dists =
             StpEstimator::observation_distributions(&self.grid, self.noise.as_ref(), traj);
+        let obs_boxes = obs_dists
+            .iter()
+            .map(|d| {
+                d.entries().iter().fold(CellBox::EMPTY, |cells, &(id, _)| {
+                    let (col, row) = self.grid.col_row(id);
+                    cells.including(col, row)
+                })
+            })
+            .collect();
         Ok(PreparedTrajectory {
             traj: traj.clone(),
             transition,
             obs_dists,
+            obs_boxes,
             cache: StpCache::default(),
         })
     }
@@ -367,47 +380,76 @@ impl Sts {
         sum / ts.len() as f64
     }
 
-    /// The cached hot path: fill both trajectories' STP caches for the
-    /// merged timestamps inside the pair's overlap window, then reduce
-    /// to sparse dot products over the cached SoA slices. The result is
-    /// bit-identical to [`Sts::similarity_uncached`].
+    /// The cached hot path: collect the pair's in-window merged stamps,
+    /// drop those where the two supports' cell boxes are disjoint, fill
+    /// both trajectories' STP caches for the rest, then reduce to sparse
+    /// dot products over the cached SoA slices. The result is
+    /// bit-identical to [`Sts::similarity_uncached`]: a dropped stamp's
+    /// CP is exactly 0, and adding `0.0 · multiplicity` to the
+    /// non-negative running sum leaves it unchanged.
     fn similarity_cached(
         &self,
         a: &PreparedTrajectory,
         b: &PreparedTrajectory,
         scratch: &mut StpScratch,
     ) -> f64 {
+        let (pa, pb) = (a.traj.points(), b.traj.points());
+        let stamps = pa.len() + pb.len();
+        debug_assert!(stamps > 0);
         let lo = a.traj.start_time().max(b.traj.start_time());
         let hi = a.traj.end_time().min(b.traj.end_time());
-        let ts = a.traj.merged_timestamps(&b.traj);
-        debug_assert!(!ts.is_empty());
-        // Same duplicate-grouping as the reference loop: one evaluation
-        // per distinct timestamp, weighted by multiplicity; out-of-window
-        // stamps contribute 0 but count in the denominator.
-        scratch.times.clear();
-        let mut i = 0;
-        while i < ts.len() {
-            let t = ts[i];
-            let mut mult = 1;
-            while i + mult < ts.len() && ts[i + mult] == t {
-                mult += 1;
-            }
-            if t >= lo && t <= hi {
-                scratch.times.push((t, mult as f64));
-            }
-            i += mult;
-        }
-        let same = std::ptr::eq(a, b);
         let est_a = self.estimator(a);
         let est_b = self.estimator(b);
-        a.cache.ensure(&est_a, &scratch.times, &mut scratch.fill);
-        if !same {
-            b.cache.ensure(&est_b, &scratch.times, &mut scratch.fill);
+        // The merge of `merged_timestamps` (ordered by `total_cmp`, equal
+        // stamps grouped), walked in place: one entry per distinct stamp,
+        // weighted by multiplicity. Out-of-window stamps contribute 0 but
+        // count in the denominator. Each side is either observed at `t`
+        // or strictly inside the gap before its next unconsumed point.
+        scratch.times.clear();
+        let mut skipped = 0u64;
+        let (mut i, mut j) = (0, 0);
+        while i < pa.len() || j < pb.len() {
+            let t = match (pa.get(i), pb.get(j)) {
+                (Some(p), Some(q)) if q.t.total_cmp(&p.t).is_lt() => q.t,
+                (Some(p), _) => p.t,
+                (None, Some(q)) => q.t,
+                (None, None) => unreachable!("loop condition"),
+            };
+            let at_a = pa.get(i).is_some_and(|p| p.t == t);
+            let at_b = pb.get(j).is_some_and(|q| q.t == t);
+            if t >= lo && t <= hi {
+                let box_a = if at_a {
+                    a.obs_boxes[i]
+                } else {
+                    est_a.bridge_box(i - 1, t)
+                };
+                let box_b = if at_b {
+                    b.obs_boxes[j]
+                } else {
+                    est_b.bridge_box(j - 1, t)
+                };
+                if box_a.intersects(&box_b) {
+                    scratch.times.push((t, (at_a as u8 + at_b as u8) as f64));
+                } else {
+                    skipped += 1;
+                }
+            }
+            i += at_a as usize;
+            j += at_b as usize;
         }
+        if skipped > 0 {
+            static_counter!("core.stp.stamps_skipped").add(skipped);
+        }
+        if scratch.times.is_empty() {
+            static_counter!("core.pairs.pruned").incr();
+            return 0.0;
+        }
+        let same = std::ptr::eq(a, b);
+        let sides = [(&a.cache, &est_a), (&b.cache, &est_b)];
+        let sides = if same { &sides[..1] } else { &sides[..] };
+        stpcache::ensure(sides, &scratch.times, &mut scratch.fill);
         let times = &scratch.times;
-        let score = |ra: &crate::stpcache::StpCacheReader<'_>,
-                     rb: &crate::stpcache::StpCacheReader<'_>|
-         -> f64 {
+        let score = |ra: &StpCacheReader<'_>, rb: &StpCacheReader<'_>| -> f64 {
             let mut sum = 0.0;
             for &(t, weight) in times {
                 let cp = match (ra.get(t), rb.get(t)) {
@@ -439,7 +481,7 @@ impl Sts {
                 score(&r2, &r1)
             }
         };
-        sum / ts.len() as f64
+        sum / stamps as f64
     }
 
     /// The co-location probability at every merged timestamp, in time

@@ -12,6 +12,7 @@
 //! inputs. Seeded assertions embed the seed and scenario so a CI
 //! failure replays exactly (`scripts/ci.sh` convention).
 
+use std::cell::Cell;
 use std::path::PathBuf;
 use sts_core::{
     default_worker_path, ExecMode, IsolateOptions, JobConfig, PairOutcome, StpCacheMode, Sts,
@@ -280,10 +281,12 @@ fn subprocess_cached_scoring_matches_in_process_oracle() {
 // ---------------------------------------------------------------------
 
 /// Builds a random-walk trajectory from a seed (the shrinkable source
-/// is the seed + point count, so failures replay from the message).
-fn traj_from(seed: u64, n_points: usize) -> Trajectory {
+/// is the seed + point count, so failures replay from the message). The
+/// walk starts `x_shift` meters right of its random start, and stays on
+/// the grid.
+fn traj_from(seed: u64, n_points: usize, x_shift: f64) -> Trajectory {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut x = rng.random_range(20.0..80.0);
+    let mut x = (rng.random_range(20.0..80.0) + x_shift).clamp(0.5, 99.5);
     let mut y = rng.random_range(20.0..80.0);
     let mut t = rng.random_range(0.0..5.0);
     let pts: Vec<(f64, f64, f64)> = (0..n_points.max(2))
@@ -297,17 +300,22 @@ fn traj_from(seed: u64, n_points: usize) -> Trajectory {
     Trajectory::from_xyt(&pts).unwrap()
 }
 
-/// After an exact cached scoring pass, every cached distribution sums
-/// to ≤ 1 (+ float slack) and reproduces the legacy per-timestamp
-/// co-location values bit for bit.
+/// After an exact cached scoring pass, every in-window stamp is either
+/// cached on both sides — each distribution summing to ≤ 1 (+ float
+/// slack), their CP reproducing the legacy per-timestamp co-location
+/// value bit for bit — or cached on neither, because the two supports'
+/// cell boxes are disjoint there, and then its legacy CP is exactly
+/// 0.0. The second walk starts up to 70 m right of the first, so some
+/// cases skip stamps and some cache them; both must occur.
 #[test]
 fn prop_cached_distributions_are_normalized_and_reproduce_cp() {
+    let (cached, skipped) = (Cell::new(0usize), Cell::new(0usize));
     Checker::new().cases(24).seed(0xCAC4E).run(
-        (0u64..1 << 48, 3usize..9, 3usize..9),
-        |(seed, na, nb)| {
+        (0u64..1 << 48, 3usize..9, 3usize..9, 0.0f64..70.0),
+        |(seed, na, nb, gap)| {
             let sts = sts_with(grid(), StpCacheMode::Exact);
-            let a = sts.prepare(&traj_from(seed, na)).unwrap();
-            let b = sts.prepare(&traj_from(seed ^ 0xB, nb)).unwrap();
+            let a = sts.prepare(&traj_from(seed, na, -gap / 2.0)).unwrap();
+            let b = sts.prepare(&traj_from(seed ^ 0xB, nb, gap / 2.0)).unwrap();
             let s_cached = sts.similarity_prepared(&a, &b);
             let profile = sts.colocation_profile(&a, &b); // legacy estimator path
             let lo = a.trajectory().start_time().max(b.trajectory().start_time());
@@ -316,13 +324,25 @@ fn prop_cached_distributions_are_normalized_and_reproduce_cp() {
                 if !(lo..=hi).contains(&t) {
                     continue;
                 }
-                let da = a.cached_stp(t);
-                let db = b.cached_stp(t);
-                prop_assert!(
-                    da.is_some() && db.is_some(),
-                    "in-window t={t} not cached after scoring (seed={seed})"
-                );
-                let (da, db) = (da.unwrap(), db.unwrap());
+                let (da, db) = match (a.cached_stp(t), b.cached_stp(t)) {
+                    (Some(da), Some(db)) => (da, db),
+                    (None, None) => {
+                        prop_assert!(
+                            cp_legacy.to_bits() == 0.0f64.to_bits(),
+                            "skipped t={t} has legacy CP {cp_legacy} (seed={seed}, gap={gap})"
+                        );
+                        skipped.set(skipped.get() + 1);
+                        continue;
+                    }
+                    (da, db) => {
+                        return Err(format!(
+                            "t={t} cached on one side only: a {}, b {} (seed={seed})",
+                            da.is_some(),
+                            db.is_some()
+                        ))
+                    }
+                };
+                cached.set(cached.get() + 1);
                 for d in [&da, &db] {
                     let total: f64 = d.entries().iter().map(|&(_, w)| w).sum();
                     prop_assert!(
@@ -347,6 +367,12 @@ fn prop_cached_distributions_are_normalized_and_reproduce_cp() {
             );
             Ok(())
         },
+    );
+    assert!(
+        cached.get() > 0 && skipped.get() > 0,
+        "the cases must both cache and skip stamps: {} cached, {} skipped",
+        cached.get(),
+        skipped.get()
     );
 }
 

@@ -9,13 +9,16 @@
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use sts_core::{JobConfig, Sts, StsConfig, TileConfig};
+use sts_core::transition::{SpeedKdeTransition, TransitionModel};
+use sts_core::{JobConfig, StpCacheMode, Sts, StsConfig, TileConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_obs::json::is_valid_json;
 use sts_obs::{clear_subscriber, set_subscriber, JsonlSubscriber};
 use sts_rng::{Rng, Xoshiro256pp};
 use sts_runtime::JobState;
+use sts_stats::Kernel;
 use sts_traj::{TrajPoint, Trajectory};
 
 /// Serializes tests that touch the process-global registry/subscriber.
@@ -185,46 +188,181 @@ fn resume_traces_tile_load() {
 }
 
 /// The same job produces the same work counters whether it runs on one
-/// thread or eight — instrumentation must not perturb determinism.
+/// thread or eight — instrumentation must not perturb determinism, and
+/// the STP cache evaluates each (trajectory, stamp) exactly once. Two
+/// shapes: a 9 × 9 matrix in 8-pair chunks, and a 1 × N job in 1-pair
+/// chunks, where every chunk scores the one query and the threads race
+/// to fill its cache.
 #[test]
 fn metric_totals_are_thread_count_invariant() {
     let _guard = serial();
     let sts = Sts::new(StsConfig::default(), grid());
-    let qs = corpus(13, 9);
     let watched = [
         "core.pairs.scored",
+        "core.pairs.pruned",
         "core.stp.evals",
         "core.stp.cells",
         "core.stp.bridges",
         "core.stp.lens_cells",
         "core.stp.kernel_terms",
+        "core.stp.cache_hits",
+        "core.stp.cache_misses",
+        "core.stp.stamps_skipped",
         "core.trajectories.prepared",
         "core.speed_models.built",
     ];
-
-    let mut totals: Vec<Vec<u64>> = Vec::new();
-    for threads in [1usize, 8] {
-        let base = sts_obs::metrics::global().snapshot();
-        let cfg = JobConfig {
-            threads,
-            chunk_pairs: 8,
-            ..JobConfig::default()
-        };
-        let (_, report) = sts.similarity_matrix_supervised(&qs, &qs, &cfg).unwrap();
-        assert_eq!(report.state(), JobState::Complete);
-        let delta = sts_obs::metrics::global().snapshot().since(&base);
-        totals.push(
-            watched
-                .iter()
-                .map(|name| delta.counter(name).unwrap_or(0))
-                .collect(),
+    let qs = corpus(13, 9);
+    let (query, candidates) = one_by_n();
+    let shapes = [
+        ("9 × 9", &qs[..], &qs[..], 8),
+        ("1 × N", &query[..], &candidates[..], 1),
+    ];
+    for (shape, queries, candidates, chunk_pairs) in shapes {
+        let mut totals: Vec<Vec<u64>> = Vec::new();
+        for threads in [1usize, 8] {
+            let base = sts_obs::metrics::global().snapshot();
+            let cfg = JobConfig {
+                threads,
+                chunk_pairs,
+                ..JobConfig::default()
+            };
+            let (_, report) = sts
+                .similarity_matrix_supervised(queries, candidates, &cfg)
+                .unwrap();
+            assert_eq!(report.state(), JobState::Complete, "{shape}: {report}");
+            let delta = sts_obs::metrics::global().snapshot().since(&base);
+            totals.push(
+                watched
+                    .iter()
+                    .map(|name| delta.counter(name).unwrap_or(0))
+                    .collect(),
+            );
+        }
+        assert_eq!(
+            totals[0], totals[1],
+            "{shape}: counter deltas diverged between 1 and 8 threads ({watched:?})"
+        );
+        let count = |name: &str| totals[0][watched.iter().position(|&w| w == name).unwrap()];
+        assert_eq!(
+            count("core.pairs.scored"),
+            (queries.len() * candidates.len()) as u64,
+            "{shape}: every pair scored"
+        );
+        for name in [
+            "core.pairs.pruned",
+            "core.stp.stamps_skipped",
+            "core.stp.cache_hits",
+            "core.stp.cache_misses",
+        ] {
+            assert!(count(name) > 0, "{shape}: {name} never moved");
+        }
+        // A miss is an evaluation: each cached stamp was evaluated once.
+        assert_eq!(
+            count("core.stp.cache_misses"),
+            count("core.stp.evals"),
+            "{shape}"
         );
     }
-    assert_eq!(
-        totals[0], totals[1],
-        "counter deltas diverged between 1 and 8 threads ({watched:?})"
+}
+
+/// One query and the candidates it is scored against. Every walker
+/// samples a shared 30 s lattice — the query at 0, 30, … and the
+/// candidates half a step later — so every candidate in reach needs the
+/// query's bridges at the same stamps, and the threads contend for
+/// them. Lanes are spread over the grid: candidates near the query's
+/// lane share cells with it, far ones are skipped or pruned.
+fn one_by_n() -> (Vec<Trajectory>, Vec<Trajectory>) {
+    let walker = |y: f64, speed: f64, phase: f64| {
+        Trajectory::new(
+            (0..6)
+                .map(|i| {
+                    let t = phase + 30.0 * i as f64;
+                    TrajPoint::from_xy(5.0 + speed * t, y, t)
+                })
+                .collect(),
+        )
+        .unwrap()
+    };
+    let mut rng = Xoshiro256pp::seed_from_u64(15);
+    let candidates = (0..32)
+        .map(|_| {
+            let y = rng.random_range(5.0..195.0);
+            walker(y, rng.random_range(1.5..2.2), 15.0)
+        })
+        .collect();
+    (vec![walker(100.0, 1.8, 0.0)], candidates)
+}
+
+/// The speed model of a walker, wrapped to panic on the first
+/// transition it evaluates (inside some thread's claim on a stamp).
+struct PanicsOnce {
+    inner: SpeedKdeTransition,
+    armed: AtomicBool,
+}
+
+impl TransitionModel for PanicsOnce {
+    fn probability(&self, from: Point, to: Point, dt: f64) -> f64 {
+        self.inner.probability(from, to, dt)
+    }
+    fn max_displacement(&self, dt: f64) -> f64 {
+        self.inner.max_displacement(dt)
+    }
+    fn is_isotropic(&self) -> bool {
+        true
+    }
+    fn probability_by_distance(&self, d: f64, dt: f64) -> f64 {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected: the first transition evaluation panics");
+        }
+        self.inner.probability_by_distance(d, dt)
+    }
+}
+
+/// A panic inside one STP evaluation on the contended 1 × N shape:
+/// the claim is released on unwind, the cell is retried, and no thread
+/// hangs waiting for the stamp. Every cell scores bit-equal to `Off`.
+#[test]
+fn a_panicking_evaluation_neither_hangs_the_fill_nor_changes_a_score() {
+    let _guard = serial();
+    let (query, candidates) = one_by_n();
+    let model = SpeedKdeTransition::from_trajectory(&query[0], Kernel::Gaussian)
+        .unwrap()
+        .with_position_uncertainty(grid().cell_size() / 2.0);
+    let measure = |cache: StpCacheMode, model: Arc<dyn TransitionModel>| {
+        let config = StsConfig {
+            cache,
+            ..StsConfig::default()
+        };
+        Sts::with_shared_transition(config, grid(), model)
+    };
+    let panicking = measure(
+        StpCacheMode::Exact,
+        Arc::new(PanicsOnce {
+            inner: model.clone(),
+            armed: AtomicBool::new(true),
+        }),
     );
-    assert_eq!(totals[0][0], 81, "9×9 pairs all scored");
+    let oracle = measure(StpCacheMode::Off, Arc::new(model));
+    let cfg = JobConfig {
+        threads: 8,
+        chunk_pairs: 1,
+        ..JobConfig::default()
+    };
+    let (got, report) = panicking
+        .similarity_matrix_supervised(&query, &candidates, &cfg)
+        .unwrap();
+    assert_eq!(report.state(), JobState::Complete, "{report}");
+    assert_eq!(
+        report.stats.retries, 1,
+        "exactly the injected panic: {report}"
+    );
+    let (want, _) = oracle
+        .similarity_matrix_supervised(&query, &candidates, &JobConfig::default())
+        .unwrap();
+    for (j, (g, w)) in got[0].iter().zip(&want[0]).enumerate() {
+        let (g, w) = (g.score().expect("scored"), w.score().expect("scored"));
+        assert_eq!(g.to_bits(), w.to_bits(), "cell (0, {j}): {g} vs {w}");
+    }
 }
 
 /// `JobConfig::telemetry` attaches the job's registry delta to the

@@ -31,6 +31,63 @@ impl fmt::Display for CellId {
     }
 }
 
+/// An axis-aligned rectangle of grid cells: the inclusive column range
+/// `cols.0 ..= cols.1` by the inclusive row range `rows.0 ..= rows.1`.
+/// A box with `hi < lo` on either axis is empty.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CellBox {
+    /// Inclusive column range `(lo, hi)`.
+    pub cols: (i64, i64),
+    /// Inclusive row range `(lo, hi)`.
+    pub rows: (i64, i64),
+}
+
+impl CellBox {
+    /// The box holding no cell.
+    pub const EMPTY: CellBox = CellBox {
+        cols: (0, -1),
+        rows: (0, -1),
+    };
+
+    /// `true` when the box holds no cell.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.cols.1 < self.cols.0 || self.rows.1 < self.rows.0
+    }
+
+    /// The smallest box holding this one and the cell `(col, row)`.
+    #[inline]
+    pub fn including(self, col: u32, row: u32) -> CellBox {
+        let (col, row) = (col as i64, row as i64);
+        if self.is_empty() {
+            return CellBox {
+                cols: (col, col),
+                rows: (row, row),
+            };
+        }
+        CellBox {
+            cols: (self.cols.0.min(col), self.cols.1.max(col)),
+            rows: (self.rows.0.min(row), self.rows.1.max(row)),
+        }
+    }
+
+    /// The cells both boxes hold (empty when they share none).
+    #[inline]
+    pub fn intersection(&self, other: &CellBox) -> CellBox {
+        CellBox {
+            cols: (self.cols.0.max(other.cols.0), self.cols.1.min(other.cols.1)),
+            rows: (self.rows.0.max(other.rows.0), self.rows.1.min(other.rows.1)),
+        }
+    }
+
+    /// `true` when the boxes share at least one cell; an empty box
+    /// shares none.
+    #[inline]
+    pub fn intersects(&self, other: &CellBox) -> bool {
+        !self.intersection(other).is_empty()
+    }
+}
+
 /// Errors constructing a [`Grid`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum GridError {
@@ -218,7 +275,7 @@ impl Grid {
             return;
         }
         let r2 = radius * radius;
-        self.scan(self.disc_span(p, radius), |col, row, center| {
+        self.scan(self.disc_box(p, radius), |col, row, center| {
             if center.distance_sq(&p) <= r2 {
                 out.push(CellId(row * self.cols + col));
             }
@@ -228,9 +285,8 @@ impl Grid {
     /// Visits, in dense order, the `(col, row)` of every cell whose
     /// center lies within `ra` of `a` **and** within `rb` of `b`: exactly
     /// the ids both [`Grid::cells_within`] lists share, found in one scan
-    /// over the two discs' common column and row range instead of two
-    /// lists and a merge. Visits nothing when either radius is negative
-    /// or not finite.
+    /// over [`Grid::lens_box`] instead of two lists and a merge. Visits
+    /// nothing when either radius is negative or not finite.
     pub fn lens_cells(
         &self,
         a: Point,
@@ -242,21 +298,36 @@ impl Grid {
         if !(ra.is_finite() && ra >= 0.0 && rb.is_finite() && rb >= 0.0) {
             return;
         }
-        let [(ca0, ca1), (ra0, ra1)] = self.disc_span(a, ra);
-        let [(cb0, cb1), (rb0, rb1)] = self.disc_span(b, rb);
-        let common = [(ca0.max(cb0), ca1.min(cb1)), (ra0.max(rb0), ra1.min(rb1))];
         let (ra2, rb2) = (ra * ra, rb * rb);
-        self.scan(common, |col, row, center| {
+        self.scan(self.lens_box(a, ra, b, rb), |col, row, center| {
             if center.distance_sq(&a) <= ra2 && center.distance_sq(&b) <= rb2 {
                 visit(col, row);
             }
         });
     }
 
-    /// The inclusive column and row ranges `[(lo, hi); 2]` a disc of
-    /// `radius` (finite, non-negative) around `p` can touch, clipped to
-    /// the grid; a range with `hi < lo` is empty.
-    fn disc_span(&self, p: Point, radius: f64) -> [(i64, i64); 2] {
+    /// The common column and row range of the disc of `ra` around `a`
+    /// and the disc of `rb` around `b`: the box [`Grid::lens_cells`]
+    /// scans, so it holds every cell the lens can hold. The whole grid
+    /// when either radius is not finite (such a disc bounds nothing).
+    pub fn lens_box(&self, a: Point, ra: f64, b: Point, rb: f64) -> CellBox {
+        if !(ra.is_finite() && rb.is_finite()) {
+            return self.full_box();
+        }
+        self.disc_box(a, ra).intersection(&self.disc_box(b, rb))
+    }
+
+    /// The box of every cell of the grid.
+    pub fn full_box(&self) -> CellBox {
+        CellBox {
+            cols: (0, self.cols as i64 - 1),
+            rows: (0, self.rows as i64 - 1),
+        }
+    }
+
+    /// The column and row ranges a disc of `radius` (finite) around `p`
+    /// can touch, clipped to the grid.
+    fn disc_box(&self, p: Point, radius: f64) -> CellBox {
         let min = self.area.min();
         let span = |lo: f64, hi: f64, n: u32| {
             (
@@ -264,16 +335,17 @@ impl Grid {
                 (((hi / self.cell_size).floor()) as i64).min(n as i64 - 1),
             )
         };
-        [
-            span(p.x - radius - min.x, p.x + radius - min.x, self.cols),
-            span(p.y - radius - min.y, p.y + radius - min.y, self.rows),
-        ]
+        CellBox {
+            cols: span(p.x - radius - min.x, p.x + radius - min.x, self.cols),
+            rows: span(p.y - radius - min.y, p.y + radius - min.y, self.rows),
+        }
     }
 
-    /// Calls `f(col, row, center)` for every cell of the column and row
-    /// ranges `span` (as [`Grid::disc_span`] gives them), in dense order.
+    /// Calls `f(col, row, center)` for every cell of `cells` (clipped to
+    /// the grid, as [`Grid::disc_box`] gives it), in dense order.
     #[inline]
-    fn scan(&self, [(c0, c1), (r0, r1)]: [(i64, i64); 2], mut f: impl FnMut(u32, u32, Point)) {
+    fn scan(&self, cells: CellBox, mut f: impl FnMut(u32, u32, Point)) {
+        let ((c0, c1), (r0, r1)) = (cells.cols, cells.rows);
         for row in r0..=r1 {
             for col in c0..=c1 {
                 let (col, row) = (col as u32, row as u32);
@@ -433,11 +505,20 @@ mod tests {
             let (la, lb) = (g.cells_within(a, ra), g.cells_within(b, rb));
             let both: Vec<CellId> = la.into_iter().filter(|c| lb.contains(c)).collect();
             let mut lens = Vec::new();
+            let lens_box = g.lens_box(a, ra, b, rb);
             g.lens_cells(a, ra, b, rb, |col, row| {
+                let cell = CellBox::EMPTY.including(col, row);
+                assert!(
+                    lens_box.intersects(&cell),
+                    "({col}, {row}) outside {lens_box:?}"
+                );
                 lens.push(g.cell_from_col_row(col, row).unwrap())
             });
             assert_eq!(lens, both, "a={a:?} ra={ra} b={b:?} rb={rb}");
         }
+        // Far-apart discs share no column: an empty box, an empty lens.
+        let apart = g.lens_box(Point::new(0.0, 0.0), 5.0, Point::new(90.0, 40.0), 5.0);
+        assert!(apart.is_empty(), "{apart:?}");
         let mut visited = 0;
         for (ra, rb) in [(f64::NAN, 10.0), (10.0, -1.0), (f64::INFINITY, 10.0)] {
             g.lens_cells(
@@ -449,6 +530,54 @@ mod tests {
             );
         }
         assert_eq!(visited, 0, "degenerate radii visit nothing");
+        // A radius that is not finite bounds nothing: the whole grid.
+        for (ra, rb) in [(f64::NAN, 10.0), (10.0, f64::INFINITY)] {
+            let b = g.lens_box(Point::new(0.0, 0.0), ra, Point::new(90.0, 40.0), rb);
+            assert_eq!(b, g.full_box());
+            assert_eq!(
+                b,
+                CellBox {
+                    cols: (0, 9),
+                    rows: (0, 3)
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn cell_boxes_intersect_only_when_they_share_a_cell() {
+        let a = CellBox::EMPTY.including(2, 3).including(5, 1);
+        assert_eq!(
+            a,
+            CellBox {
+                cols: (2, 5),
+                rows: (1, 3)
+            }
+        );
+        let touching = CellBox {
+            cols: (5, 9),
+            rows: (3, 4),
+        };
+        assert_eq!(
+            a.intersection(&touching),
+            CellBox {
+                cols: (5, 5),
+                rows: (3, 3)
+            }
+        );
+        assert!(a.intersects(&touching) && touching.intersects(&a));
+        let beside = CellBox {
+            cols: (6, 9),
+            rows: (0, 9),
+        };
+        assert!(!a.intersects(&beside) && !beside.intersects(&a));
+        let below = CellBox {
+            cols: (0, 9),
+            rows: (4, 9),
+        };
+        assert!(!a.intersects(&below));
+        assert!(CellBox::EMPTY.is_empty() && !a.is_empty());
+        assert!(!CellBox::EMPTY.intersects(&a) && !a.intersects(&CellBox::EMPTY));
     }
 
     #[test]

@@ -24,7 +24,7 @@ mod point;
 mod segment;
 
 pub use bbox::BoundingBox;
-pub use grid::{CellId, Grid, GridError};
+pub use grid::{CellBox, CellId, Grid, GridError};
 pub use point::Point;
 pub use segment::Segment;
 

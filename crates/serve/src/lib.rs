@@ -65,25 +65,29 @@ pub fn f64_from_hex(s: &str) -> Option<f64> {
     u64::from_str_radix(s, 16).ok().map(f64::from_bits)
 }
 
-/// A serving-side failure, typed so callers can tell persistent
-/// storage trouble from protocol noise.
+/// A serving-side failure: storage that kept failing, or a listener
+/// that could not be set up. Corrupt persisted bytes are not an error:
+/// recovery quarantines a corrupt WAL segment or snapshot and carries
+/// on with what verifies.
 #[derive(Debug)]
 pub enum ServeError {
-    /// A durable write kept failing after bounded retries.
+    /// A storage operation (a durable write, or a directory open,
+    /// listing or removal) kept failing after bounded attempts.
     Storage {
-        /// What was being written.
+        /// What was being stored or listed.
         what: &'static str,
         /// Attempts made before giving up.
         attempts: u32,
         /// The last underlying error.
         source: io::Error,
     },
-    /// Persisted bytes failed structural or fingerprint verification.
-    Corrupt {
-        /// What artifact was corrupt.
+    /// Setting up the TCP listener failed (`bind`, `local_addr` or
+    /// `set_nonblocking`).
+    Network {
+        /// Which setup step failed.
         what: &'static str,
-        /// Why it failed verification.
-        detail: String,
+        /// The underlying error.
+        source: io::Error,
     },
 }
 
@@ -96,9 +100,9 @@ impl fmt::Display for ServeError {
                 source,
             } => write!(
                 f,
-                "{what}: durable write failed after {attempts} attempt(s): {source}"
+                "{what}: storage failed after {attempts} attempt(s): {source}"
             ),
-            ServeError::Corrupt { what, detail } => write!(f, "{what}: corrupt: {detail}"),
+            ServeError::Network { what, source } => write!(f, "{what}: network failed: {source}"),
         }
     }
 }
@@ -114,6 +118,11 @@ impl ServeError {
             attempts: 1,
             source,
         }
+    }
+
+    /// Maps the error of a listener setup step on `what`.
+    pub(crate) fn network(what: &'static str) -> impl FnOnce(io::Error) -> ServeError {
+        move |source| ServeError::Network { what, source }
     }
 }
 

@@ -465,23 +465,13 @@ impl Server {
         let stats = Arc::new(ServeStats::default());
         let (state, wal) = recover(&opts, &storage, &stats)?;
         let durable = state.max_seq();
-        let listener = TcpListener::bind(addr).map_err(|e| ServeError::Storage {
-            what: "tcp bind",
-            attempts: 1,
-            source: e,
-        })?;
-        let bound = listener.local_addr().map_err(|e| ServeError::Storage {
-            what: "tcp local_addr",
-            attempts: 1,
-            source: e,
-        })?;
+        let listener = TcpListener::bind(addr).map_err(ServeError::network("tcp bind"))?;
+        let bound = listener
+            .local_addr()
+            .map_err(ServeError::network("tcp local_addr"))?;
         listener
             .set_nonblocking(true)
-            .map_err(|e| ServeError::Storage {
-                what: "tcp nonblocking",
-                attempts: 1,
-                source: e,
-            })?;
+            .map_err(ServeError::network("tcp nonblocking"))?;
         let sh = Arc::new(Shared {
             state: Mutex::new(state),
             stats,
@@ -637,6 +627,30 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn a_taken_port_is_a_network_error_not_a_storage_one() {
+        let dir = tmp_dir("taken-port");
+        let holder = TcpListener::bind("127.0.0.1:0").unwrap();
+        let taken = holder.local_addr().unwrap().to_string();
+        let err = match Server::start(ServeOptions::new(&dir), Arc::new(FsStorage), &taken) {
+            Ok(h) => {
+                h.shutdown();
+                panic!("bound {taken}, which another listener holds");
+            }
+            Err(e) => e,
+        };
+        assert!(
+            matches!(&err, ServeError::Network { what: "tcp bind", source }
+                if source.kind() == std::io::ErrorKind::AddrInUse),
+            "{err:?}"
+        );
+        let message = err.to_string();
+        assert!(message.starts_with("tcp bind: "), "{message}");
+        assert!(!message.contains("durable write"), "{message}");
+        drop(holder);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -148,6 +148,22 @@ run_seeded "obs unit tests" cargo test -p sts-obs -q --offline
 run_seeded "telemetry suite" cargo test -p sts-core -q --offline --test telemetry
 run_seeded "telemetry overhead guard" cargo test -p sts-core -q --offline --test telemetry_overhead
 
+# Contended STP-cache fill: the two 1 × N telemetry tests score one
+# query against every candidate in 1-pair chunks on eight threads, so
+# the threads race to claim the query's stamps; the second injects a
+# panic inside a claimed evaluation. Twenty runs of each under a
+# timeout: a lost wake-up or a leaked claim fails as a hang with its
+# replay line instead of passing by luck.
+echo "== stp cache fill (contended 1 × N claims + a panicking evaluation; 20 runs each, timed out) =="
+cargo test -p sts-core -q --offline --test telemetry --no-run
+for run in $(seq 1 20); do
+    for test in metric_totals_are_thread_count_invariant \
+        a_panicking_evaluation_neither_hangs_the_fill_nor_changes_a_score; do
+        run_seeded "${test} (run ${run} of 20)" timeout 120 \
+            cargo test -p sts-core -q --offline --test telemetry "${test}"
+    done
+done
+
 # Benchmark gate: the benchmark package's own tests (workload smoke
 # runs with their correctness checks, calibration comparison, trace
 # output). The benchmark compiles against sts-core, so an API change
