@@ -58,6 +58,29 @@ pub(crate) fn colocation_sparse(
     acc
 }
 
+/// [`colocation_sparse`] bounded to the cell ids `lo..=hi`: each list's
+/// merge starts at its first id ≥ `lo` and stops after its last id ≤
+/// `hi`. When every cell the two lists share lies in that span — as it
+/// does for the row-major id span of their support boxes' overlap — the
+/// same products are added in the same order, so the result is
+/// bit-identical to the unbounded merge.
+pub(crate) fn colocation_sparse_within(
+    ids_a: &[u32],
+    probs_a: &[f64],
+    ids_b: &[u32],
+    probs_b: &[f64],
+    (lo, hi): (u32, u32),
+) -> f64 {
+    let span = |ids: &[u32]| ids.partition_point(|&c| c < lo)..ids.partition_point(|&c| c <= hi);
+    let (sa, sb) = (span(ids_a), span(ids_b));
+    colocation_sparse(
+        &ids_a[sa.clone()],
+        &probs_a[sa],
+        &ids_b[sb.clone()],
+        &probs_b[sb],
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +172,65 @@ mod tests {
             let ba = colocation_probability(&eb, &ea, t);
             assert!((ab - ba).abs() < 1e-12);
         }
+    }
+
+    /// A random distribution over a `cols × rows` grid: a sorted set of
+    /// cell ids clustered around one cell, with random weights.
+    fn random_support(
+        rng: &mut sts_rng::Xoshiro256pp,
+        cols: u32,
+        rows: u32,
+    ) -> (Vec<u32>, Vec<f64>) {
+        use sts_rng::Rng;
+        let (c0, r0) = (rng.random_range(0..cols), rng.random_range(0..rows));
+        let reach = rng.random_range(0..4u32);
+        let mut ids = Vec::new();
+        for row in r0.saturating_sub(reach)..=(r0 + reach).min(rows - 1) {
+            for col in c0.saturating_sub(reach)..=(c0 + reach).min(cols - 1) {
+                if rng.random_range(0..4u32) > 0 {
+                    ids.push(row * cols + col);
+                }
+            }
+        }
+        let probs = ids.iter().map(|_| rng.random_range(0.0..1.0)).collect();
+        (ids, probs)
+    }
+
+    #[test]
+    fn bounded_merge_equals_unbounded_bit_for_bit() {
+        use sts_geo::CellBox;
+        use sts_rng::check::Checker;
+        use sts_rng::{prop_assert, Xoshiro256pp};
+        Checker::new().cases(512).seed(29).run(
+            (1u32..12, 1u32..12, 0u64..u64::MAX),
+            |(cols, rows, seed)| {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let (ia, pa) = random_support(&mut rng, cols, rows);
+                let (ib, pb) = random_support(&mut rng, cols, rows);
+                let cell_box = |ids: &[u32]| {
+                    ids.iter().fold(CellBox::EMPTY, |cells, &id| {
+                        cells.including(id % cols, id / cols)
+                    })
+                };
+                let overlap = cell_box(&ia).intersection(&cell_box(&ib));
+                let unbounded = colocation_sparse(&ia, &pa, &ib, &pb);
+                if overlap.is_empty() {
+                    prop_assert!(unbounded == 0.0, "disjoint boxes, CP {unbounded}");
+                    return Ok(());
+                }
+                let id = |col: i64, row: i64| (row * cols as i64 + col) as u32;
+                let span = (
+                    id(overlap.cols.0, overlap.rows.0),
+                    id(overlap.cols.1, overlap.rows.1),
+                );
+                let bounded = colocation_sparse_within(&ia, &pa, &ib, &pb, span);
+                prop_assert!(
+                    bounded.to_bits() == unbounded.to_bits(),
+                    "bounded {bounded} vs unbounded {unbounded} over {span:?}"
+                );
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use noise::{DeterministicNoise, GaussianNoise, NoiseModel, UniformDiscNoise}
 pub use shard::{ProcessLauncher, ShardOptions, WorkerHandle, WorkerLauncher};
 pub use stpcache::{StpCacheMode, StpScratch};
 pub use stprob::{StpEstimator, StpEvalScratch};
-pub use sts::{exposure_duration, PreparedTrajectory, Sts, StsConfig, StsVariant};
+pub use sts::{exposure_duration, CpSum, PreparedTrajectory, Sts, StsConfig, StsVariant};
 pub use tiled::{TileConfig, TILE_CELL_BYTES};
 pub use transition::{
     BrownianTransition, FrequencyTransition, SpeedKdeTransition, TransitionModel,

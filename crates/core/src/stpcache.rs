@@ -358,8 +358,11 @@ pub(crate) struct FillScratch {
 /// a previous score panicked mid-evaluation.
 #[derive(Default)]
 pub struct StpScratch {
-    /// `(t, multiplicity)` evaluation points for the current pair.
+    /// `(t, weight)` evaluation points for the current pair.
     pub(crate) times: Vec<(f64, f64)>,
+    /// Per evaluation point, the cell-id span its dot product is
+    /// bounded to.
+    pub(crate) spans: Vec<(u32, u32)>,
     pub(crate) fill: FillScratch,
 }
 

@@ -5,7 +5,7 @@
 //! Averaging — rather than summing — removes the dependence on trajectory
 //! length, which varies freely under sporadic sampling.
 
-use crate::colocation::{colocation_of, colocation_sparse};
+use crate::colocation::{colocation_of, colocation_sparse_within};
 use crate::dist::SparseDistribution;
 use crate::noise::{DeterministicNoise, GaussianNoise, NoiseModel};
 use crate::stpcache::{self, soa_to_dist, StpCache, StpCacheReader};
@@ -132,6 +132,60 @@ impl PreparedTrajectory {
         let (ids, probs) = reader.get(t)?;
         Some(soa_to_dist(ids, probs))
     }
+
+    /// Where `t` falls: `None` outside the trajectory's span (NaN
+    /// included), where `STP(·, t)` is empty (Eq. 5).
+    fn locate(&self, t: f64) -> Option<Locus> {
+        // `None` before the span, NaN included; past it, `t` is a number.
+        let i = self.traj.index_at_or_before(t)?;
+        if t > self.traj.end_time() {
+            return None;
+        }
+        Some(if self.traj.get(i).t == t {
+            Locus::Observed(i)
+        } else {
+            Locus::Gap(i)
+        })
+    }
+
+    /// A cell box holding every cell of `STP(·, t)` for `t` at `locus`:
+    /// the observation's noise box, or the bridge's lens box.
+    fn support_box(&self, est: &StpEstimator<'_>, locus: Locus, t: f64) -> CellBox {
+        match locus {
+            Locus::Observed(i) => self.obs_boxes[i],
+            Locus::Gap(i) => est.bridge_box(i, t),
+        }
+    }
+}
+
+/// Where a trajectory stands at a stamp inside its time span.
+#[derive(Debug, Clone, Copy)]
+enum Locus {
+    /// Observed at point `i`.
+    Observed(usize),
+    /// Strictly between points `i` and `i + 1`.
+    Gap(usize),
+}
+
+/// One term of a co-location sum: a stamp, its weight, and where each
+/// side stands at it.
+struct Term {
+    t: f64,
+    weight: f64,
+    a: Locus,
+    b: Locus,
+}
+
+/// What [`Sts::colocation_sum`] added up.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CpSum {
+    /// `Σ CP(t)` over the stamps.
+    pub sum: f64,
+    /// Stamps in both spans whose CP was evaluated.
+    pub scored: u64,
+    /// Stamps in both spans whose two support boxes were disjoint, so
+    /// their CP is exactly 0 and was not evaluated.
+    pub skipped: u64,
 }
 
 /// The STS spatial-temporal similarity measure.
@@ -276,8 +330,20 @@ impl Sts {
             ),
             TransitionSource::Shared(model) => Arc::clone(model),
         };
+        Ok(self.prepare_with_transition(traj.clone(), transition))
+    }
+
+    /// Precomputes a trajectory's model state around a transition model
+    /// the caller supplies, whatever this measure's own transition
+    /// source: for a caller that keeps each object's speed model itself,
+    /// as `sts-serve` builds one per object from its speed-sample ring.
+    pub fn prepare_with_transition(
+        &self,
+        traj: Trajectory,
+        transition: Arc<dyn TransitionModel>,
+    ) -> PreparedTrajectory {
         let obs_dists =
-            StpEstimator::observation_distributions(&self.grid, self.noise.as_ref(), traj);
+            StpEstimator::observation_distributions(&self.grid, self.noise.as_ref(), &traj);
         let obs_boxes = obs_dists
             .iter()
             .map(|d| {
@@ -287,13 +353,13 @@ impl Sts {
                 })
             })
             .collect();
-        Ok(PreparedTrajectory {
-            traj: traj.clone(),
+        PreparedTrajectory {
+            traj,
             transition,
             obs_dists,
             obs_boxes,
             cache: StpCache::default(),
-        })
+        }
     }
 
     fn estimator<'a>(&'a self, p: &'a PreparedTrajectory) -> StpEstimator<'a> {
@@ -380,13 +446,9 @@ impl Sts {
         sum / ts.len() as f64
     }
 
-    /// The cached hot path: collect the pair's in-window merged stamps,
-    /// drop those where the two supports' cell boxes are disjoint, fill
-    /// both trajectories' STP caches for the rest, then reduce to sparse
-    /// dot products over the cached SoA slices. The result is
-    /// bit-identical to [`Sts::similarity_uncached`]: a dropped stamp's
-    /// CP is exactly 0, and adding `0.0 · multiplicity` to the
-    /// non-negative running sum leaves it unchanged.
+    /// The cached hot path: Eq. 10's sum over the pair's in-window
+    /// merged stamps through [`Sts::cp_sum`], divided by every merged
+    /// stamp. The result is bit-identical to [`Sts::similarity_uncached`].
     fn similarity_cached(
         &self,
         a: &PreparedTrajectory,
@@ -398,62 +460,134 @@ impl Sts {
         debug_assert!(stamps > 0);
         let lo = a.traj.start_time().max(b.traj.start_time());
         let hi = a.traj.end_time().min(b.traj.end_time());
-        let est_a = self.estimator(a);
-        let est_b = self.estimator(b);
         // The merge of `merged_timestamps` (ordered by `total_cmp`, equal
-        // stamps grouped), walked in place: one entry per distinct stamp,
-        // weighted by multiplicity. Out-of-window stamps contribute 0 but
-        // count in the denominator. Each side is either observed at `t`
-        // or strictly inside the gap before its next unconsumed point.
-        scratch.times.clear();
-        let mut skipped = 0u64;
+        // stamps grouped), walked in place: one term per distinct
+        // in-window stamp, weighted by multiplicity. Out-of-window stamps
+        // contribute 0 but count in the denominator. Each side is either
+        // observed at `t` or strictly inside the gap before its next
+        // unconsumed point.
         let (mut i, mut j) = (0, 0);
-        while i < pa.len() || j < pb.len() {
-            let t = match (pa.get(i), pb.get(j)) {
-                (Some(p), Some(q)) if q.t.total_cmp(&p.t).is_lt() => q.t,
-                (Some(p), _) => p.t,
-                (None, Some(q)) => q.t,
-                (None, None) => unreachable!("loop condition"),
-            };
-            let at_a = pa.get(i).is_some_and(|p| p.t == t);
-            let at_b = pb.get(j).is_some_and(|q| q.t == t);
-            if t >= lo && t <= hi {
-                let box_a = if at_a {
-                    a.obs_boxes[i]
-                } else {
-                    est_a.bridge_box(i - 1, t)
+        let terms = std::iter::from_fn(|| {
+            while i < pa.len() || j < pb.len() {
+                let t = match (pa.get(i), pb.get(j)) {
+                    (Some(p), Some(q)) if q.t.total_cmp(&p.t).is_lt() => q.t,
+                    (Some(p), _) => p.t,
+                    (None, Some(q)) => q.t,
+                    (None, None) => unreachable!("loop condition"),
                 };
-                let box_b = if at_b {
-                    b.obs_boxes[j]
-                } else {
-                    est_b.bridge_box(j - 1, t)
+                let at_a = pa.get(i).is_some_and(|p| p.t == t);
+                let at_b = pb.get(j).is_some_and(|q| q.t == t);
+                let locus = |observed: bool, next: usize| {
+                    if observed {
+                        Locus::Observed(next)
+                    } else {
+                        Locus::Gap(next - 1)
+                    }
                 };
-                if box_a.intersects(&box_b) {
-                    scratch.times.push((t, (at_a as u8 + at_b as u8) as f64));
-                } else {
-                    skipped += 1;
+                let term = (t >= lo && t <= hi).then(|| Term {
+                    t,
+                    weight: (at_a as u8 + at_b as u8) as f64,
+                    a: locus(at_a, i),
+                    b: locus(at_b, j),
+                });
+                i += at_a as usize;
+                j += at_b as usize;
+                if term.is_some() {
+                    return term;
                 }
             }
-            i += at_a as usize;
-            j += at_b as usize;
+            None
+        });
+        let cp = self.cp_sum(a, b, terms, scratch);
+        if cp.scored == 0 {
+            static_counter!("core.pairs.pruned").incr();
+        }
+        cp.sum / stamps as f64
+    }
+
+    /// `Σ CP(t)` (Eq. 8) of two prepared trajectories over explicit
+    /// stamps, one term per stamp in order; a stamp outside either
+    /// trajectory's span adds nothing (Eq. 5). This is the sum a window
+    /// query averages; it runs the same skip, cache fill and dot
+    /// products as [`Sts::similarity_prepared_with`] under
+    /// [`StpCacheMode::Exact`], whatever this measure's cache mode. A
+    /// trajectory's cache keeps what the call evaluated, so scoring one
+    /// prepared query against many candidates evaluates the query's STP
+    /// once per stamp.
+    pub fn colocation_sum(
+        &self,
+        a: &PreparedTrajectory,
+        b: &PreparedTrajectory,
+        stamps: &[f64],
+        scratch: &mut StpScratch,
+    ) -> CpSum {
+        let terms = stamps.iter().filter_map(|&t| {
+            Some(Term {
+                t,
+                weight: 1.0,
+                a: a.locate(t)?,
+                b: b.locate(t)?,
+            })
+        });
+        self.cp_sum(a, b, terms, scratch)
+    }
+
+    /// The shared co-location core. Drops each term whose two support
+    /// boxes are disjoint, fills both trajectories' STP caches for the
+    /// rest, then adds `CP(t) · weight` in term order, each CP a sparse
+    /// dot product over the cached SoA slices bounded to the id span of
+    /// the boxes' overlap. Bit-identical to adding
+    /// `colocation_of(stp_a(t), stp_b(t)) · weight` for every term: a
+    /// dropped term's CP is exactly 0, adding `+0.0` to the non-negative
+    /// running sum leaves it unchanged, and the bounded merge adds the
+    /// same products in the same order (every shared cell lies in the
+    /// overlap).
+    fn cp_sum(
+        &self,
+        a: &PreparedTrajectory,
+        b: &PreparedTrajectory,
+        terms: impl Iterator<Item = Term>,
+        scratch: &mut StpScratch,
+    ) -> CpSum {
+        let est_a = self.estimator(a);
+        let est_b = self.estimator(b);
+        scratch.times.clear();
+        scratch.spans.clear();
+        let mut skipped = 0u64;
+        for term in terms {
+            let overlap = a
+                .support_box(&est_a, term.a, term.t)
+                .intersection(&b.support_box(&est_b, term.b, term.t));
+            if overlap.is_empty() {
+                skipped += 1;
+            } else {
+                scratch.times.push((term.t, term.weight));
+                scratch.spans.push(self.id_span(overlap));
+            }
         }
         if skipped > 0 {
             static_counter!("core.stp.stamps_skipped").add(skipped);
         }
-        if scratch.times.is_empty() {
-            static_counter!("core.pairs.pruned").incr();
-            return 0.0;
+        let scored = scratch.times.len() as u64;
+        if scored == 0 {
+            return CpSum {
+                sum: 0.0,
+                scored,
+                skipped,
+            };
         }
         let same = std::ptr::eq(a, b);
         let sides = [(&a.cache, &est_a), (&b.cache, &est_b)];
         let sides = if same { &sides[..1] } else { &sides[..] };
         stpcache::ensure(sides, &scratch.times, &mut scratch.fill);
-        let times = &scratch.times;
+        let (times, spans) = (&scratch.times, &scratch.spans);
         let score = |ra: &StpCacheReader<'_>, rb: &StpCacheReader<'_>| -> f64 {
             let mut sum = 0.0;
-            for &(t, weight) in times {
+            for (&(t, weight), &span) in times.iter().zip(spans) {
                 let cp = match (ra.get(t), rb.get(t)) {
-                    (Some((ia, pa)), Some((ib, pb))) => colocation_sparse(ia, pa, ib, pb),
+                    (Some((ia, pa)), Some((ib, pb))) => {
+                        colocation_sparse_within(ia, pa, ib, pb, span)
+                    }
                     // Evicted between fill and read (arena recycle under
                     // pressure): evaluate directly — same value, since
                     // cached entries are exactly what `stp` returns.
@@ -481,7 +615,23 @@ impl Sts {
                 score(&r2, &r1)
             }
         };
-        sum / stamps as f64
+        CpSum {
+            sum,
+            scored,
+            skipped,
+        }
+    }
+
+    /// The cell-id span of a non-empty box of this grid: ids are
+    /// row-major, so every cell of the box has an id in
+    /// `[r0·cols + c0, r1·cols + c1]`.
+    fn id_span(&self, cells: CellBox) -> (u32, u32) {
+        let cols = self.grid.cols() as i64;
+        let id = |col: i64, row: i64| (row * cols + col) as u32;
+        (
+            id(cells.cols.0, cells.rows.0),
+            id(cells.cols.1, cells.rows.1),
+        )
     }
 
     /// The co-location probability at every merged timestamp, in time

@@ -201,6 +201,12 @@ stat_counters! {
     queries_stale => "serve.query.stale",
     /// Queries cut short by their deadline budget.
     queries_deadline => "serve.query.deadline",
+    /// Window stamps of every object pair a query scored (`steps` per
+    /// pair).
+    query_stamps => "serve.query.stamps",
+    /// Of those, stamps where the two objects' support boxes were
+    /// disjoint, so CP is exactly 0 and no STP was evaluated for it.
+    query_stamps_skipped => "serve.query.stamps_skipped",
     /// WAL group commits that reached verified-durable.
     wal_commits => "serve.wal.commits",
     /// WAL writes that reported success but failed read-back

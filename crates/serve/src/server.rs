@@ -8,8 +8,8 @@
 //!                            │ parse frame, dispatch
 //!                            │ pings → bounded sync_channel ──► ingest thread
 //!                            │         (try_send: full ⇒ `busy`)     │ apply → WAL
-//!                            └─ queries lock the state directly      │ group commit
-//!                                                                    │ auto-snapshot
+//!                            └─ queries copy a window view under     │ group commit
+//!                               the state lock, score outside it     │ auto-snapshot
 //! ```
 //!
 //! The **ingest thread** is the single writer: it owns the WAL, applies
@@ -207,7 +207,9 @@ fn dispatch(sh: &Shared, tx: &SyncSender<IngestMsg>, frame: &str) -> Reply {
             let steps = steps.clamp(1, MAX_QUERY_STEPS);
             let allow_stale =
                 sh.depth.load(Ordering::SeqCst).max(0) >= sh.opts.shed_defer_depth as i64;
-            let outcome = sh.state.lock().expect("state lock").windowed_colocation(
+            // The view is copied out under the lock; scoring runs after
+            // the guard drops, beside ingest and other queries.
+            let view = sh.state.lock().expect("state lock").colocation_view(
                 a,
                 b,
                 t0,
@@ -216,6 +218,7 @@ fn dispatch(sh: &Shared, tx: &SyncSender<IngestMsg>, frame: &str) -> Reply {
                 allow_stale,
                 &sh.stats,
             );
+            let outcome = view.evaluate(&sh.stats);
             Reply::Text(format!(
                 "coloc {} {}",
                 outcome.staleness.token(),
@@ -237,7 +240,7 @@ fn dispatch(sh: &Shared, tx: &SyncSender<IngestMsg>, frame: &str) -> Reply {
             let steps = steps.clamp(1, MAX_QUERY_STEPS);
             let allow_stale =
                 sh.depth.load(Ordering::SeqCst).max(0) >= sh.opts.shed_defer_depth as i64;
-            let outcome = sh.state.lock().expect("state lock").topk(
+            let view = sh.state.lock().expect("state lock").topk_view(
                 obj,
                 t0,
                 t1,
@@ -247,6 +250,7 @@ fn dispatch(sh: &Shared, tx: &SyncSender<IngestMsg>, frame: &str) -> Reply {
                 sh.opts.query_budget,
                 &sh.stats,
             );
+            let outcome = view.evaluate(&sh.stats);
             let mut reply = format!(
                 "topk {} {} {}",
                 outcome.staleness.token(),
@@ -836,6 +840,80 @@ mod tests {
         assert!(v1.is_finite());
         assert!(c.stats_get("refresh_deferred").unwrap() >= 2);
         assert!(c.stats_get("queries_stale").unwrap() >= 1);
+        drop(c);
+        h.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_negative_zero_window_keeps_the_connection_serving() {
+        // Object 0 is observed at +0.0, object 1 between pings there. A
+        // −0.0 bound is that observation; a panic while scoring it would
+        // kill this connection, and inside the state lock poison it for
+        // every other one.
+        let dir = tmp_dir("negzero");
+        let h = start(ServeOptions::new(&dir));
+        let mut c = ServeClient::connect(h.addr()).unwrap();
+        for i in 0..8u64 {
+            let t = i as f64;
+            for (obj, dt, dy) in [(0, 0.0, 0.0), (1, -0.5, 1.0)] {
+                let p = Ping {
+                    seq: 2 * i + obj + 1,
+                    obj,
+                    t: t + dt,
+                    x: 20.0 + t,
+                    y: 20.0 + dy,
+                };
+                c.ingest_until_acked(&p).unwrap();
+            }
+        }
+        c.flush().unwrap();
+        let coloc = |t0: f64| format!("coloc 0 1 {} {} 1", f64_to_hex(t0), f64_to_hex(3.0));
+        let neg = c.roundtrip(&coloc(-0.0)).unwrap();
+        let pos = c.roundtrip(&coloc(0.0)).unwrap();
+        assert!(pos.starts_with("coloc fresh "), "{pos}");
+        assert_eq!(neg, pos);
+        assert_ne!(c.colocate(0, 1, 0.0, 3.0, 1).unwrap().1, 0.0);
+        let mut other = ServeClient::connect(h.addr()).unwrap();
+        assert_eq!(other.hello().unwrap(), 16);
+        drop((c, other));
+        h.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn flush_answers_while_a_long_topk_is_scoring() {
+        // A top-k at the step cap over 30 warm objects scores for
+        // hundreds of ms. Its state lock covers only the view, so the
+        // ingest thread's commit — which reads the state under that
+        // lock — answers a flush on another connection meanwhile.
+        let dir = tmp_dir("locksplit");
+        let h = start(ServeOptions::new(&dir));
+        let mut c = ServeClient::connect(h.addr()).unwrap();
+        for p in walk_pings(12, 30) {
+            c.ingest_until_acked(&p).unwrap();
+        }
+        c.flush().unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let topk = s.spawn(|| {
+                let reply = c.topk_raw(0, 0.0, 11.0, MAX_QUERY_STEPS, 5).unwrap();
+                done.store(true, Ordering::SeqCst);
+                reply
+            });
+            // The top-k has taken its view once it counts as a query.
+            while h.stats().get("queries") != Some(1) {
+                std::thread::yield_now();
+            }
+            let mut other = ServeClient::connect(h.addr()).unwrap();
+            assert_eq!(other.flush().unwrap(), 360);
+            assert!(
+                !done.load(Ordering::SeqCst),
+                "the flush waited for the top-k"
+            );
+            let reply = topk.join().unwrap();
+            assert!(reply.starts_with("topk fresh ok 5 "), "{reply}");
+        });
         drop(c);
         h.shutdown();
         let _ = std::fs::remove_dir_all(&dir);

@@ -20,15 +20,23 @@
 //!   *defer* the rebuild (answer from the stale model, flagged) without
 //!   ever changing what a fresh rebuild would produce.
 //!
-//! Queries evaluate the paper's machinery unchanged: a
-//! [`StpEstimator`] per object over the tail trajectory and Eq. 8/9
+//! Queries evaluate the paper's machinery unchanged: Eq. 8/9
 //! co-location probability, averaged over evenly spaced timestamps in
-//! the query window.
+//! the query window, through the co-location core batch scoring uses
+//! ([`Sts::colocation_sum`]). A query runs in two halves. Under the
+//! state lock, `colocation_view` and `topk_view` refresh or defer the
+//! speed models and copy out, per object, only the ring points that
+//! bracket the window's stamps plus the model's `Arc`: `STP(·, t)`
+//! depends only on the two observations around `t` (Eqs. 4–5). The
+//! view's `evaluate` then scores with no lock held, preparing each
+//! object once, so a `topk` evaluates the query object's STP once per
+//! stamp for every candidate.
 
 use crate::{f64_from_hex, f64_to_hex, ServeStats};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-use sts_core::{GaussianNoise, SpeedKdeTransition, StpEstimator, StpEvalScratch};
+use sts_core::{PreparedTrajectory, SpeedKdeTransition, StpScratch, Sts, StsConfig};
 use sts_geo::{BoundingBox, Grid, Point};
 use sts_runtime::store::{seal, unseal};
 use sts_stats::Kernel;
@@ -174,7 +182,7 @@ struct ObjectState {
     /// Bumped once per applied ping; cache validity token.
     version: u64,
     /// Lazily rebuilt speed model: (version it was built at, model).
-    cache: Option<(u64, SpeedKdeTransition)>,
+    cache: Option<(u64, Arc<SpeedKdeTransition>)>,
 }
 
 impl ObjectState {
@@ -182,32 +190,53 @@ impl ObjectState {
         self.ring.back().map(|&(t, _, _)| t)
     }
 
-    /// The tail trajectory, or `None` while the object is cold
-    /// (fewer than 2 pings: no speed evidence, no meaningful STP).
-    fn trajectory(&self) -> Option<Trajectory> {
-        if self.ring.len() < 2 || self.speeds.is_empty() {
-            return None;
-        }
-        let pts: Vec<TrajPoint> = self
-            .ring
-            .iter()
+    /// The ring points that bracket every stamp inside the ring's span:
+    /// from the last point at or before the earliest such stamp to the
+    /// first point at or after the latest. Every stamp then sees the
+    /// same bracketing observations, so the same STP, as over the whole
+    /// ring. Empty when no stamp lies inside the span (NaN never does).
+    fn window_slice(&self, stamps: &[f64]) -> Vec<TrajPoint> {
+        let (Some(&(first, ..)), Some(&(last, ..))) = (self.ring.front(), self.ring.back()) else {
+            return Vec::new();
+        };
+        let inside = stamps.iter().filter(|&&t| t >= first && t <= last);
+        let Some((lo, hi)) = inside.fold(None, |span: Option<(f64, f64)>, &t| {
+            Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
+        }) else {
+            return Vec::new();
+        };
+        // Numeric comparisons: `first <= lo` makes the first partition
+        // point at least 1, and `hi <= last` keeps the second in range.
+        let from = self.ring.partition_point(|&(t, ..)| t <= lo) - 1;
+        let to = self.ring.partition_point(|&(t, ..)| t < hi);
+        self.ring
+            .range(from..=to)
             .map(|&(t, x, y)| TrajPoint::from_xy(x, y, t))
-            .collect();
-        Trajectory::new(pts).ok()
+            .collect()
     }
 }
 
 /// The served state: every object's incremental tail + the query
 /// engine. Single-writer (the ingest thread) behind the server's
-/// mutex; queries take the same lock.
-#[derive(Debug)]
+/// mutex; queries take the same lock only to copy out their view.
 pub struct ServeState {
     cfg: StateConfig,
-    grid: Grid,
-    noise: GaussianNoise,
+    /// The measure queries score through: its grid and observation
+    /// noise. Each object brings its own transition model.
+    sts: Arc<Sts>,
     objects: BTreeMap<u64, ObjectState>,
     /// Highest ingest seq ever consumed (applied or refused stale).
     max_seq: u64,
+}
+
+impl std::fmt::Debug for ServeState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServeState")
+            .field("cfg", &self.cfg)
+            .field("objects", &self.objects)
+            .field("max_seq", &self.max_seq)
+            .finish()
+    }
 }
 
 impl ServeState {
@@ -222,11 +251,14 @@ impl ServeState {
             Point::new(cfg.area_max.0, cfg.area_max.1),
         );
         let grid = Grid::new(area, cfg.cell_size).expect("valid serve grid config");
-        let noise = GaussianNoise::new(cfg.noise_sigma);
+        let measure = StsConfig {
+            noise_sigma: cfg.noise_sigma,
+            kernel: cfg.kernel,
+            ..StsConfig::default()
+        };
         ServeState {
+            sts: Arc::new(Sts::new(measure, grid)),
             cfg,
-            grid,
-            noise,
             objects: BTreeMap::new(),
             max_seq: 0,
         }
@@ -287,7 +319,7 @@ impl ServeState {
     /// whether the object will answer from a stale model, or `None`
     /// when the object is cold (no model possible).
     fn ensure_model(&mut self, obj: u64, allow_stale: bool, stats: &ServeStats) -> Option<bool> {
-        let cell = self.grid.cell_size();
+        let cell = self.sts.grid().cell_size();
         let kernel = self.cfg.kernel;
         let o = self.objects.get_mut(&obj)?;
         if o.ring.len() < 2 || o.speeds.is_empty() {
@@ -306,15 +338,35 @@ impl ServeState {
                 )
                 .ok()?
                 .with_position_uncertainty(cell / 2.0);
-                o.cache = Some((o.version, model));
+                o.cache = Some((o.version, Arc::new(model)));
                 Some(false)
             }
         }
     }
 
+    /// [`ServeState::ensure_model`], then the object's window slice and
+    /// model: what a query reads of it, or `None` while it is cold.
+    fn object_view(
+        &mut self,
+        obj: u64,
+        stamps: &[f64],
+        allow_stale: bool,
+        stats: &ServeStats,
+    ) -> Option<ObjectView> {
+        let stale = self.ensure_model(obj, allow_stale, stats)?;
+        let o = &self.objects[&obj];
+        let (_, model) = o.cache.as_ref().expect("ensure_model left a model");
+        Some(ObjectView {
+            points: o.window_slice(stamps),
+            model: Arc::clone(model),
+            stale,
+        })
+    }
+
     /// Mean co-location probability (Eq. 8/9) of `a` and `b` over
     /// `steps` evenly spaced timestamps in `[t0, t1]`. Cold or unknown
     /// objects score exactly `0.0`.
+    #[allow(clippy::too_many_arguments)]
     pub fn windowed_colocation(
         &mut self,
         a: u64,
@@ -325,63 +377,40 @@ impl ServeState {
         allow_stale: bool,
         stats: &ServeStats,
     ) -> QueryOutcome<f64> {
-        stats.queries(1);
-        let stale_a = self.ensure_model(a, allow_stale, stats);
-        let stale_b = self.ensure_model(b, allow_stale, stats);
-        let staleness = if stale_a == Some(true) || stale_b == Some(true) {
-            stats.queries_stale(1);
-            Staleness::Stale
-        } else {
-            Staleness::Fresh
-        };
-        let value = match (stale_a, stale_b) {
-            (Some(_), Some(_)) => {
-                let mut scratch = [StpEvalScratch::new(), StpEvalScratch::new()];
-                self.pair_score(a, b, t0, t1, steps, &mut scratch)
-                    .expect("ensure_model guarantees both objects are warm")
-            }
-            _ => 0.0,
-        };
-        QueryOutcome {
-            value,
-            staleness,
-            deadline_hit: false,
-        }
+        self.colocation_view(a, b, t0, t1, steps, allow_stale, stats)
+            .evaluate(stats)
     }
 
-    /// The immutable scoring pass: both objects must have valid caches.
-    /// `scratch` holds one STP evaluation buffer per side; callers reuse
-    /// the pair across every step and candidate of a query.
-    fn pair_score(
-        &self,
+    /// The locked half of [`ServeState::windowed_colocation`]: refreshes
+    /// or defers both models and copies out what scoring reads.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn colocation_view(
+        &mut self,
         a: u64,
         b: u64,
         t0: f64,
         t1: f64,
         steps: usize,
-        scratch: &mut [StpEvalScratch; 2],
-    ) -> Option<f64> {
-        let oa = self.objects.get(&a)?;
-        let ob = self.objects.get(&b)?;
-        let traj_a = oa.trajectory()?;
-        let traj_b = ob.trajectory()?;
-        let model_a = &oa.cache.as_ref()?.1;
-        let model_b = &ob.cache.as_ref()?.1;
-        let est_a = StpEstimator::new(&self.grid, &self.noise, model_a, &traj_a);
-        let est_b = StpEstimator::new(&self.grid, &self.noise, model_b, &traj_b);
-        let steps = steps.max(1);
-        let [sa, sb] = scratch;
-        let mut sum = 0.0;
-        for i in 0..steps {
-            let t = if steps == 1 {
-                t0
-            } else {
-                t0 + (t1 - t0) * (i as f64) / ((steps - 1) as f64)
-            };
-            // CP(t) (Eq. 8/9), as `colocation_probability` computes it.
-            sum += est_a.stp_into(t, sa).dot(est_b.stp_into(t, sb));
+        allow_stale: bool,
+        stats: &ServeStats,
+    ) -> ColocView {
+        stats.queries(1);
+        let stamps = window_stamps(t0, t1, steps);
+        let view_a = self.object_view(a, &stamps, allow_stale, stats);
+        let view_b = self.object_view(b, &stamps, allow_stale, stats);
+        let stale = |v: &Option<ObjectView>| v.as_ref().is_some_and(|v| v.stale);
+        let staleness = if stale(&view_a) || stale(&view_b) {
+            stats.queries_stale(1);
+            Staleness::Stale
+        } else {
+            Staleness::Fresh
+        };
+        ColocView {
+            sts: Arc::clone(&self.sts),
+            stamps,
+            pair: view_a.zip(view_b),
+            staleness,
         }
-        Some(sum / steps as f64)
     }
 
     /// Top-`k` objects by windowed co-location with `obj`, scored over
@@ -401,38 +430,51 @@ impl ServeState {
         budget: Duration,
         stats: &ServeStats,
     ) -> QueryOutcome<Vec<(u64, f64)>> {
+        self.topk_view(obj, t0, t1, steps, k, allow_stale, budget, stats)
+            .evaluate(stats)
+    }
+
+    /// The locked half of [`ServeState::topk`]: refreshes or defers the
+    /// query object's model and each candidate's, in id order, and
+    /// copies out what scoring reads. The budget's clock starts here; a
+    /// candidate reached after it ran out is neither refreshed nor
+    /// scored, as in a single pass.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn topk_view(
+        &mut self,
+        obj: u64,
+        t0: f64,
+        t1: f64,
+        steps: usize,
+        k: usize,
+        allow_stale: bool,
+        budget: Duration,
+        stats: &ServeStats,
+    ) -> TopkView {
         stats.queries(1);
         let start = Instant::now();
-        let mut any_stale = self.ensure_model(obj, allow_stale, stats) == Some(true);
-        let candidates: Vec<u64> = self.objects.keys().copied().filter(|&o| o != obj).collect();
-        let mut scored: Vec<(u64, f64)> = Vec::with_capacity(candidates.len());
-        let mut scratch = [StpEvalScratch::new(), StpEvalScratch::new()];
+        let stamps = window_stamps(t0, t1, steps);
+        let query = self.object_view(obj, &stamps, allow_stale, stats);
+        let ids: Vec<u64> = self.objects.keys().copied().filter(|&o| o != obj).collect();
+        let mut candidates = Vec::with_capacity(ids.len());
         let mut deadline_hit = false;
-        for cand in candidates {
+        for cand in ids {
             if start.elapsed() > budget {
                 deadline_hit = true;
-                stats.queries_deadline(1);
                 break;
             }
-            match self.ensure_model(cand, allow_stale, stats) {
-                None => continue,
-                Some(stale) => any_stale |= stale,
-            }
-            if let Some(score) = self.pair_score(obj, cand, t0, t1, steps, &mut scratch) {
-                scored.push((cand, score));
+            if let Some(view) = self.object_view(cand, &stamps, allow_stale, stats) {
+                candidates.push((cand, view));
             }
         }
-        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-        scored.truncate(k);
-        let staleness = if any_stale {
-            stats.queries_stale(1);
-            Staleness::Stale
-        } else {
-            Staleness::Fresh
-        };
-        QueryOutcome {
-            value: scored,
-            staleness,
+        TopkView {
+            sts: Arc::clone(&self.sts),
+            stamps,
+            k,
+            query,
+            candidates,
+            start,
+            budget,
             deadline_hit,
         }
     }
@@ -523,12 +565,430 @@ impl ServeState {
     }
 }
 
+/// The `steps` evenly spaced stamps of `[t0, t1]`; one step is `t0`
+/// alone.
+fn window_stamps(t0: f64, t1: f64, steps: usize) -> Vec<f64> {
+    let steps = steps.max(1);
+    (0..steps)
+        .map(|i| {
+            if steps == 1 {
+                t0
+            } else {
+                t0 + (t1 - t0) * (i as f64) / ((steps - 1) as f64)
+            }
+        })
+        .collect()
+}
+
+/// What a query reads of one warm object, copied out under the lock.
+struct ObjectView {
+    /// The ring points bracketing the window's stamps (possibly none).
+    points: Vec<TrajPoint>,
+    model: Arc<SpeedKdeTransition>,
+    /// Whether the model is a deferred, stale one.
+    stale: bool,
+}
+
+impl ObjectView {
+    /// The slice prepared for scoring, or `None` when it is empty: no
+    /// stamp lies inside the object's span, so every CP is 0.
+    fn prepare(self, sts: &Sts) -> Option<PreparedTrajectory> {
+        let traj = Trajectory::new(self.points).ok()?;
+        Some(sts.prepare_with_transition(traj, self.model))
+    }
+}
+
+/// Mean CP of two prepared window slices over `stamps` (Eq. 8/9),
+/// counting the stamps scored and box-skipped in `stats`.
+fn window_score(
+    sts: &Sts,
+    a: Option<&PreparedTrajectory>,
+    b: Option<&PreparedTrajectory>,
+    stamps: &[f64],
+    scratch: &mut StpScratch,
+    stats: &ServeStats,
+) -> f64 {
+    stats.query_stamps(stamps.len() as u64);
+    let sum = match (a, b) {
+        (Some(a), Some(b)) => {
+            let cp = sts.colocation_sum(a, b, stamps, scratch);
+            stats.query_stamps_skipped(cp.skipped);
+            cp.sum
+        }
+        _ => 0.0,
+    };
+    sum / stamps.len() as f64
+}
+
+/// A `colocate` query's view of the state; [`ColocView::evaluate`]
+/// scores it with no lock held.
+pub(crate) struct ColocView {
+    sts: Arc<Sts>,
+    stamps: Vec<f64>,
+    /// Both objects' views, or `None` when either is cold.
+    pair: Option<(ObjectView, ObjectView)>,
+    staleness: Staleness,
+}
+
+impl ColocView {
+    /// The query's answer.
+    pub(crate) fn evaluate(self, stats: &ServeStats) -> QueryOutcome<f64> {
+        let value = match self.pair {
+            Some((a, b)) => {
+                let (a, b) = (a.prepare(&self.sts), b.prepare(&self.sts));
+                let mut scratch = StpScratch::new();
+                window_score(
+                    &self.sts,
+                    a.as_ref(),
+                    b.as_ref(),
+                    &self.stamps,
+                    &mut scratch,
+                    stats,
+                )
+            }
+            None => 0.0,
+        };
+        QueryOutcome {
+            value,
+            staleness: self.staleness,
+            deadline_hit: false,
+        }
+    }
+}
+
+/// A `topk` query's view of the state; [`TopkView::evaluate`] scores
+/// it with no lock held.
+pub(crate) struct TopkView {
+    sts: Arc<Sts>,
+    stamps: Vec<f64>,
+    k: usize,
+    /// The query object's view, or `None` when it is cold.
+    query: Option<ObjectView>,
+    /// Every warm candidate reached within the budget, in id order.
+    candidates: Vec<(u64, ObjectView)>,
+    start: Instant,
+    budget: Duration,
+    /// The budget ran out while the view was taken.
+    deadline_hit: bool,
+}
+
+impl TopkView {
+    /// The query's answer. The query object is prepared once and every
+    /// candidate is scored against it. Candidates are scored in id
+    /// order until the budget runs out; the answer is stale when the
+    /// query object or a candidate reached in time answered from a
+    /// stale model.
+    pub(crate) fn evaluate(self, stats: &ServeStats) -> QueryOutcome<Vec<(u64, f64)>> {
+        let mut any_stale = self.query.as_ref().is_some_and(|q| q.stale);
+        let warm = self.query.is_some();
+        let query = self.query.and_then(|q| q.prepare(&self.sts));
+        let mut scratch = StpScratch::new();
+        let mut scored = Vec::with_capacity(self.candidates.len());
+        let mut deadline_hit = self.deadline_hit;
+        for (cand, view) in self.candidates {
+            if deadline_hit || self.start.elapsed() > self.budget {
+                deadline_hit = true;
+                break;
+            }
+            any_stale |= view.stale;
+            if warm {
+                // An empty query slice scores every candidate 0.
+                let slice = if query.is_some() {
+                    view.prepare(&self.sts)
+                } else {
+                    None
+                };
+                let score = window_score(
+                    &self.sts,
+                    query.as_ref(),
+                    slice.as_ref(),
+                    &self.stamps,
+                    &mut scratch,
+                    stats,
+                );
+                scored.push((cand, score));
+            }
+        }
+        if deadline_hit {
+            stats.queries_deadline(1);
+        }
+        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        scored.truncate(self.k);
+        let staleness = if any_stale {
+            stats.queries_stale(1);
+            Staleness::Stale
+        } else {
+            Staleness::Fresh
+        };
+        QueryOutcome {
+            value: scored,
+            staleness,
+            deadline_hit,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use sts_core::{GaussianNoise, StpEstimator, StpEvalScratch};
+    use sts_rng::check::Checker;
+    use sts_rng::{Rng, Xoshiro256pp};
 
     fn stats() -> ServeStats {
         ServeStats::default()
+    }
+
+    /// The full-ring oracle: the scoring pass the window views replaced.
+    /// Both objects' whole tail rings become trajectories with their own
+    /// [`StpEstimator`]s, and the query object's STP is evaluated afresh
+    /// for every pair and step.
+    fn oracle_pair_score(
+        s: &ServeState,
+        a: u64,
+        b: u64,
+        t0: f64,
+        t1: f64,
+        steps: usize,
+    ) -> Option<f64> {
+        let trajectory = |o: &ObjectState| {
+            if o.ring.len() < 2 || o.speeds.is_empty() {
+                return None;
+            }
+            let pts = o.ring.iter().map(|&(t, x, y)| TrajPoint::from_xy(x, y, t));
+            Trajectory::new(pts.collect()).ok()
+        };
+        let oa = s.objects.get(&a)?;
+        let ob = s.objects.get(&b)?;
+        let traj_a = trajectory(oa)?;
+        let traj_b = trajectory(ob)?;
+        let model_a = &oa.cache.as_ref()?.1;
+        let model_b = &ob.cache.as_ref()?.1;
+        let noise = GaussianNoise::new(s.cfg.noise_sigma);
+        let grid = s.sts.grid();
+        let est_a = StpEstimator::new(grid, &noise, model_a.as_ref(), &traj_a);
+        let est_b = StpEstimator::new(grid, &noise, model_b.as_ref(), &traj_b);
+        let steps = steps.max(1);
+        let (mut sa, mut sb) = (StpEvalScratch::new(), StpEvalScratch::new());
+        let mut sum = 0.0;
+        for i in 0..steps {
+            let t = if steps == 1 {
+                t0
+            } else {
+                t0 + (t1 - t0) * (i as f64) / ((steps - 1) as f64)
+            };
+            sum += est_a.stp_into(t, &mut sa).dot(est_b.stp_into(t, &mut sb));
+        }
+        Some(sum / steps as f64)
+    }
+
+    /// [`ServeState::windowed_colocation`] as one locked pass over
+    /// [`oracle_pair_score`].
+    fn oracle_colocation(
+        s: &mut ServeState,
+        (a, b): (u64, u64),
+        (t0, t1, steps): (f64, f64, usize),
+        allow_stale: bool,
+        stats: &ServeStats,
+    ) -> QueryOutcome<f64> {
+        stats.queries(1);
+        let stale_a = s.ensure_model(a, allow_stale, stats);
+        let stale_b = s.ensure_model(b, allow_stale, stats);
+        let staleness = if stale_a == Some(true) || stale_b == Some(true) {
+            stats.queries_stale(1);
+            Staleness::Stale
+        } else {
+            Staleness::Fresh
+        };
+        let value = match (stale_a, stale_b) {
+            (Some(_), Some(_)) => oracle_pair_score(s, a, b, t0, t1, steps).unwrap(),
+            _ => 0.0,
+        };
+        QueryOutcome {
+            value,
+            staleness,
+            deadline_hit: false,
+        }
+    }
+
+    /// [`ServeState::topk`] as one locked pass over [`oracle_pair_score`]:
+    /// each candidate's model is refreshed and the pair scored in turn.
+    fn oracle_topk(
+        s: &mut ServeState,
+        (obj, k): (u64, usize),
+        (t0, t1, steps): (f64, f64, usize),
+        (allow_stale, budget): (bool, Duration),
+        stats: &ServeStats,
+    ) -> QueryOutcome<Vec<(u64, f64)>> {
+        stats.queries(1);
+        let start = Instant::now();
+        let mut any_stale = s.ensure_model(obj, allow_stale, stats) == Some(true);
+        let candidates: Vec<u64> = s.objects.keys().copied().filter(|&o| o != obj).collect();
+        let mut scored = Vec::new();
+        let mut deadline_hit = false;
+        for cand in candidates {
+            if start.elapsed() > budget {
+                deadline_hit = true;
+                stats.queries_deadline(1);
+                break;
+            }
+            match s.ensure_model(cand, allow_stale, stats) {
+                None => continue,
+                Some(stale) => any_stale |= stale,
+            }
+            if let Some(score) = oracle_pair_score(s, obj, cand, t0, t1, steps) {
+                scored.push((cand, score));
+            }
+        }
+        scored.sort_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+        scored.truncate(k);
+        let staleness = if any_stale {
+            stats.queries_stale(1);
+            Staleness::Stale
+        } else {
+            Staleness::Fresh
+        };
+        QueryOutcome {
+            value: scored,
+            staleness,
+            deadline_hit,
+        }
+    }
+
+    /// Pings of `objects` random walks, each starting at t = 0.0 within
+    /// `spread` meters of the area's center (so some pairs meet and some
+    /// never do) and moving up to 5 m per 0.5–6 s step. Object
+    /// `objects - 1` pings once and stays cold.
+    fn random_walks(rng: &mut Xoshiro256pp, objects: u64, pings: usize, spread: f64) -> Vec<Ping> {
+        let mut out = Vec::new();
+        for obj in 0..objects {
+            let mut x = 50.0 + rng.random_range(-spread..spread);
+            let mut y = 50.0 + rng.random_range(-spread..spread);
+            let mut t = 0.0;
+            let n = if obj + 1 == objects { 1 } else { pings };
+            for _ in 0..n {
+                out.push(ping(0, obj, t, x, y));
+                x = (x + rng.random_range(-5.0..5.0)).clamp(1.0, 99.0);
+                y = (y + rng.random_range(-5.0..5.0)).clamp(1.0, 99.0);
+                t += rng.random_range(0.5..6.0);
+            }
+        }
+        out.sort_by(|p, q| p.t.total_cmp(&q.t).then(p.obj.cmp(&q.obj)));
+        out
+    }
+
+    /// A query window of one of the shapes the bit-identity gate covers.
+    fn random_window(rng: &mut Xoshiro256pp, t_end: f64) -> (f64, f64) {
+        let a = rng.random_range(0.0..t_end);
+        let b = rng.random_range(a..t_end + 1.0);
+        match rng.random_range(0..10u32) {
+            0 | 1 => (a, b),                   // inside the rings
+            2 => (-20.0, a),                   // partly outside
+            3 => (t_end + 10.0, t_end + 90.0), // wholly outside
+            4 => (b, a),                       // reversed
+            5 => (a, a),                       // t0 == t1
+            6 => (-0.0, a),                    // −0.0 meets the first pings
+            7 => (
+                [f64::NAN, a][rng.random_range(0..2usize)],
+                [b, f64::NAN][rng.random_range(0..2usize)],
+            ),
+            8 => (
+                f64::NEG_INFINITY,
+                [b, f64::INFINITY][rng.random_range(0..2usize)],
+            ),
+            _ => (a, f64::INFINITY),
+        }
+    }
+
+    /// The gate on the window views: on random states, `colocate` and
+    /// `topk` answer exactly as the full-ring oracle — values bit for
+    /// bit, `stale` and `deadline` tokens, and the query counters —
+    /// fresh and stale, over windows inside, partly outside and wholly
+    /// outside the rings, reversed, empty, and bounded by NaN, ±∞ and
+    /// −0.0, at 1, 7 and other step counts. Fresh pings arrive between
+    /// queries, so deferred refreshes answer stale.
+    #[test]
+    fn window_views_answer_as_the_full_ring_oracle() {
+        let (scored, skipped, stale) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
+        Checker::new().cases(48).seed(29).run(
+            (0u64..1 << 48, 3u64..8, 2usize..40),
+            |(seed, objects, pings)| {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed);
+                let spread = [12.0, 45.0][rng.random_range(0..2usize)];
+                let (mut views, mut oracle) = (ServeState::new(StateConfig::default()), ServeState::new(StateConfig::default()));
+                let (sv, so) = (stats(), stats());
+                let mut seq = 0;
+                let mut feed = |views: &mut ServeState, oracle: &mut ServeState, batch: Vec<Ping>| {
+                    for mut p in batch {
+                        seq += 1;
+                        p.seq = seq;
+                        prop_assert_eq_verdict(views.apply(&p), oracle.apply(&p))?;
+                    }
+                    Ok::<(), String>(())
+                };
+                let walks = random_walks(&mut rng, objects, pings, spread);
+                let t_end = walks.last().map_or(1.0, |p| p.t);
+                feed(&mut views, &mut oracle, walks)?;
+                for q in 0..12 {
+                    if rng.random_range(0..4u32) == 0 {
+                        // Later pings dirty the models: a deferred
+                        // refresh now answers stale.
+                        let obj = rng.random_range(0..objects);
+                        let t = t_end + 1.0 + q as f64;
+                        let batch = vec![ping(0, obj, t, rng.random_range(1.0..99.0), rng.random_range(1.0..99.0))];
+                        feed(&mut views, &mut oracle, batch)?;
+                    }
+                    let (t0, t1) = random_window(&mut rng, t_end);
+                    let steps = [1, 7, rng.random_range(2..6usize)][rng.random_range(0..3usize)];
+                    let allow_stale = rng.random_range(0..2u32) == 0;
+                    let a = rng.random_range(0..objects + 1);
+                    let case = format!("seed={seed} query {q}: a={a} window=({t0}, {t1}) steps={steps} allow_stale={allow_stale}");
+                    if rng.random_range(0..2u32) == 0 {
+                        let b = rng.random_range(0..objects + 1);
+                        let got = views.windowed_colocation(a, b, t0, t1, steps, allow_stale, &sv);
+                        let want = oracle_colocation(&mut oracle, (a, b), (t0, t1, steps), allow_stale, &so);
+                        if got.value.to_bits() != want.value.to_bits() || got.staleness != want.staleness || got.deadline_hit != want.deadline_hit {
+                            return Err(format!("{case} b={b}: colocate {got:?}, oracle {want:?}"));
+                        }
+                    } else {
+                        let k = rng.random_range(1..6usize);
+                        let budget = [Duration::from_secs(60), Duration::ZERO][(rng.random_range(0..8u32) == 0) as usize];
+                        let got = views.topk(a, t0, t1, steps, k, allow_stale, budget, &sv);
+                        let want = oracle_topk(&mut oracle, (a, k), (t0, t1, steps), (allow_stale, budget), &so);
+                        let bits = |o: &QueryOutcome<Vec<(u64, f64)>>| o.value.iter().map(|&(id, v)| (id, v.to_bits())).collect::<Vec<_>>();
+                        if bits(&got) != bits(&want) || got.staleness != want.staleness || got.deadline_hit != want.deadline_hit {
+                            return Err(format!("{case} k={k} budget={budget:?}: topk {got:?}, oracle {want:?}"));
+                        }
+                    }
+                }
+                for counter in ["queries", "queries_stale", "refresh_deferred", "queries_deadline"] {
+                    if sv.get(counter) != so.get(counter) {
+                        return Err(format!("seed={seed}: {counter} {:?}, oracle {:?}", sv.get(counter), so.get(counter)));
+                    }
+                }
+                scored.set(scored.get() + sv.get("query_stamps").unwrap());
+                skipped.set(skipped.get() + sv.get("query_stamps_skipped").unwrap());
+                stale.set(stale.get() + sv.get("queries_stale").unwrap());
+                Ok(())
+            },
+        );
+        assert!(
+            skipped.get() > 0 && skipped.get() < scored.get() && stale.get() > 0,
+            "the cases must skip some stamps, score others and answer stale: \
+             {} of {} stamps skipped, {} stale answers",
+            skipped.get(),
+            scored.get(),
+            stale.get()
+        );
+    }
+
+    fn prop_assert_eq_verdict(a: ApplyVerdict, b: ApplyVerdict) -> Result<(), String> {
+        if a == b {
+            Ok(())
+        } else {
+            Err(format!("apply verdicts differ: {a:?} vs {b:?}"))
+        }
     }
 
     fn ping(seq: u64, obj: u64, t: f64, x: f64, y: f64) -> Ping {
@@ -672,6 +1132,57 @@ mod tests {
         assert!(q.deadline_hit);
         assert!(q.value.len() <= 1);
         assert_eq!(st.get("queries_deadline"), Some(1));
+    }
+
+    #[test]
+    fn a_negative_zero_window_answers_as_positive_zero() {
+        // Object 0 is observed at +0.0; object 1 is between pings there.
+        // A −0.0 stamp must find object 0's observation at +0.0.
+        let mut s = ServeState::new(StateConfig::default());
+        for i in 0..8u64 {
+            let t = i as f64;
+            s.apply(&ping(2 * i + 1, 0, t, 20.0 + t, 20.0));
+            s.apply(&ping(2 * i + 2, 1, t - 0.5, 20.5 + t, 21.0));
+        }
+        let st = stats();
+        let neg = s.windowed_colocation(0, 1, -0.0, 3.0, 1, false, &st);
+        let pos = s.windowed_colocation(0, 1, 0.0, 3.0, 1, false, &st);
+        assert!(pos.value > 0.0);
+        assert_eq!(neg.value.to_bits(), pos.value.to_bits());
+        let neg = s.topk(0, -0.0, 3.0, 1, 1, false, Duration::from_secs(30), &st);
+        let pos = s.topk(0, 0.0, 3.0, 1, 1, false, Duration::from_secs(30), &st);
+        assert_eq!(neg, pos);
+    }
+
+    #[test]
+    fn query_stamp_counters_reconcile_with_the_box_skip() {
+        // 80 m apart: every stamp's support boxes are disjoint, bridges
+        // included (a bridge box reaches ~30 m around its pings).
+        let mut far = ServeState::new(StateConfig::default());
+        for i in 0..12u64 {
+            let t = i as f64;
+            far.apply(&ping(2 * i + 1, 0, t, 10.0 + t, 10.0));
+            far.apply(&ping(2 * i + 2, 1, t + 0.5, 10.0 + t, 90.0));
+        }
+        let st = stats();
+        let q = far.windowed_colocation(0, 1, 4.0, 9.0, 5, false, &st);
+        assert_eq!(q.value, 0.0);
+        assert_eq!(st.get("query_stamps"), Some(5));
+        assert_eq!(st.get("query_stamps_skipped"), Some(5));
+        // A shadowing pair overlaps at every stamp.
+        let st = stats();
+        let q = walked_state(12, 1.0).windowed_colocation(0, 1, 4.0, 9.0, 5, false, &st);
+        assert!(q.value > 0.0);
+        assert_eq!(st.get("query_stamps"), Some(5));
+        assert_eq!(st.get("query_stamps_skipped"), Some(0));
+        // A top-k counts the stamps of every candidate it scores; a
+        // cold object is not scored.
+        let st = stats();
+        let mut s = walked_state(12, 1.0);
+        s.apply(&ping(1000, 7, 3.0, 90.0, 90.0));
+        s.topk(1, 4.0, 9.0, 3, 5, false, Duration::from_secs(30), &st);
+        assert_eq!(st.get("query_stamps"), Some(3));
+        assert_eq!(st.get("query_stamps_skipped"), Some(0));
     }
 
     #[test]

@@ -164,12 +164,10 @@ impl Trajectory {
         if !(t >= self.start_time()) {
             return None;
         }
-        // Timestamps are finite by invariant, so total_cmp agrees with
-        // the numeric order while never being able to panic.
-        match self.points.binary_search_by(|p| p.t.total_cmp(&t)) {
-            Ok(i) => Some(i),
-            Err(i) => Some(i - 1),
-        }
+        // Numeric order, not `total_cmp`: −0.0 must find an observation
+        // at +0.0. The first point passes the predicate, so the
+        // partition point is at least 1.
+        Some(self.points.partition_point(|p| p.t <= t) - 1)
     }
 
     /// The pair of observations bracketing `t`
@@ -297,6 +295,22 @@ mod tests {
         assert_eq!(t.index_at_or_before(39.9), Some(2));
         assert_eq!(t.index_at_or_before(40.0), Some(3));
         assert_eq!(t.index_at_or_before(100.0), Some(3));
+    }
+
+    #[test]
+    fn negative_zero_finds_the_observation_at_positive_zero() {
+        // `traj()` starts at +0.0, which −0.0 equals numerically but
+        // precedes under `total_cmp`.
+        let t = traj();
+        assert_eq!(t.index_at_or_before(-0.0), Some(0));
+        assert!(t.observed_at(-0.0));
+        assert_eq!(t.bracketing(-0.0), t.bracketing(0.0));
+        // Mid-trajectory, too: −0.0 is the observation at +0.0, not a
+        // bridge from the point before it.
+        let mid =
+            Trajectory::from_xyt(&[(0.0, 0.0, -5.0), (1.0, 0.0, 0.0), (2.0, 0.0, 5.0)]).unwrap();
+        assert_eq!(mid.index_at_or_before(-0.0), Some(1));
+        assert!(mid.observed_at(-0.0));
     }
 
     #[test]

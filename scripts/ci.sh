@@ -114,6 +114,15 @@ run_seeded "shard crash suite" cargo test -p sts-repro -q --offline --test shard
 # across 8 seeds.
 echo "== serve (unit tests + ingest chaos + SIGKILL recovery; fixed seeds) =="
 run_seeded "serve unit tests" cargo test -p sts-serve -q --offline --lib
+# The lock split: a top-k at the step cap scores for ~100+ ms with the
+# state lock released, and a flush on a second connection, whose commit
+# reads the state under that lock, must answer meanwhile. Ten runs
+# under a timeout: a query that holds the lock while it scores fails
+# the assertion, and a hang fails as a timeout.
+for run in $(seq 1 10); do
+    run_seeded "flush_answers_while_a_long_topk_is_scoring (run ${run} of 10)" timeout 120 \
+        cargo test -p sts-serve -q --offline --lib flush_answers_while_a_long_topk_is_scoring
+done
 run_seeded "serve chaos suite" cargo test -p sts-robust -q --offline --test serve_chaos
 run_seeded "serve crash suite" cargo test -p sts-repro -q --offline --test serve_crash
 
